@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from . import dsl, k3, k3_mult, llv, mukai, obstruction
 from .dr import corollary_theta_push
 from .errors import OutsideModelError
+from .lincomb import add_into
 from .report import Report, exit_code, render_json, render_text
 
 SUITES = ("llv", "triple", "k3-motive", "theta-obstruction")
@@ -127,28 +128,13 @@ def run_k3_suite() -> List[Report]:
             want = p[i] if i == j else {}
             got = k3.rel_compose(p[i], p[j])
             checks.append((f"p{i} o p{j}", got == want, ""))
-    delta_sum = {}
-    for cycle in p:
-        for lab, c in cycle.items():
-            s = delta_sum.get(lab, Fraction(0)) + c
-            if s:
-                delta_sum[lab] = s
-            else:
-                delta_sum.pop(lab, None)
+    delta_sum = add_into({}, (term for cycle in p for term in cycle.items()))
     checks.append(("p0 + p1 + p2 = diagonal",
                    delta_sum == dict(k3.rel("delta")), ""))
     reports.append(_check_report("k3-projectors", checks, {}))
 
     e0, f0, h0 = k3.sl2_cycles()
-    checks = []
-    expected_h0 = k3.rel_compose(e0, f0)
-    for lab, c in k3.rel_compose(f0, e0).items():
-        s = expected_h0.get(lab, Fraction(0)) - c
-        if s:
-            expected_h0[lab] = s
-        else:
-            expected_h0.pop(lab, None)
-    checks.append(("[e0, f0] = h0", expected_h0 == h0, ""))
+    checks = [("[e0, f0] = h0", k3.rel_bracket(e0, f0) == h0, "")]
     checks.append(("h0 = p2 - p0 in cycles",
                    h0 == {"p2s": Fraction(1), "p1s": Fraction(-1)}, ""))
     reports.append(_check_report("k3-sl2", checks, {}))
@@ -331,12 +317,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--trials must be nonnegative")
     if args.genus is not None and args.genus < 2:
         parser.error("--genus must be at least 2")
+    if not args.t:
+        parser.error("--t must be nonzero")
     args.space_obj = None
     if args.space:
         try:
             with open(args.space, "r", encoding="utf-8") as handle:
-                args.space_obj = mukai.MukaiSpace.from_json(json.load(handle))
-        except (OSError, ValueError, KeyError) as err:
+                args.space_obj = mukai.MukaiSpace.from_json(handle.read())
+        except (OSError, ValueError, KeyError, TypeError) as err:
             parser.error(f"cannot load space from {args.space}: {err}")
 
     names: List[str] = []
@@ -362,10 +350,6 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_eval(args) -> int:
     try:
         tree = dsl.parse(args.expr)
-    except dsl.DslError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    try:
         context = dsl.make_context(args.context, locus=args.locus,
                                    hdim=args.hdim, t=args.t)
         value = dsl.evaluate(tree, context)
@@ -375,6 +359,9 @@ def _cmd_eval(args) -> int:
                 raise dsl.EvalError("--push needs a tautological class")
             value = ("taut", dsl.abelian_push(inner, args.push))
         kind, text = context.render(value)
+    except dsl.DslError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return 2
     except (dsl.EvalError, OutsideModelError, ValueError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import OutsideModelError
 from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, pair_to_rel, rel,
                  rel_bracket, rel_compose, rel_mul, BV_LABELS, REL_LABELS)
+from .lincomb import add_into
 from .llv import (op_e, op_e_sigma, op_e_sigmabar, op_f, op_f_sigma,
                   op_f_sigmabar, op_h, op_K, standard_quadruple)
 from .mukai import llv_model_space
@@ -223,10 +224,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                return Num(Fraction(int(num), int(den)))
-            return Num(Fraction(int(tok.text)))
+            num, _, den = tok.text.partition("/")
+            if den and not int(den):
+                raise EvalError(f"division by zero in {tok.text}")
+            return Num(Fraction(int(num), int(den or 1)))
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
@@ -500,14 +501,8 @@ class K3Context:
             y = ("rel", y[1].as_cycle())
         if x[0] != y[0] or x[0] == "scalar":
             raise EvalError(f"cannot add {x[0]} and {y[0]}")
-        out = dict(x[1])
-        for lab, c in y[1].items():
-            s = out.get(lab, Fraction(0)) + sign * c
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return (x[0], out)
+        return (x[0], add_into(dict(x[1]),
+                               ((lab, sign * c) for lab, c in y[1].items())))
 
     def mul(self, x, y, op: str):
         if op == "o":

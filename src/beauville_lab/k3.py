@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .errors import OutsideModelError
+from .lincomb import add_into, add_term
 
 BvClass = Dict[str, Fraction]
 RelCycle = Dict[str, Fraction]
@@ -33,14 +34,6 @@ REL_DIM = {"one": 3, "p1s": 2, "p2s": 2, "F": 2, "delta": 2,
 
 def _clean(d: Dict[str, Fraction]) -> Dict[str, Fraction]:
     return {k: v for k, v in d.items() if v}
-
-
-def _add_into(acc: Dict[str, Fraction], label: str, coeff: Fraction) -> None:
-    s = acc.get(label, Fraction(0)) + coeff
-    if s:
-        acc[label] = s
-    else:
-        acc.pop(label, None)
 
 
 def bv(label: str, coeff=1) -> BvClass:
@@ -73,12 +66,9 @@ def _bv_mul_labels(a: str, b: str) -> Dict[str, Fraction]:
 
 
 def bv_mul(x: BvClass, y: BvClass) -> BvClass:
-    out: Dict[str, Fraction] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for lab, cl in _bv_mul_labels(a, b).items():
-                _add_into(out, lab, ca * cb * cl)
-    return out
+    return add_into({}, ((lab, ca * cb * cl)
+                         for a, ca in x.items() for b, cb in y.items()
+                         for lab, cl in _bv_mul_labels(a, b).items()))
 
 
 _BV_FOURIER_FWD = {
@@ -98,34 +88,19 @@ _BV_FOURIER_INV = {
 
 def bv_fourier(x: BvClass, inverse: bool = False) -> BvClass:
     table = _BV_FOURIER_INV if inverse else _BV_FOURIER_FWD
-    out: Dict[str, Fraction] = {}
-    for a, ca in x.items():
-        for lab, cl in table[a].items():
-            _add_into(out, lab, ca * cl)
-    return out
+    return add_into({}, ((lab, ca * cl)
+                         for a, ca in x.items() for lab, cl in table[a].items()))
 
 
 def pi_star(x: BvClass) -> Dict[str, Fraction]:
     """Pushforward to the base: values on ('unit', 'pt')."""
-    out: Dict[str, Fraction] = {}
-    for a, ca in x.items():
-        if a == "s":
-            _add_into(out, "unit", ca)
-        elif a == "c":
-            _add_into(out, "pt", ca)
-    return out
+    base = {"s": "unit", "c": "pt"}
+    return add_into({}, ((base[a], ca) for a, ca in x.items() if a in base))
 
 
 def pi_pull(u: Dict[str, Fraction]) -> BvClass:
-    out: BvClass = {}
-    for lab, c in u.items():
-        if lab == "unit":
-            _add_into(out, "one", c)
-        elif lab == "pt":
-            _add_into(out, "f", c)
-        else:
-            raise KeyError(lab)
-    return out
+    pull = {"unit": "one", "pt": "f"}
+    return add_into({}, ((pull[lab], c) for lab, c in u.items()))
 
 
 # -- relative cycles -------------------------------------------------------------
@@ -179,12 +154,9 @@ _DIAG_PUSH = {
 
 def pair_to_rel(x: BvClass, y: BvClass) -> RelCycle:
     """p1-pullback of x times p2-pullback of y."""
-    out: RelCycle = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for lab, cl in _PAIR_TABLE[(a, b)].items():
-                _add_into(out, lab, ca * cb * cl)
-    return out
+    return add_into({}, ((lab, ca * cb * cl)
+                         for a, ca in x.items() for b, cb in y.items()
+                         for lab, cl in _PAIR_TABLE[(a, b)].items()))
 
 
 def rel(label: str, coeff=1) -> RelCycle:
@@ -194,11 +166,8 @@ def rel(label: str, coeff=1) -> RelCycle:
 
 
 def _diag_push_internal(x: BvClass) -> RelCycle:
-    out: RelCycle = {}
-    for a, ca in x.items():
-        for lab, cl in _DIAG_PUSH[a].items():
-            _add_into(out, lab, ca * cl)
-    return out
+    return add_into({}, ((lab, ca * cl)
+                         for a, ca in x.items() for lab, cl in _DIAG_PUSH[a].items()))
 
 
 def diag_push(x: BvClass) -> RelCycle:
@@ -218,59 +187,52 @@ def _rel_mul_labels(lx: str, ly: str, rep: Dict[str, Tuple[str, str]]) -> RelCyc
         return _diag_push_internal(pulled)
     ax, bx = rep[lx]
     ay, by = rep[ly]
-    out: RelCycle = {}
-    for a, ca in bv_mul({ax: Fraction(1)}, {ay: Fraction(1)}).items():
-        for b, cb in bv_mul({bx: Fraction(1)}, {by: Fraction(1)}).items():
-            for lab, cl in _PAIR_TABLE[(a, b)].items():
-                _add_into(out, lab, ca * cb * cl)
-    return out
+    return pair_to_rel(bv_mul({ax: Fraction(1)}, {ay: Fraction(1)}),
+                       bv_mul({bx: Fraction(1)}, {by: Fraction(1)}))
 
 
 def rel_mul(x: RelCycle, y: RelCycle, rep: Dict[str, Tuple[str, str]] | None = None) -> RelCycle:
     table = dict(REP)
     if rep:
         table.update(rep)
-    out: RelCycle = {}
-    for lx, cx in x.items():
-        for ly, cy in y.items():
-            for lab, cl in _rel_mul_labels(lx, ly, table).items():
-                _add_into(out, lab, cx * cy * cl)
-    return out
+    return add_into({}, ((lab, cx * cy * cl)
+                         for lx, cx in x.items() for ly, cy in y.items()
+                         for lab, cl in _rel_mul_labels(lx, ly, table).items()))
 
 
 def rel_compose(x: RelCycle, y: RelCycle) -> RelCycle:
     """Correspondence composition x o y (y acts first)."""
-    out: RelCycle = {}
     f_cycle = rel("F")
-    for lx, cx in x.items():
-        for ly, cy in y.items():
-            coeff = cx * cy
-            if lx == "delta":
-                _add_into(out, ly, coeff)
-                continue
-            if ly == "delta":
-                _add_into(out, lx, coeff)
-                continue
-            ax, bx = REP[lx]
-            ay, by = REP[ly]
-            mid = pi_star(bv_mul({by: Fraction(1)}, {ax: Fraction(1)}))
-            if not mid:
-                continue
-            base = pair_to_rel({ay: Fraction(1)}, {bx: Fraction(1)})
-            if mid.get("unit"):
-                for lab, cl in base.items():
-                    _add_into(out, lab, coeff * mid["unit"] * cl)
-            if mid.get("pt"):
-                for lab, cl in rel_mul(base, f_cycle).items():
-                    _add_into(out, lab, coeff * mid["pt"] * cl)
-    return out
+
+    def terms():
+        for lx, cx in x.items():
+            for ly, cy in y.items():
+                coeff = cx * cy
+                if lx == "delta":
+                    yield ly, coeff
+                    continue
+                if ly == "delta":
+                    yield lx, coeff
+                    continue
+                ax, bx = REP[lx]
+                ay, by = REP[ly]
+                mid = pi_star(bv_mul({by: Fraction(1)}, {ax: Fraction(1)}))
+                if not mid:
+                    continue
+                base = pair_to_rel({ay: Fraction(1)}, {bx: Fraction(1)})
+                if mid.get("unit"):
+                    for lab, cl in base.items():
+                        yield lab, coeff * mid["unit"] * cl
+                if mid.get("pt"):
+                    for lab, cl in rel_mul(base, f_cycle).items():
+                        yield lab, coeff * mid["pt"] * cl
+
+    return add_into({}, terms())
 
 
 def rel_bracket(x: RelCycle, y: RelCycle) -> RelCycle:
-    out = dict(rel_compose(x, y))
-    for lab, c in rel_compose(y, x).items():
-        _add_into(out, lab, -c)
-    return out
+    return add_into(rel_compose(x, y),
+                    ((lab, -c) for lab, c in rel_compose(y, x).items()))
 
 
 # -- Fourier correspondence ------------------------------------------------------------
@@ -283,8 +245,8 @@ def _fourier_slot1(x: RelCycle) -> RelCycle:
         if lab == "delta":
             raise OutsideModelError("compose the diagonal with F at the Corr level")
         a, b = REP[lab]
-        for lab2, c2 in pair_to_rel(dict(_BV_FOURIER_FWD[a]), {b: Fraction(1)}).items():
-            _add_into(out, lab2, c * c2)
+        for lab2, c2 in pair_to_rel(_BV_FOURIER_FWD[a], {b: Fraction(1)}).items():
+            add_term(out, lab2, c * c2)
     return out
 
 
@@ -295,8 +257,8 @@ def _fourier_slot2(x: RelCycle) -> RelCycle:
         if lab == "delta":
             raise OutsideModelError("compose the diagonal with Finv at the Corr level")
         a, b = REP[lab]
-        for lab2, c2 in pair_to_rel({a: Fraction(1)}, dict(_BV_FOURIER_INV[b])).items():
-            _add_into(out, lab2, c * c2)
+        for lab2, c2 in pair_to_rel({a: Fraction(1)}, _BV_FOURIER_INV[b]).items():
+            add_term(out, lab2, c * c2)
     return out
 
 
@@ -368,11 +330,7 @@ def projectors() -> Tuple[RelCycle, RelCycle, RelCycle]:
     theta = bv_theta()
     p0 = pair_to_rel(theta, bv("one"))
     p2 = pair_to_rel(bv("one"), theta)
-    p1: RelCycle = dict(rel("delta"))
-    for lab, c in p0.items():
-        _add_into(p1, lab, -c)
-    for lab, c in p2.items():
-        _add_into(p1, lab, -c)
+    p1 = add_into(rel("delta"), ((lab, -c) for p in (p0, p2) for lab, c in p.items()))
     return p0, p1, p2
 
 
@@ -381,9 +339,5 @@ def sl2_cycles() -> Tuple[RelCycle, RelCycle, RelCycle]:
     e0 = diag_push(bv_theta())
     f0 = rel("one")
     p0, _, p2 = projectors()
-    h0: RelCycle = {}
-    for lab, c in p2.items():
-        _add_into(h0, lab, c)
-    for lab, c in p0.items():
-        _add_into(h0, lab, -c)
+    h0 = add_into(dict(p2), ((lab, -c) for lab, c in p0.items()))
     return e0, f0, h0

@@ -15,11 +15,12 @@ forms c_i s_j and s_i c_j are identified (z-identification, flagged).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .errors import OutsideModelError
 from .k3 import (REP, RelCycle, _bv_mul_labels, _diag_push_internal, bv,
                  bv_theta, pair_to_rel, rel, rel_mul, sl2_cycles)
+from .lincomb import add_into, add_term
 
 TriKey = Tuple
 TriCycle = Dict[TriKey, Fraction]
@@ -31,14 +32,6 @@ PAIRS = ((1, 2), (1, 3), (2, 3))
 
 def _other_slot(j: int, k: int) -> int:
     return 6 - j - k
-
-
-def _add(acc: Dict, key, coeff: Fraction) -> None:
-    s = acc.get(key, Fraction(0)) + coeff
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Tuple[TriKey, Fraction] | None:
@@ -93,14 +86,8 @@ def tri_sm(coeff=1) -> TriCycle:
 
 
 def tri_add(x: TriCycle, y: TriCycle, scale=1) -> TriCycle:
-    out = dict(x)
-    for key, c in y.items():
-        _add(out, key, Fraction(scale) * c)
-    return out
-
-
-def tri_scale(x: TriCycle, scale) -> TriCycle:
-    return {k: Fraction(scale) * c for k, c in x.items() if Fraction(scale) * c}
+    scale = Fraction(scale)
+    return add_into(dict(x), ((key, scale * c) for key, c in y.items()))
 
 
 def tri_from_pair(pair: RelCycle, slots: Tuple[int, int],
@@ -109,24 +96,20 @@ def tri_from_pair(pair: RelCycle, slots: Tuple[int, int],
     j, k = slots
     if (j, k) not in PAIRS:
         raise ValueError("slots must be increasing and within 1..3")
-    out: TriCycle = {}
-    place = {1: None, 2: None, 3: None}
-    for label, coeff in pair.items():
+
+    def pulled(label: str) -> TriCycle:
         if label == "delta":
-            for key, c in tri_dg(j, k).items():
-                _add(out, key, coeff * c)
-            continue
-        a, b = REP[label]
+            return tri_dg(j, k)
         assign = dict.fromkeys((1, 2, 3), "one")
-        assign[j], assign[k] = a, b
-        for key, c in tri_pt(assign[1], assign[2], assign[3], flags=flags).items():
-            _add(out, key, coeff * c)
-    return out
+        assign[j], assign[k] = REP[label]
+        return tri_pt(assign[1], assign[2], assign[3], flags=flags)
+
+    return add_into({}, ((key, coeff * c) for label, coeff in pair.items()
+                         for key, c in pulled(label).items()))
 
 
 def _mul_pt_pt(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
     (_, s1, f1), (_, s2, f2) = k1, k2
-    out: TriCycle = {}
     combos: List[Tuple[List[str], Fraction]] = [([], Fraction(1))]
     for a, b in zip(s1, s2):
         new_combos = []
@@ -135,10 +118,8 @@ def _mul_pt_pt(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
             for lab, cl in prod.items():
                 new_combos.append((slots + [lab], coeff * cl))
         combos = new_combos
-    for slots, coeff in combos:
-        for key, c in tri_pt(*slots, fdeg=f1 + f2, flags=flags).items():
-            _add(out, key, coeff * c)
-    return out
+    return add_into({}, ((key, coeff * c) for slots, coeff in combos
+                         for key, c in tri_pt(*slots, fdeg=f1 + f2, flags=flags).items()))
 
 
 def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
@@ -157,52 +138,48 @@ def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
         pair_part = rel_mul(pair_part, pair_to_rel(bv("one"), bv(slots[k - 1])))
     for _ in range(fdeg):
         pair_part = rel_mul(pair_part, rel("F"))
-    out: TriCycle = {}
-    for dec_lab, dec_coeff in dec_prod.items():
-        base = tri_from_pair(pair_part, (j, k), flags)
-        for key, c in base.items():
-            if key[0] == "dg":
-                new_key = ("dg", key[1], None)
-                merged = _bv_mul_labels(key[2], dec_lab)
-                for lab2, c2 in merged.items():
-                    if lab2 == "f":
-                        raise OutsideModelError("fiber decoration left on a diagonal")
-                    _add(out, ("dg", key[1], lab2), dec_coeff * c * c2)
-            else:
+    base = tri_from_pair(pair_part, (j, k), flags)
+
+    def terms():
+        for dec_lab, dec_coeff in dec_prod.items():
+            for key, c in base.items():
+                if key[0] == "dg":
+                    for lab2, c2 in _bv_mul_labels(key[2], dec_lab).items():
+                        if lab2 == "f":
+                            raise OutsideModelError("fiber decoration left on a diagonal")
+                        yield ("dg", key[1], lab2), dec_coeff * c * c2
+                    continue
                 _, pslots, pf = key
-                new_slots = list(pslots)
-                extra = _bv_mul_labels(new_slots[i - 1], dec_lab)
-                for lab2, c2 in extra.items():
-                    replaced = list(new_slots)
+                for lab2, c2 in _bv_mul_labels(pslots[i - 1], dec_lab).items():
+                    replaced = list(pslots)
                     replaced[i - 1] = lab2
                     for key2, c3 in tri_pt(*replaced, fdeg=pf, flags=flags).items():
-                        _add(out, key2, dec_coeff * c * c2 * c3)
-    return out
+                        yield key2, dec_coeff * c * c2 * c3
+
+    return add_into({}, terms())
+
+
+def _mul_keys(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
+    kinds = (k1[0], k2[0])
+    if kinds == ("pt", "pt"):
+        return _mul_pt_pt(k1, k2, flags)
+    if kinds == ("pt", "dg"):
+        return _mul_pt_dg(k1, k2, flags)
+    if kinds == ("dg", "pt"):
+        return _mul_pt_dg(k2, k1, flags)
+    if kinds == ("dg", "dg"):
+        if k1[1] == k2[1]:
+            raise OutsideModelError("square of a partial diagonal leaves the model")
+        if k1[2] != "one" or k2[2] != "one":
+            raise OutsideModelError("product of decorated partial diagonals")
+        return tri_sm()
+    raise OutsideModelError(f"product {kinds} leaves the model")
 
 
 def tri_mul(x: TriCycle, y: TriCycle, flags: Set[str]) -> TriCycle:
-    out: TriCycle = {}
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            coeff = c1 * c2
-            kinds = (k1[0], k2[0])
-            if kinds == ("pt", "pt"):
-                part = _mul_pt_pt(k1, k2, flags)
-            elif kinds == ("pt", "dg"):
-                part = _mul_pt_dg(k1, k2, flags)
-            elif kinds == ("dg", "pt"):
-                part = _mul_pt_dg(k2, k1, flags)
-            elif kinds == ("dg", "dg"):
-                if k1[1] == k2[1]:
-                    raise OutsideModelError("square of a partial diagonal leaves the model")
-                if k1[2] != "one" or k2[2] != "one":
-                    raise OutsideModelError("product of decorated partial diagonals")
-                part = tri_sm()
-            else:
-                raise OutsideModelError(f"product {kinds} leaves the model")
-            for key, c in part.items():
-                _add(out, key, coeff * c)
-    return out
+    return add_into({}, ((key, c1 * c2 * c)
+                         for k1, c1 in x.items() for k2, c2 in y.items()
+                         for key, c in _mul_keys(k1, k2, flags).items()))
 
 
 # -- the multiplicativity identity -------------------------------------------------------
@@ -217,18 +194,16 @@ def small_diagonal_compose_product(u: RelCycle, v: RelCycle,
 def weight_compose_small_diagonal(h_pair: RelCycle, flags: Set[str]) -> TriCycle:
     """h o [small diagonal]: a tensor term a (x) b becomes
     q12-pull of the pair-diagonal pushforward of a, times b in slot 3."""
-    out: TriCycle = {}
-    for label, coeff in h_pair.items():
+
+    def image(label: str) -> TriCycle:
         if label == "delta":
-            for key, c in tri_sm().items():
-                _add(out, key, coeff * c)
-            continue
+            return tri_sm()
         a, b = REP[label]
         diag = tri_from_pair(_diag_push_internal(bv(a)), (1, 2), flags)
-        part = tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags)
-        for key, c in part.items():
-            _add(out, key, coeff * c)
-    return out
+        return tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags)
+
+    return add_into({}, ((key, coeff * c) for label, coeff in h_pair.items()
+                         for key, c in image(label).items()))
 
 
 def relbv_expression(flags: Set[str] | None = None) -> TriCycle:
@@ -262,11 +237,8 @@ def multiplicativity_difference() -> Tuple[TriCycle, Fraction, TriCycle, List[st
 
     # h0 as difference of slot pullbacks of Theta; also check the s-only route
     theta = bv_theta()
-    h_theta: RelCycle = {}
-    for lab, c in pair_to_rel(bv("one"), theta).items():
-        _add(h_theta, lab, c)
-    for lab, c in pair_to_rel(theta, bv("one")).items():
-        _add(h_theta, lab, -c)
+    h_theta = add_into(pair_to_rel(bv("one"), theta),
+                       ((lab, -c) for lab, c in pair_to_rel(theta, bv("one")).items()))
     rhs = weight_compose_small_diagonal(h_theta, flags)
     rhs_plain = weight_compose_small_diagonal(h0, flags)
     if rhs != rhs_plain:
@@ -292,13 +264,13 @@ def abs_pair_push(pair: RelCycle) -> AbsCycle:
     out: AbsCycle = {}
     for label, coeff in pair.items():
         if label == "delta":
-            _add(out, ("D",), coeff)
+            add_term(out, ("D",), coeff)
             continue
         a, b = REP[label]
         for af, ca in _bv_mul_labels(a, "f").items():
-            _add(out, ("t", (af, b)), coeff * ca)
+            add_term(out, ("t", (af, b)), coeff * ca)
         for bf, cb in _bv_mul_labels(b, "f").items():
-            _add(out, ("t", (a, bf)), coeff * cb)
+            add_term(out, ("t", (a, bf)), coeff * cb)
     return out
 
 
@@ -318,7 +290,7 @@ def _abs_pt_push(slots: Tuple[str, str, str], fdeg: int) -> AbsCycle:
                     new_combos.append((built + [lab], coeff * cl))
             combos = new_combos
         for built, coeff in combos:
-            _add(out, ("t", tuple(built)), coeff)
+            add_term(out, ("t", tuple(built)), coeff)
     return out
 
 
@@ -335,19 +307,19 @@ def abs_tri_push(tri: TriCycle) -> AbsCycle:
     for key, coeff in tri.items():
         if key[0] == "pt":
             for k2, c2 in _abs_pt_push(key[1], key[2]).items():
-                _add(out, k2, coeff * c2)
+                add_term(out, k2, coeff * c2)
         elif key[0] == "dg":
             _, (j, k), dec = key
             i = _other_slot(j, k)
             for lab, cl in _bv_mul_labels(dec, "f").items():
-                _add(out, ("D", (j, k), lab), coeff * cl)
+                add_term(out, ("D", (j, k), lab), coeff * cl)
             for cpos, fpos in ((j, k), (k, j)):
                 slots = dict.fromkeys((1, 2, 3), "one")
                 slots[cpos], slots[fpos], slots[i] = "c", "f", dec
                 assembled = (slots[1], slots[2], slots[3])
-                _add(out, ("t", assembled), coeff)
+                add_term(out, ("t", assembled), coeff)
         elif key[0] == "sm":
-            _add(out, ("SM",), coeff)
+            add_term(out, ("SM",), coeff)
         else:
             raise OutsideModelError(f"cannot push {key}")
     return out
@@ -357,9 +329,9 @@ def bv_absolute_expression() -> AbsCycle:
     """[absolute small diagonal] - sum_i c_i . D_jk + sum_{i<j} c_i c_j."""
     out: AbsCycle = {("SM",): Fraction(1)}
     for (j, k) in PAIRS:
-        _add(out, ("D", (j, k), "c"), Fraction(-1))
+        add_term(out, ("D", (j, k), "c"), Fraction(-1))
     for (i, j) in PAIRS:
         slots = dict.fromkeys((1, 2, 3), "one")
         slots[i] = slots[j] = "c"
-        _add(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
+        add_term(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
     return out

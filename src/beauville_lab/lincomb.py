@@ -1,0 +1,43 @@
+"""Sparse linear combinations: the one accumulate loop of the engine.
+
+Every exact container keeps a dict of nonzero coefficients (polynomial
+terms, matrix entries, tautological monomials, lattice vectors, cycles).
+Values only need +, * and bool(), where bool() means "nonzero", as for
+Fraction.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Tuple
+
+
+def add_into(acc: Dict, items: Iterable[Tuple[object, object]]) -> Dict:
+    """Add each (key, value) of items into acc, dropping keys that sum to
+    zero; returns acc."""
+    get = acc.get
+    for key, value in items:
+        old = get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            acc[key] = value
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def add_term(acc: Dict, key, value) -> None:
+    """acc[key] += value, dropping the key if the sum is zero."""
+    add_into(acc, ((key, value),))
+
+
+def power(base, n: int, one):
+    """base**n for an integer n >= 0 by repeated squaring from one."""
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
+from .lincomb import add_into, add_term
 from .scalars import GaussianRational, Rational
 from .sparse import SparseMat
 
@@ -118,20 +119,15 @@ class MukaiSpace:
     @staticmethod
     def from_json(text: str) -> "MukaiSpace":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a space file holds one JSON object")
         labels = tuple(doc["labels"])
         gram = tuple(tuple(Fraction(x) for x in row) for row in doc["gram"])
         return MukaiSpace(labels=labels, gram=gram, genus=doc.get("genus"))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    out = dict(u)
-    for l, c in v.items():
-        s = out.get(l, GaussianRational(0)) + c
-        if s.is_zero():
-            out.pop(l, None)
-        else:
-            out[l] = s
-    return out
+    return add_into(dict(u), v.items())
 
 
 def vec_scale(c, v: Vector) -> Vector:
@@ -142,15 +138,6 @@ def vec_scale(c, v: Vector) -> Vector:
         if not p.is_zero():
             out[l] = p
     return out
-
-
-def vec_str(v: Vector) -> str:
-    if not v:
-        return "0"
-    parts = []
-    for l in sorted(v):
-        parts.append(f"({v[l]})*{l}")
-    return " + ".join(parts)
 
 
 def solve_lambda(space: MukaiSpace, a: Vector, h: Vector) -> GaussianRational:
@@ -241,20 +228,12 @@ def to_barred(space: MukaiSpace, v: Vector, c0: int) -> Dict[str, GaussianRation
     _require_sign("c0", c0)
     g = space.genus
     out: Dict[str, GaussianRational] = {}
-
-    def add(label: str, c: GaussianRational) -> None:
-        s = out.get(label, GaussianRational(0)) + c
-        if s.is_zero():
-            out.pop(label, None)
-        else:
-            out[label] = s
-
     for label, c in v.items():
         if label == THETA:
-            add("ThetaBar", c * GaussianRational(-c0))
-            add(BETA, c * GaussianRational(Fraction(g + 1, 2)))
+            add_term(out, "ThetaBar", c * GaussianRational(-c0))
+            add_term(out, BETA, c * GaussianRational(Fraction(g + 1, 2)))
         elif label in (ALPHA, BETA, HYP):
-            add(label, c)
+            add_term(out, label, c)
         else:
             raise ValueError(f"{label} is outside the span of (alpha, beta, Theta, Hyp)")
     return out

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from operator import add
+from typing import Dict, Tuple
 
+from .lincomb import add_into, power
 from .scalars import GaussianRational, Rational
 
 VARS: Tuple[str, ...] = ("cst", "N", "d", "a", "b")
@@ -40,7 +42,7 @@ class Poly:
                 c = GaussianRational.coerce(coeff)
                 if len(exp) != _NVARS or any(e < 0 for e in exp):
                     raise ValueError(f"bad exponent tuple {exp!r}")
-                if not c.is_zero():
+                if c:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -57,8 +59,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = GaussianRational.coerce(c)
-        return Poly({_ZERO_EXP: c}) if not c.is_zero() else Poly()
+        return Poly({_ZERO_EXP: c})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
@@ -68,14 +69,17 @@ class Poly:
 
     # -- predicates ----------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
     def constant_value(self) -> GaussianRational:
-        if self.is_zero():
+        if not self:
             return GaussianRational(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
@@ -94,14 +98,7 @@ class Poly:
 
     def __add__(self, other):
         o = Poly.coerce(other)
-        terms = dict(self.terms)
-        for exp, coeff in o.terms.items():
-            s = terms.get(exp, GaussianRational(0)) + coeff
-            if s.is_zero():
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return Poly(terms)
+        return Poly(add_into(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -116,16 +113,9 @@ class Poly:
 
     def __mul__(self, other):
         o = Poly.coerce(other)
-        terms: Dict[Monomial, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, GaussianRational(0)) + c1 * c2
-                if s.is_zero():
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return Poly(terms)
+        return Poly(add_into({}, ((tuple(map(add, e1, e2)), c1 * c2)
+                                  for e1, c1 in self.terms.items()
+                                  for e2, c2 in o.terms.items())))
 
     __rmul__ = __mul__
 
@@ -135,14 +125,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.const(1))
 
     def __eq__(self, other):
         try:

@@ -7,8 +7,9 @@ denominator); Gaussian rationals are implemented here.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+
+from .lincomb import power
 
 Rational = Fraction
 
@@ -43,8 +44,11 @@ class GaussianRational:
             return GaussianRational(x)
         raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self
 
     def is_rational(self) -> bool:
         return not self.im
@@ -103,14 +107,7 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     def __eq__(self, other):
         try:
@@ -122,10 +119,10 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    # -- parse / print round trip -------------------------------------------
+    # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         if self.re:
@@ -147,35 +144,7 @@ class GaussianRational:
         return f"GaussianRational({self})"
 
 
-_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(i)?")
-
-
-def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of str(): accepts e.g. '0', '-3/2', 'i', '1/2-1/2i'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar literal")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    pos = 0
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if not m or m.end() == pos or (not m.group(2) and not m.group(3)):
-            raise ValueError(f"bad scalar literal {text!r} at position {pos}")
-        sign = -1 if m.group(1) == "-" else 1
-        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        if m.group(3):
-            im_part += sign * mag
-        else:
-            re_part += sign * mag
-        pos = m.end()
-    return GaussianRational(re_part, im_part)
-
-
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-
-def half(x=1) -> GaussianRational:
-    return GaussianRational(Fraction(x, 2))

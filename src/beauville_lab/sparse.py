@@ -1,14 +1,15 @@
 """Sparse exact matrices and Lie-bracket helpers.
 
 Entries may be GaussianRational scalars or Poly values; the matrix code only
-needs +, *, unary minus and is_zero. Kernel computations require scalar
-entries (exact Gaussian elimination over Q(i)).
+needs +, *, unary minus and bool() for "nonzero". Kernel computations
+require scalar entries (exact Gaussian elimination over Q(i)).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from .lincomb import add_into
 from .scalars import GaussianRational
 
 Entry = Tuple[int, int]
@@ -34,7 +35,7 @@ class SparseMat:
                 v = _coerce_entry(v)
                 if not (0 <= r < dim and 0 <= c < dim):
                     raise ValueError(f"entry ({r},{c}) outside dimension {dim}")
-                if not v.is_zero():
+                if v:
                     store[(r, c)] = v
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", store)
@@ -61,15 +62,7 @@ class SparseMat:
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        entries = dict(self.entries)
-        for pos, v in other.entries.items():
-            s = entries.get(pos)
-            s = v if s is None else s + v
-            if s.is_zero():
-                entries.pop(pos, None)
-            else:
-                entries[pos] = s
-        return SparseMat(self.dim, entries)
+        return SparseMat(self.dim, add_into(dict(self.entries), other.entries.items()))
 
     def __neg__(self) -> "SparseMat":
         return SparseMat(self.dim, {pos: -v for pos, v in self.entries.items()})
@@ -85,23 +78,13 @@ class SparseMat:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         # row-indexed product: only touch nonzero rows of other
-        rows: Dict[int, Dict[int, object]] = {}
+        rows: Dict[int, list] = {}
         for (r, c), v in other.entries.items():
-            rows.setdefault(r, {})[c] = v
-        entries: Dict[Entry, object] = {}
-        for (r, k), v in self.entries.items():
-            row = rows.get(k)
-            if not row:
-                continue
-            for c, w in row.items():
-                s = entries.get((r, c))
-                p = v * w
-                s = p if s is None else s + p
-                if s.is_zero():
-                    entries.pop((r, c), None)
-                else:
-                    entries[(r, c)] = s
-        return SparseMat(self.dim, entries)
+            rows.setdefault(r, []).append((c, v))
+        return SparseMat(self.dim, add_into({}, (
+            ((r, c), v * w)
+            for (r, k), v in self.entries.items()
+            for c, w in rows.get(k, ()))))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
@@ -113,17 +96,8 @@ class SparseMat:
 
     def apply(self, vec: Dict[int, object]) -> Dict[int, object]:
         """Matrix times sparse column vector {index: value}."""
-        out: Dict[int, object] = {}
-        for (r, c), v in self.entries.items():
-            if c in vec:
-                s = out.get(r)
-                p = v * vec[c]
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        return add_into({}, ((r, v * vec[c])
+                             for (r, c), v in self.entries.items() if c in vec))
 
     def transpose(self) -> "SparseMat":
         return SparseMat(self.dim, {(c, r): v for (r, c), v in self.entries.items()})

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Iterable, Tuple
+from operator import add
+from typing import Dict, Tuple
 
 from .errors import OutsideModelError
+from .lincomb import add_into, add_term, power
 from .poly import Poly
 from .scalars import GaussianRational
 
@@ -45,7 +47,7 @@ class TautExpr:
             if len(mono) != len(GENS) or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono!r}")
             coeff = Poly.coerce(coeff)
-            if not coeff.is_zero():
+            if coeff:
                 clean[tuple(mono)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "locus", locus)
@@ -79,14 +81,7 @@ class TautExpr:
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         self._check_locus(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Poly.const(0)) + coeff
-            if acc.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return TautExpr(terms, self.locus)
+        return TautExpr(add_into(dict(self.terms), other.terms.items()), self.locus)
 
     def __neg__(self) -> "TautExpr":
         return TautExpr({m: -c for m, c in self.terms.items()}, self.locus)
@@ -98,16 +93,10 @@ class TautExpr:
         if not isinstance(other, TautExpr):
             other = TautExpr.const(other, self.locus)
         self._check_locus(other)
-        terms: Dict[Monomial, Poly] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                acc = terms.get(mono, Poly.const(0)) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        return TautExpr(terms, self.locus)
+        return TautExpr(add_into({}, ((tuple(map(add, m1, m2)), c1 * c2)
+                                      for m1, c1 in self.terms.items()
+                                      for m2, c2 in other.terms.items())),
+                        self.locus)
 
     def __rmul__(self, other) -> "TautExpr":
         return self * other
@@ -115,22 +104,11 @@ class TautExpr:
     def __pow__(self, exponent: int) -> "TautExpr":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = TautExpr.const(1, self.locus)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, exponent, TautExpr.const(1, self.locus))
 
     def scale(self, value) -> "TautExpr":
         return TautExpr({m: c * Poly.coerce(value) for m, c in self.terms.items()},
                         self.locus)
-
-    def with_locus(self, locus: str) -> "TautExpr":
-        return TautExpr(dict(self.terms), locus)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TautExpr) and self.locus == other.locus
@@ -267,10 +245,5 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
                 f"weight bookkeeping failed for monomial {mono}")
         new = list(mono)
         new[i_theta] = 0
-        key = tuple(new)
-        acc = out.get(key, Poly.const(0)) + coeff * Poly.const(factorial(n))
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        add_term(out, tuple(new), coeff * Poly.const(factorial(n)))
     return TautExpr(out, target)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from beauville_lab.mukai import llv_model_space
 from beauville_lab.report import (Report, exit_code, render_json, render_text,
                                   report_to_dict)
 
+GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
+          / "verify_all_seed0.json")
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -147,13 +150,31 @@ def test_verify_timings_flag(capsys):
 
 def test_verify_custom_space_file(tmp_path, capsys):
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(llv_model_space(6, Fraction(2)).to_json()),
-                    encoding="utf-8")
+    path.write_text(llv_model_space(6, Fraction(2)).to_json(), encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", "llv", "--trials", "1",
                            "--space", str(path))
     assert code == 0
     body = json.loads(out)
     assert all(r["params"]["space"] == "custom" for r in body["reports"])
+
+
+def test_verify_space_file_not_an_object_exits_two(tmp_path, capsys):
+    space_json = llv_model_space(6, Fraction(2)).to_json()
+    for name, text in (("double.json", json.dumps(space_json)),
+                       ("list.json", "[1, 2]"),
+                       ("rows.json", '{"labels": ["alpha", "beta"], "gram": 5}')):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "llv", "--space", str(path)])
+        assert err.value.code == 2, name
+        assert "cannot load space" in capsys.readouterr().err
+
+
+def test_verify_all_matches_the_golden_output(capsys):
+    golden = GOLDEN.read_bytes()
+    assert main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
 
 
 def test_verify_usage_errors_exit_two(capsys):
@@ -162,6 +183,7 @@ def test_verify_usage_errors_exit_two(capsys):
                  ["verify", "llv", "--trials", "-1"],
                  ["verify", "triple", "--genus", "1"],
                  ["verify", "llv", "--t", "abc"],
+                 ["verify", "llv", "--t", "0"],
                  ["verify", "llv", "--space", "/no/such/file.json"],
                  ["verify", "llv", "--c0", "3"]):
         with pytest.raises(SystemExit) as err:
@@ -233,6 +255,13 @@ def test_eval_model_errors_exit_one(capsys):
         code, _, err = run_cli(capsys, "eval", expr, "--context", context)
         assert code == 1, (expr, context)
         assert "evaluation error" in err
+
+
+def test_eval_division_by_zero_exits_one(capsys):
+    for context in ("llv", "k3", "taut"):
+        code, _, err = run_cli(capsys, "eval", "1/0", "--context", context)
+        assert code == 1, context
+        assert "evaluation error: division by zero" in err
 
 
 def test_eval_unknown_context_exits_two(capsys):

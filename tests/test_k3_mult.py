@@ -12,7 +12,7 @@ from beauville_lab.k3_mult import (abs_pair_push, abs_tri_push,
                                    relbv_expression,
                                    small_diagonal_compose_product, tri_add,
                                    tri_dg, tri_from_pair, tri_mul, tri_pt,
-                                   tri_scale, tri_sm,
+                                   tri_sm,
                                    weight_compose_small_diagonal)
 
 F1 = Fraction(1)
@@ -65,7 +65,6 @@ def test_tri_builders_validate():
     with pytest.raises(ValueError, match="decoration"):
         tri_dg(1, 2, dec="f")
     assert tri_sm(Fraction(1, 3)) == {("sm",): Fraction(1, 3)}
-    assert tri_scale(tri_sm(), 0) == {}
     assert tri_add(tri_sm(), tri_sm(), scale=-1) == {}
 
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from beauville_lab.scalars import (GaussianRational, I, ONE, ZERO, half,
-                                   parse_gaussian)
+from beauville_lab.scalars import GaussianRational, I, ONE, ZERO
 
 rationals = st.fractions(min_value=Fraction(-60), max_value=Fraction(60),
                          max_denominator=12)
@@ -23,8 +22,6 @@ def test_constants():
     assert ZERO.is_zero()
     assert ONE == GaussianRational(1)
     assert I * I == GaussianRational(-1)
-    assert half() == GaussianRational(Fraction(1, 2))
-    assert half(3) == GaussianRational(Fraction(3, 2))
 
 
 def test_basic_arithmetic():
@@ -76,11 +73,6 @@ def test_str_forms():
     assert str(GaussianRational(Fraction(-3, 2))) == "-3/2"
     assert str(I) == "i"
     assert str(GaussianRational(Fraction(1, 2), Fraction(-1, 2))) == "1/2-1/2i"
-
-
-@given(gaussians)
-def test_parse_round_trip(x):
-    assert parse_gaussian(str(x)) == x
 
 
 @given(gaussians, gaussians)
