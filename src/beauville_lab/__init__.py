@@ -15,7 +15,7 @@ from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
                   standard_quadruple, verify_cross_triple,
                   verify_double_bracket_recovery, verify_fourier_compatibility,
                   verify_fourier_conjugacy, verify_isotropic_sl2_pairs,
-                  verify_verbitsky)
+                  verify_theta_replay, verify_verbitsky)
 from .k3 import (Corr, bv, bv_fourier, bv_mul, bv_theta, diag_push,
                  fourier_conjugate, pair_to_rel, pi_pull, pi_star, projectors,
                  rel, rel_bracket, rel_compose, rel_mul, sl2_cycles)
@@ -54,6 +54,7 @@ __all__ = [
     "theta_delta_push", "to_barred", "top_weight_boundary_relation",
     "verify_cross_triple", "verify_double_bracket_recovery",
     "verify_fourier_compatibility", "verify_fourier_conjugacy",
-    "verify_isotropic_sl2_pairs", "verify_verbitsky", "weight_decompose",
+    "verify_isotropic_sl2_pairs", "verify_theta_replay", "verify_verbitsky",
+    "weight_decompose",
     "weight_part",
 ]

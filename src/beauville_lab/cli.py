@@ -24,6 +24,7 @@ from .lincomb import add_into
 from .report import Report, exit_code, render_json, render_text
 
 SUITES = ("llv", "triple", "k3-motive", "theta-obstruction")
+HDIMS = range(6, 11)
 
 
 def _failures(checks) -> List[str]:
@@ -74,6 +75,10 @@ def run_llv_suite(hdim: int = 6, t: Fraction = Fraction(2), trials: int = 3,
     return reports
 
 
+def _tagged(checks, tag: str):
+    return [(f"{name} {tag}", holds, witness) for name, holds, witness in checks]
+
+
 def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
                      c0_values: Sequence[int] = (1, -1),
                      c1_values: Sequence[int] = (1, -1)) -> List[Report]:
@@ -85,6 +90,12 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
 
     sl2_checks, conj_checks, compat_checks, isom_checks = [], [], [], []
     start = time.perf_counter()
+    # the triple depends only on the signs; the genus enters only the
+    # theta replay, the isometry and the lattice compatibility
+    triples = {(c0, c1): llv.build_triple(space, quad, c0, c1)
+               for c0 in c0_values for c1 in c1_values}
+    conjugacy = {key: llv.verify_fourier_conjugacy(data)
+                 for key, data in triples.items()}
     for g in genera:
         class_space = mukai.mukai_class_space(g)
         for c0 in c0_values:
@@ -95,18 +106,13 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
                 "",
             ))
             for c1 in c1_values:
-                data = llv.build_triple(space, quad, c0, c1, genus=g)
+                data = triples[(c0, c1)]
                 tag = f"g={g} c0={c0} c1={c1}"
-                sl2_checks.extend((f"{name} {tag}", holds, witness)
-                                  for name, holds, witness in data.checks)
-                conj_checks.extend(
-                    (f"{name} {tag}", holds, witness)
-                    for name, holds, witness in
-                    llv.verify_fourier_conjugacy(space, quad, c0, c1))
-                compat_checks.extend(
-                    (f"{name} {tag}", holds, witness)
-                    for name, holds, witness in
-                    llv.verify_fourier_compatibility(space, quad, g, c0, c1))
+                sl2_checks.extend(_tagged(
+                    llv.verify_theta_replay(data, g) + data.checks, tag))
+                conj_checks.extend(_tagged(conjugacy[(c0, c1)], tag))
+                compat_checks.extend(_tagged(
+                    llv.verify_fourier_compatibility(data, g), tag))
     elapsed = (time.perf_counter() - start) * 1000.0
     return [
         _check_report("triple-replay-sl2", sl2_checks, params,
@@ -276,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suites", nargs="*",
                         help=f"suites to run: {', '.join(SUITES)}, all "
                              "(default: none)")
-    verify.add_argument("--hdim", type=int, default=6,
+    verify.add_argument("--hdim", type=int, choices=HDIMS, default=6,
                         help="middle dimension of the model space (6..10)")
     verify.add_argument("--t", type=_fraction_arg, default=Fraction(2),
                         help="middle-basis norm parameter (rational)")
@@ -304,15 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                "abelian fibration")
     evaluate.add_argument("--locus", choices=dsl.LOCI, default="total",
                           help="taut context: locus of the generators")
-    evaluate.add_argument("--hdim", type=int, default=6)
+    evaluate.add_argument("--hdim", type=int, choices=HDIMS, default=6,
+                          help="llv context: middle dimension (6..10)")
     evaluate.add_argument("--t", type=_fraction_arg, default=Fraction(2))
     evaluate.add_argument("--format", choices=("json", "text"), default="text")
     return parser
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if not 6 <= args.hdim <= 10:
-        parser.error("--hdim must be between 6 and 10")
     if args.trials < 0:
         parser.error("--trials must be nonnegative")
     if args.genus is not None and args.genus < 2:
@@ -324,6 +329,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         try:
             with open(args.space, "r", encoding="utf-8") as handle:
                 args.space_obj = mukai.MukaiSpace.from_json(handle.read())
+            if len(args.space_obj.middles) < 4:
+                raise ValueError("need at least four middle vectors")
         except (OSError, ValueError, KeyError, TypeError) as err:
             parser.error(f"cannot load space from {args.space}: {err}")
 

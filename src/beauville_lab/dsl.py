@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import matmul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import OutsideModelError
 from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, pair_to_rel, rel,
                  rel_bracket, rel_compose, rel_mul, BV_LABELS, REL_LABELS)
-from .lincomb import add_into
+from .lincomb import add_into, power
 from .llv import (op_e, op_e_sigma, op_e_sigmabar, op_f, op_f_sigma,
                   op_f_sigmabar, op_h, op_K, standard_quadruple)
 from .mukai import llv_model_space
@@ -397,10 +398,7 @@ class LlvContext:
     def power(self, x, n: int):
         if isinstance(x, GaussianRational):
             return x ** n
-        out = SparseMat.identity(x.dim)
-        for _ in range(n):
-            out = out @ x
-        return out
+        return power(x, n, SparseMat.identity(x.dim), matmul)
 
     def commutator(self, x, y):
         if isinstance(x, SparseMat) and isinstance(y, SparseMat):
@@ -535,14 +533,12 @@ class K3Context:
         if x[0] == "scalar":
             return ("scalar", x[1] ** n)
         if x[0] == "bv":
-            out = ("bv", bv("one"))
+            one = ("bv", bv("one"))
         elif x[0] == "rel":
-            out = ("rel", rel("one"))
+            one = ("rel", rel("one"))
         else:
             raise EvalError("powers of correspondences are not supported")
-        for _ in range(n):
-            out = self.mul(out, x, "*")
-        return out
+        return power(x, n, one, lambda a, b: self.mul(a, b, "*"))
 
     def commutator(self, x, y):
         if x[0] == "corr":

@@ -8,6 +8,7 @@ Fraction.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Dict, Iterable, Tuple
 
 
@@ -31,13 +32,14 @@ def add_term(acc: Dict, key, value) -> None:
     add_into(acc, ((key, value),))
 
 
-def power(base, n: int, one):
-    """base**n for an integer n >= 0 by repeated squaring from one."""
+def power(base, n: int, one, product=mul):
+    """base**n for an integer n >= 0 by repeated squaring from one, where
+    product is the multiplication (a * b unless given)."""
     result = one
     while True:
         if n & 1:
-            result = result * base
+            result = product(result, base)
         n >>= 1
         if not n:
             return result
-        base = base * base
+        base = product(base, base)

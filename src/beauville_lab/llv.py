@@ -267,9 +267,6 @@ def verify_double_bracket_recovery(space: MukaiSpace, quad: Sequence[Vector],
 
 # -- formal operator expressions and the Fourier operator map ----------------------------
 
-PRIMED = ("E_alpha", "E_beta", "E_thetabar", "E_hyp", "F_alpha", "F_thetabar", "F_hyp")
-
-
 @dataclass(frozen=True)
 class Sym:
     name: str
@@ -283,7 +280,7 @@ class Brk:
 
 @dataclass(frozen=True)
 class Lin:
-    terms: Tuple[Tuple[Poly, "OpExpr"], ...]
+    terms: Tuple[Tuple[Union[int, Poly], "OpExpr"], ...]
 
 
 OpExpr = Union[Sym, Brk, Lin]
@@ -310,13 +307,13 @@ def fourier_op_map(expr: OpExpr, c0: int, c1: int) -> OpExpr:
     identities that hold must hold identically in cst.
     """
     cst = Poly.var("cst")
-    table: Dict[str, Tuple[Tuple[Poly, str], ...]] = {
-        "E_alpha": ((Poly.const(c1), "E_thetabar"),),
-        "E_thetabar": ((Poly.const(-c1), "E_alpha"), (cst, "E_hyp")),
-        "E_beta": ((Poly.const(c1 * c0), "E_hyp"),),
-        "E_hyp": ((Poly.const(-c1 * c0), "E_beta"),),
-        "F_alpha": ((Poly.const(c1), "F_thetabar"),),
-        "F_thetabar": ((Poly.const(-c1), "F_alpha"), (cst, "F_hyp")),
+    table: Dict[str, Tuple[Tuple[Union[int, Poly], str], ...]] = {
+        "E_alpha": ((c1, "E_thetabar"),),
+        "E_thetabar": ((-c1, "E_alpha"), (cst, "E_hyp")),
+        "E_beta": ((c1 * c0, "E_hyp"),),
+        "E_hyp": ((-c1 * c0, "E_beta"),),
+        "F_alpha": ((c1, "F_thetabar"),),
+        "F_thetabar": ((-c1, "F_alpha"), (cst, "F_hyp")),
     }
     if isinstance(expr, Sym):
         if expr.name not in table:
@@ -331,37 +328,35 @@ def fourier_op_map(expr: OpExpr, c0: int, c1: int) -> OpExpr:
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def to_poly_mat(m: SparseMat) -> SparseMat:
-    entries = {}
-    for pos, v in m.entries.items():
-        entries[pos] = v if isinstance(v, Poly) else Poly.const(v)
-    return SparseMat(m.dim, entries)
-
-
-def to_scalar_mat(m: SparseMat) -> SparseMat:
-    entries = {}
-    for pos, v in m.entries.items():
-        entries[pos] = v.constant_value() if isinstance(v, Poly) else v
-    return SparseMat(m.dim, entries)
+def _terms(expr: OpExpr, realization: Dict[str, SparseMat]) -> List[Tuple[object, SparseMat]]:
+    """expr expanded by linearity into (coefficient, scalar matrix) terms."""
+    if isinstance(expr, Sym):
+        return [(1, realization[expr.name])]
+    if isinstance(expr, Brk):
+        right = _terms(expr.right, realization)
+        return [(a * b, bracket(x, y))
+                for a, x in _terms(expr.left, realization) for b, y in right]
+    if isinstance(expr, Lin):
+        return [(c * a, x) for c, sub in expr.terms for a, x in _terms(sub, realization)]
+    raise TypeError(f"not an operator expression: {expr!r}")
 
 
 def evaluate_op(expr: OpExpr, realization: Dict[str, SparseMat]) -> SparseMat:
-    if isinstance(expr, Sym):
-        return to_poly_mat(realization[expr.name])
-    if isinstance(expr, Brk):
-        return bracket(evaluate_op(expr.left, realization),
-                       evaluate_op(expr.right, realization))
-    if isinstance(expr, Lin):
-        dim = next(iter(realization.values())).dim
-        total = SparseMat.zero(dim)
-        for coeff, sub in expr.terms:
-            total = total + evaluate_op(sub, realization).scale(coeff)
-        return total
-    raise TypeError(f"not an operator expression: {expr!r}")
+    """Realize an operator expression.  Every bracket is taken on scalar
+    matrices; a Poly coefficient (cst) only scales terms of the final sum."""
+    total = SparseMat.zero(next(iter(realization.values())).dim)
+    for coeff, mat in _terms(expr, realization):
+        total = total + mat.scale(coeff)
+    return total
 
 
 @dataclass
 class TripleData:
+    """The Fourier-conjugate triple of one sign pair (c0, c1), realized by
+    the primed operators P; it does not depend on the genus."""
+    c0: int
+    c1: int
+    P: Dict[str, SparseMat]
     E0: SparseMat
     F0: SparseMat
     H0: SparseMat
@@ -371,28 +366,16 @@ class TripleData:
     checks: List[Check]
 
 
-def build_triple(space: MukaiSpace, quad: Sequence[Vector], c0: int, c1: int,
-                 genus: int | None = None) -> TripleData:
+def build_triple(space: MukaiSpace, quad: Sequence[Vector], c0: int, c1: int) -> TripleData:
     """Fourier-conjugate sl2 triple of the relative zero-section classes."""
     if c0 not in (1, -1) or c1 not in (1, -1):
         raise ValueError("c0 and c1 must be +1 or -1")
     P = primed_operators(space, quad, c0)
-    c0s = GaussianRational(c0)
-    E0 = bracket(to_poly_mat(P["F_alpha"]), to_poly_mat(P["E_thetabar"])).scale(Poly.const(c0s))
-    F0 = bracket(to_poly_mat(P["F_thetabar"]), to_poly_mat(P["E_alpha"])).scale(Poly.const(c0s))
-    E0_expr: OpExpr = Lin(((Poly.const(c0s), Brk(Sym("F_alpha"), Sym("E_thetabar"))),))
-    F0_expr: OpExpr = Lin(((Poly.const(c0s), Brk(Sym("F_thetabar"), Sym("E_alpha"))),))
+    E0 = bracket(P["F_alpha"], P["E_thetabar"]).scale(c0)
+    F0 = bracket(P["F_thetabar"], P["E_alpha"]).scale(c0)
+    E0_expr: OpExpr = Lin(((c0, Brk(Sym("F_alpha"), Sym("E_thetabar"))),))
+    F0_expr: OpExpr = Lin(((c0, Brk(Sym("F_thetabar"), Sym("E_alpha"))),))
     checks: List[Check] = []
-
-    # replay through the unbarred class: -[F_alpha, E_theta] with
-    # E_theta = -c0*E_thetabar + (g+1)/2 * E_beta needs [F_alpha, E_beta] = 0
-    checks.append(_ok("[F_alpha,E_beta]=0",
-                      bracket(P["F_alpha"], P["E_beta"]).is_zero()))
-    if genus is not None:
-        e_theta = to_poly_mat(P["E_thetabar"]).scale(Poly.const(GaussianRational(-c0))) \
-            + to_poly_mat(P["E_beta"]).scale(Poly.const(GaussianRational(Fraction(genus + 1, 2))))
-        chain = -bracket(to_poly_mat(P["F_alpha"]), e_theta)
-        checks.append(_ok("E0=-[F_alpha,E_theta]", chain == E0))
 
     # the lowering operator is minus the Fourier image of E0, identically in cst
     F0_mapped = -evaluate_op(fourier_op_map(E0_expr, c0, c1), P)
@@ -400,30 +383,40 @@ def build_triple(space: MukaiSpace, quad: Sequence[Vector], c0: int, c1: int,
 
     H0 = bracket(E0, F0)
     v1, v2, v3, v4 = quad
-    K12 = to_poly_mat(op_K(space, v1, v2))
-    K34 = to_poly_mat(op_K(space, v3, v4))
-    H0_expected = (K12 - K34).scale(Poly.const(I * HALF))
+    K12 = op_K(space, v1, v2)
+    K34 = op_K(space, v3, v4)
+    H0_expected = (K12 - K34).scale(I * HALF)
     checks.append(_ok("H0=(i/2)(K12-K34)", H0 == H0_expected))
-    checks.append(_ok("[H0,E0]=2E0", bracket(H0, E0) == E0.scale(Poly.const(2))))
-    checks.append(_ok("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(Poly.const(-2))))
+    checks.append(_ok("[H0,E0]=2E0", bracket(H0, E0) == E0.scale(2)))
+    checks.append(_ok("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(-2)))
 
-    D = K12.scale(Poly.const(I))
-    checks.append(_ok("[D,E0]=2E0", bracket(D, E0) == E0.scale(Poly.const(2))))
-    checks.append(_ok("[D,F0]=-2F0", bracket(D, F0) == F0.scale(Poly.const(-2))))
+    D = K12.scale(I)
+    checks.append(_ok("[D,E0]=2E0", bracket(D, E0) == E0.scale(2)))
+    checks.append(_ok("[D,F0]=-2F0", bracket(D, F0) == F0.scale(-2)))
 
     L = bracket(op_e_sigma(space, v1, v2), op_f_sigma(space, v3, v4))
     Lam = bracket(op_e_sigma(space, v3, v4), op_f_sigma(space, v1, v2))
-    checks.append(_ok("E0=-c0*Lambda", E0 == to_poly_mat(Lam).scale(Poly.const(-c0s))))
-    checks.append(_ok("F0=-c0*L", F0 == to_poly_mat(L).scale(Poly.const(-c0s))))
+    checks.append(_ok("E0=-c0*Lambda", E0 == Lam.scale(-c0)))
+    checks.append(_ok("F0=-c0*L", F0 == L.scale(-c0)))
 
-    return TripleData(E0=E0, F0=F0, H0=H0, D=D, E0_expr=E0_expr, F0_expr=F0_expr, checks=checks)
+    return TripleData(c0=c0, c1=c1, P=P, E0=E0, F0=F0, H0=H0, D=D,
+                      E0_expr=E0_expr, F0_expr=F0_expr, checks=checks)
 
 
-def verify_fourier_conjugacy(space: MukaiSpace, quad: Sequence[Vector],
-                             c0: int, c1: int) -> List[Check]:
+def verify_theta_replay(data: TripleData, genus: int) -> List[Check]:
+    """Replay E0 through the unbarred class: -[F_alpha, E_theta] with
+    E_theta = -c0*E_thetabar + (g+1)/2 * E_beta needs [F_alpha, E_beta] = 0."""
+    P = data.P
+    e_theta = P["E_thetabar"].scale(-data.c0) + P["E_beta"].scale(Fraction(genus + 1, 2))
+    return [
+        _ok("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero()),
+        _ok("E0=-[F_alpha,E_theta]", -bracket(P["F_alpha"], e_theta) == data.E0),
+    ]
+
+
+def verify_fourier_conjugacy(data: TripleData) -> List[Check]:
     """fourier(E0) = -F0, fourier(F0) = -E0, fourier(H0) = -H0, identically in cst."""
-    data = build_triple(space, quad, c0, c1)
-    P = primed_operators(space, quad, c0)
+    c0, c1, P = data.c0, data.c1, data.P
     mapped_E0 = evaluate_op(fourier_op_map(data.E0_expr, c0, c1), P)
     mapped_F0 = evaluate_op(fourier_op_map(data.F0_expr, c0, c1), P)
     H0_expr = Brk(data.E0_expr, data.F0_expr)
@@ -435,15 +428,14 @@ def verify_fourier_conjugacy(space: MukaiSpace, quad: Sequence[Vector],
     ]
 
 
-def verify_fourier_compatibility(space: MukaiSpace, quad: Sequence[Vector],
-                                 genus: int, c0: int, c1: int) -> List[Check]:
+def verify_fourier_compatibility(data: TripleData, genus: int) -> List[Check]:
     """The operator map agrees with the lattice Fourier matrix through the
     class dictionary alpha -> sigma(1,2), beta -> -sigmabar(1,2),
     ThetaBar -> sigma(3,4), Hyp -> -c0*sigmabar(3,4), with cst = c1*(g+1).
     """
+    c0, c1, P = data.c0, data.c1, data.P
     class_space = mukai_class_space(genus)
     F = fourier_matrix(class_space, c0, c1)
-    P = primed_operators(space, quad, c0)
     barred_vectors: Dict[str, Vector] = {
         "alpha": class_space.basis_vector(ALPHA),
         "beta": class_space.basis_vector(BETA),
@@ -452,17 +444,15 @@ def verify_fourier_compatibility(space: MukaiSpace, quad: Sequence[Vector],
     }
     op_name = {"alpha": "E_alpha", "beta": "E_beta",
                "ThetaBar": "E_thetabar", "Hyp": "E_hyp"}
-    cst_value = Poly.const(c1 * (genus + 1))
     checks: List[Check] = []
     for label, vec in barred_vectors.items():
         image = apply_matrix(class_space, F, vec)
         coords = to_barred(class_space, image, c0)
-        dim = P["E_alpha"].dim
-        expected = SparseMat.zero(dim)
+        expected = SparseMat.zero(P["E_alpha"].dim)
         for y, coeff in coords.items():
-            expected = expected + to_poly_mat(P[op_name[y]]).scale(Poly.const(coeff * GaussianRational(c1)))
+            expected = expected + P[op_name[y]].scale(coeff * c1)
         mapped = evaluate_op(fourier_op_map(Sym(op_name[label]), c0, c1), P)
-        mapped = mapped.substitute("cst", cst_value)
+        mapped = mapped.substitute("cst", c1 * (genus + 1))
         checks.append(_ok(f"op-map({op_name[label]}) matches lattice image with cst=c1*(g+1)",
                           mapped == expected))
     return checks

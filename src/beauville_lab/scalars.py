@@ -60,8 +60,12 @@ class GaussianRational:
 
     # -- field operations --------------------------------------------------
 
+    # a non-scalar operand (a Poly) falls through to its reflected operator
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
+        try:
+            o = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -76,7 +80,10 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
+        try:
+            o = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,

@@ -1,7 +1,8 @@
 """Sparse exact matrices and Lie-bracket helpers.
 
-Entries may be GaussianRational scalars or Poly values; the matrix code only
-needs +, *, unary minus and bool() for "nonzero". Kernel computations
+Entries are GaussianRational scalars or Poly values, and one matrix may mix
+both: a scalar operand defers to Poly's reflected operators. The matrix code
+only needs +, *, unary minus and bool() for "nonzero". Kernel computations
 require scalar entries (exact Gaussian elimination over Q(i)).
 """
 
@@ -10,14 +11,13 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .lincomb import add_into
+from .poly import Poly
 from .scalars import GaussianRational
 
 Entry = Tuple[int, int]
 
 
 def _coerce_entry(x):
-    from .poly import Poly
-
     if isinstance(x, (GaussianRational, Poly)):
         return x
     return GaussianRational.coerce(x)
@@ -104,15 +104,9 @@ class SparseMat:
 
     def substitute(self, name: str, value) -> "SparseMat":
         """Substitute into Poly entries; scalar entries pass through."""
-        from .poly import Poly
-
-        entries = {}
-        for pos, v in self.entries.items():
-            if isinstance(v, Poly):
-                entries[pos] = v.substitute(name, Poly.coerce(value))
-            else:
-                entries[pos] = v
-        return SparseMat(self.dim, entries)
+        value = Poly.coerce(value)
+        return SparseMat(self.dim, {pos: v.substitute(name, value) if isinstance(v, Poly) else v
+                                    for pos, v in self.entries.items()})
 
     def __str__(self):
         lines = []

@@ -82,11 +82,12 @@ def test_criterion_3_triple_replay():
             "H0=(i/2)(K12-K34)", "[H0,E0]=2E0", "[H0,F0]=-2F0",
             "[D,E0]=2E0", "[D,F0]=-2F0",
         }
-        for g in range(2, 13):
-            for c0, c1 in SIGN_PAIRS:
-                data = llv.build_triple(space, quad, c0, c1, genus=g)
-                assert _all_hold(data.checks), (g, c0, c1)
-                assert required <= {name for name, _, _ in data.checks}
+        for c0, c1 in SIGN_PAIRS:
+            data = llv.build_triple(space, quad, c0, c1)
+            for g in range(2, 13):
+                checks = llv.verify_theta_replay(data, g) + data.checks
+                assert _all_hold(checks), (g, c0, c1)
+                assert required <= {name for name, _, _ in checks}
         ok = True
     finally:
         _emit(3, "conjugate triple replay", ok)
@@ -98,7 +99,8 @@ def test_criterion_4_fourier_conjugacy():
         space = mukai.llv_model_space(6, Fraction(2))
         quad = llv.standard_quadruple(space)
         for c0, c1 in SIGN_PAIRS:
-            checks = llv.verify_fourier_conjugacy(space, quad, c0, c1)
+            checks = llv.verify_fourier_conjugacy(
+                llv.build_triple(space, quad, c0, c1))
             assert _all_hold(checks), (c0, c1)
             assert {name for name, _, _ in checks} == {
                 "fourier(E0)=-F0", "fourier(F0)=-E0", "fourier(H0)=-H0"}
@@ -112,6 +114,8 @@ def test_criterion_5_fourier_isometry_and_compatibility():
     try:
         space = mukai.llv_model_space(6, Fraction(2))
         quad = llv.standard_quadruple(space)
+        triples = {(c0, c1): llv.build_triple(space, quad, c0, c1)
+                   for c0, c1 in SIGN_PAIRS}
         for g in range(2, 13):
             class_space = mukai.mukai_class_space(g)
             for c0 in (1, -1):
@@ -119,7 +123,7 @@ def test_criterion_5_fourier_isometry_and_compatibility():
                 assert mukai.is_isometry(class_space, matrix), (g, c0)
                 for c1 in (1, -1):
                     checks = llv.verify_fourier_compatibility(
-                        space, quad, g, c0, c1)
+                        triples[(c0, c1)], g)
                     assert len(checks) == 4 and _all_hold(checks), (g, c0, c1)
         ok = True
     finally:

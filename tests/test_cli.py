@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from beauville_lab import llv
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
 from beauville_lab.mukai import llv_model_space
@@ -86,6 +87,18 @@ def test_suite_runners_all_verify():
         assert rep.status == "verified", rep
     mult = next(r for r in k3_reports if r.check == "k3-multiplicativity")
     assert mult.assumptions == ["relbv-axiom"]
+
+
+def test_triple_suite_builds_one_triple_per_sign_pair(monkeypatch):
+    calls = {"build_triple": 0, "primed_operators": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(llv, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(llv, name, counted)
+    reports = run_triple_suite(genera=[2, 3])
+    assert all(r.status == "verified" for r in reports)
+    assert calls == {"build_triple": 4, "primed_operators": 4}
 
 
 def test_byte_stable_json_across_runs():
@@ -177,7 +190,9 @@ def test_verify_all_matches_the_golden_output(capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
-def test_verify_usage_errors_exit_two(capsys):
+def test_verify_usage_errors_exit_two(tmp_path, capsys):
+    small = tmp_path / "three-middles.json"
+    small.write_text(llv_model_space(5, Fraction(2)).to_json(), encoding="utf-8")
     for argv in (["verify", "nonsense"],
                  ["verify", "llv", "--hdim", "12"],
                  ["verify", "llv", "--trials", "-1"],
@@ -185,6 +200,7 @@ def test_verify_usage_errors_exit_two(capsys):
                  ["verify", "llv", "--t", "abc"],
                  ["verify", "llv", "--t", "0"],
                  ["verify", "llv", "--space", "/no/such/file.json"],
+                 ["verify", "llv", "--space", str(small)],
                  ["verify", "llv", "--c0", "3"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -264,8 +280,11 @@ def test_eval_division_by_zero_exits_one(capsys):
         assert "evaluation error: division by zero" in err
 
 
-def test_eval_unknown_context_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["eval", "h", "--context", "galois"])
-    assert err.value.code == 2
-    capsys.readouterr()
+def test_eval_usage_errors_exit_two(capsys):
+    for argv in (["eval", "h", "--context", "galois"],
+                 ["eval", "h", "--context", "llv", "--hdim", "5"],
+                 ["eval", "h", "--context", "llv", "--hdim", "800"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        capsys.readouterr()

@@ -1,5 +1,6 @@
 """Expression language: lexer, parser, printer, and the three contexts."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,27 @@ def test_k3_eval_products_and_powers():
     assert tag == "corr" and corr.kind == "Finv"
     assert evaluate(parse("[Delta(s), Delta]"), ctx) == ("rel", {})
     assert ctx.render(evaluate(parse("s*s"), ctx)) == ("surface-class", "-2*c")
+
+
+def test_power_by_squaring_matches_sequential_products():
+    for name, texts in (("llv", ("h", "e(1) + f(1)", "K(1,2) + esig(1,2)",
+                                 "h + 2*e(2) - f(3)")),
+                        ("k3", ("Theta", "s + f + one", "Delta(s) + p1(f)",
+                                "Delta(s) + p1(f) + p1(one)"))):
+        ctx = make_context(name)
+        for text in texts:
+            x = evaluate(parse(text), ctx)
+            sequential = x
+            for n in range(1, 10):
+                assert ctx.power(x, n) == sequential, (name, text, n)
+                sequential = ctx.mul(sequential, x, "*")
+
+
+def test_huge_powers_of_nilpotents_return_at_once():
+    start = time.perf_counter()
+    assert evaluate(parse("e(1)^1000000000"), make_context("llv")).is_zero()
+    assert evaluate(parse("Theta^1000000000"), make_context("k3")) == ("bv", {})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_k3_eval_model_boundaries():

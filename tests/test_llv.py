@@ -9,11 +9,12 @@ from beauville_lab.llv import (Brk, Lin, Sym, TripleData,
                                evaluate_op, fourier_op_map, op_K, op_e,
                                op_e_sigma, op_f, op_h, primed_operators,
                                random_quadruple, standard_quadruple,
-                               to_poly_mat, to_scalar_mat, verify_cross_triple,
+                               verify_cross_triple,
                                verify_double_bracket_recovery,
                                verify_fourier_compatibility,
                                verify_fourier_conjugacy,
-                               verify_isotropic_sl2_pairs, verify_verbitsky)
+                               verify_isotropic_sl2_pairs, verify_theta_replay,
+                               verify_verbitsky)
 from beauville_lab.mukai import ALPHA, BETA, MukaiSpace, llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
@@ -233,14 +234,15 @@ def test_fourier_op_map_threads_through_brackets_and_sums():
 def test_build_triple_checks_and_frozen_spectra():
     space = llv_model_space(6, t=2)
     quad = standard_quadruple(space)
-    data = build_triple(space, quad, c0=1, c1=1, genus=2)
-    assert all_hold(data.checks) == 10
+    data = build_triple(space, quad, c0=1, c1=1)
+    assert all_hold(verify_theta_replay(data, 2) + data.checks) == 10
     assert isinstance(data, TripleData)
     P = primed_operators(space, quad, 1)
+    assert data.P == P
     assert evaluate_op(data.E0_expr, P) == data.E0
 
-    assert weight_decompose(to_scalar_mat(data.H0)) == {-1: 2, 0: 2, 1: 2}
-    assert weight_decompose(to_scalar_mat(data.D)) == {-2: 1, 0: 4, 2: 1}
+    assert weight_decompose(data.H0) == {-1: 2, 0: 2, 1: 2}
+    assert weight_decompose(data.D) == {-2: 1, 0: 4, 2: 1}
     assert weight_decompose(op_h(space)) == {-2: 1, 0: 4, 2: 1}
 
 
@@ -254,9 +256,9 @@ def test_build_triple_rejects_bad_signs():
 def test_triple_replay_and_conjugacy_random_quadruple(c0, c1):
     space = llv_model_space(6, t=2)
     quad = random_quadruple(space, seed=11)
-    data = build_triple(space, quad, c0, c1, genus=5)
-    all_hold(data.checks)
-    all_hold(verify_fourier_conjugacy(space, quad, c0, c1))
+    data = build_triple(space, quad, c0, c1)
+    all_hold(verify_theta_replay(data, 5) + data.checks)
+    all_hold(verify_fourier_conjugacy(data))
 
 
 @pytest.mark.parametrize("genus", [2, 7])
@@ -264,7 +266,7 @@ def test_triple_replay_and_conjugacy_random_quadruple(c0, c1):
 def test_fourier_compatibility_with_lattice_matrix(genus, c0, c1):
     space = llv_model_space(6, t=2)
     quad = standard_quadruple(space)
-    checks = verify_fourier_compatibility(space, quad, genus, c0, c1)
+    checks = verify_fourier_compatibility(build_triple(space, quad, c0, c1), genus)
     assert all_hold(checks) == 4
 
 
@@ -274,5 +276,5 @@ def test_triple_H0_ladder_in_cst():
     quad = standard_quadruple(space)
     data = build_triple(space, quad, c0=-1, c1=1)
     lhs = bracket(data.D, data.F0)
-    assert lhs == data.F0.scale(Poly.const(-2))
-    assert to_poly_mat(op_K(space, quad[0], quad[1])).scale(Poly.const(I)) == data.D
+    assert lhs == data.F0.scale(-2)
+    assert op_K(space, quad[0], quad[1]).scale(I) == data.D

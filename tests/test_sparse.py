@@ -60,6 +60,24 @@ def test_jacobi_identity_on_100_random_triples():
         assert total == SparseMat.zero(6)
 
 
+def test_mixed_scalar_and_poly_entries():
+    # a scalar entry defers to Poly, so one matrix may hold both kinds
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = random_matrix(rng), random_matrix(rng)
+        x = GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                             rng.randint(-2, 2))
+        p = Poly({(1, 0, 0, 0, 0): x, (0, 0, 0, 0, 0): rng.randint(-3, 3)})
+        assert bracket(a.scale(p), b) == bracket(a, b).scale(p)
+        assert bracket(a.scale(p) + b, b) == bracket(a, b).scale(p)
+        assert x + p == p + x
+        assert x * p == p * x
+    with pytest.raises(TypeError):
+        GaussianRational(1) + "x"
+    with pytest.raises(TypeError):
+        GaussianRational(1) * "x"
+
+
 def test_bracket_antisymmetry():
     rng = random.Random(7)
     for _ in range(20):
