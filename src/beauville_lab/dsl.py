@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, log10
 from operator import matmul
 from typing import Dict, List, Optional, Tuple
 
-from .errors import OutsideModelError
 from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, pair_to_rel, rel,
-                 rel_bracket, rel_compose, rel_mul, BV_LABELS, REL_LABELS)
+                 rel_bracket, rel_mul, BV_LABELS, REL_LABELS)
 from .lincomb import add_into, power
 from .llv import (op_e, op_e_sigma, op_e_sigmabar, op_f, op_f_sigma,
                   op_f_sigmabar, op_h, op_K, standard_quadruple)
@@ -32,7 +32,7 @@ from .poly import Poly
 from .scalars import GaussianRational
 from .sparse import SparseMat, bracket
 from .taut import GENS as TAUT_GENS
-from .taut import LOCI, TautExpr, abelian_push, gen
+from .taut import LOCI, TautExpr, gen
 
 
 class DslError(ValueError):
@@ -320,6 +320,20 @@ def print_expr(expr: Expr) -> str:
 # -- evaluation ----------------------------------------------------------------------------
 
 
+# Python's default limit on the digits of an integer it converts to text
+MAX_DIGITS = 4300
+
+
+def _check_scalar_power(z, n: int) -> None:
+    """Refuse z^n before any work when a part of it could pass MAX_DIGITS: for
+    z = x/d over a common denominator, z^n has parts at most |x|^n over d^n."""
+    z = GaussianRational.coerce(z)
+    den = lcm(z.re.denominator, z.im.denominator)
+    norm = int(z.re * den) ** 2 + int(z.im * den) ** 2
+    if norm and n * max(log10(den), log10(norm) / 2) >= MAX_DIGITS:
+        raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
+
+
 def _as_index(value, what: str) -> int:
     if isinstance(value, GaussianRational):
         if not value.is_rational() or value.rational().denominator != 1:
@@ -397,6 +411,7 @@ class LlvContext:
 
     def power(self, x, n: int):
         if isinstance(x, GaussianRational):
+            _check_scalar_power(x, n)
             return x ** n
         return power(x, n, SparseMat.identity(x.dim), matmul)
 
@@ -531,6 +546,7 @@ class K3Context:
 
     def power(self, x, n: int):
         if x[0] == "scalar":
+            _check_scalar_power(x[1], n)
             return ("scalar", x[1] ** n)
         if x[0] == "bv":
             one = ("bv", bv("one"))
@@ -612,6 +628,8 @@ class TautContext:
         return ("taut", -x[1])
 
     def power(self, x, n: int):
+        if x[0] == "poly" and x[1].is_constant():
+            _check_scalar_power(x[1].constant_value(), n)
         return (x[0], x[1] ** n)
 
     def commutator(self, x, y):

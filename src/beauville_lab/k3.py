@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import OutsideModelError
 from .lincomb import add_into, add_term
+from .report import Check
 
 BvClass = Dict[str, Fraction]
 RelCycle = Dict[str, Fraction]
 
 BV_LABELS = ("one", "s", "f", "c")
-BV_CODIM = {"one": 0, "s": 1, "f": 1, "c": 2}
 
 REL_LABELS = ("one", "p1s", "p2s", "F", "delta", "s12", "p1c", "p2c", "z")
-REL_DIM = {"one": 3, "p1s": 2, "p2s": 2, "F": 2, "delta": 2,
-           "s12": 1, "p1c": 1, "p2c": 1, "z": 0}
 
 
 def _clean(d: Dict[str, Fraction]) -> Dict[str, Fraction]:
@@ -341,3 +339,38 @@ def sl2_cycles() -> Tuple[RelCycle, RelCycle, RelCycle]:
     p0, _, p2 = projectors()
     h0 = add_into(dict(p2), ((lab, -c) for lab, c in p0.items()))
     return e0, f0, h0
+
+
+def verify_projectors() -> List[Check]:
+    """p0, p1, p2 are orthogonal idempotents summing to the diagonal."""
+    p = projectors()
+    checks: List[Check] = [(f"p{i} o p{j}", rel_compose(p[i], p[j]) == (p[i] if i == j else {}), "")
+                           for i in range(3) for j in range(3)]
+    total = add_into({}, (term for cycle in p for term in cycle.items()))
+    checks.append(("p0 + p1 + p2 = diagonal", total == rel("delta"), ""))
+    return checks
+
+
+def verify_sl2_action() -> List[Check]:
+    """[e0, f0] = h0, and h0 is p2 - p0 written in cycles."""
+    e0, f0, h0 = sl2_cycles()
+    return [
+        ("[e0, f0] = h0", rel_bracket(e0, f0) == h0, ""),
+        ("h0 = p2 - p0 in cycles", h0 == {"p2s": Fraction(1), "p1s": Fraction(-1)}, ""),
+    ]
+
+
+def verify_weight_operator() -> List[Check]:
+    """h0 acts on the image of p_i with weight i - 1."""
+    _, _, h0 = sl2_cycles()
+    return [(f"h0 o p{i} = {i - 1} p{i}",
+             rel_compose(h0, proj) == {lab: (i - 1) * c for lab, c in proj.items() if (i - 1) * c}, "")
+            for i, proj in enumerate(projectors())]
+
+
+def verify_fourier_stability() -> List[Check]:
+    """Fourier conjugation sends h0 to -h0 and swaps e0 and f0 up to sign."""
+    e0, f0, h0 = sl2_cycles()
+    return [(f"Finv o {name} o F = -{name}-partner",
+             fourier_conjugate(cycle) == {lab: -c for lab, c in partner.items()}, "")
+            for name, cycle, partner in (("h0", h0, h0), ("e0", e0, f0), ("f0", f0, e0))]

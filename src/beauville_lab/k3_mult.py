@@ -19,8 +19,11 @@ from typing import Dict, List, Set, Tuple
 
 from .errors import OutsideModelError
 from .k3 import (REP, RelCycle, _bv_mul_labels, _diag_push_internal, bv,
-                 bv_theta, pair_to_rel, rel, rel_mul, sl2_cycles)
+                 bv_theta, pair_to_rel, rel, rel_mul, sl2_cycles,
+                 verify_fourier_stability, verify_projectors,
+                 verify_sl2_action, verify_weight_operator)
 from .lincomb import add_into, add_term
+from .report import Check, Report, check_report
 
 TriKey = Tuple
 TriCycle = Dict[TriKey, Fraction]
@@ -335,3 +338,43 @@ def bv_absolute_expression() -> AbsCycle:
         slots[i] = slots[j] = "c"
         add_term(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
     return out
+
+
+def verify_multiplicativity(flags: Set[str]) -> List[Check]:
+    """The multiplicativity difference is the relative Beauville-Voisin
+    expression; the identifications it used are added to flags."""
+    _, lam, residual, used = multiplicativity_difference()
+    flags.update(used)
+    return [
+        ("difference is a multiple of the relative expression", not residual, f"lambda={lam}"),
+        ("lambda = 1", lam == Fraction(1), f"lambda={lam}"),
+    ]
+
+
+def verify_absolute_push() -> List[Check]:
+    """The relative expression pushes to the absolute one, coherently."""
+    pushed = abs_tri_push(relbv_expression())
+    pair_push = abs_pair_push(rel_mul(rel("delta"), rel("F")))
+    return [
+        ("pushforward matches the absolute expression", pushed == bv_absolute_expression(), ""),
+        ("diagonal-fiber pushforward coherence",
+         pair_push == {("t", ("c", "f")): Fraction(1), ("t", ("f", "c")): Fraction(1)}, ""),
+    ]
+
+
+def run_k3_suite() -> List[Report]:
+    """The motivic decomposition of the elliptic K3 and its multiplicativity."""
+
+    def multiplicativity():
+        flags = {"relbv-axiom"}
+        return verify_multiplicativity(flags), {"assumptions": sorted(flags)}
+
+    return [
+        check_report("k3-projectors", verify_projectors),
+        check_report("k3-sl2", verify_sl2_action),
+        check_report("k3-weight-operator", verify_weight_operator),
+        check_report("k3-fourier-stability", verify_fourier_stability),
+        check_report("k3-multiplicativity", multiplicativity),
+        check_report("k3-absolute-push", verify_absolute_push,
+                     assumptions=["bv-absolute-relation"]),
+    ]

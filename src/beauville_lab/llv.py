@@ -17,16 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .mukai import ALPHA, BETA, HYP, MukaiSpace, Vector, apply_matrix, fourier_matrix, mukai_class_space, theta_bar, to_barred, vec_add, vec_scale
+from .mukai import ALPHA, BETA, HYP, MukaiSpace, Vector, apply_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space, theta_bar, to_barred, vec_add
 from .poly import Poly
+from .report import Check, Report, check_report
 from .scalars import GaussianRational, I
 from .sparse import SparseMat, bracket
 
 HALF = GaussianRational(Fraction(1, 2))
-
-Check = Tuple[str, bool, str]
 
 
 class UnsupportedOperatorError(ValueError):
@@ -139,14 +138,21 @@ def random_quadruple(space: MukaiSpace, seed: int, steps: int = 3) -> List[Vecto
 
 
 def standard_quadruple(space: MukaiSpace) -> List[Vector]:
-    return [space.basis_vector(m) for m in space.middles[:4]]
+    """The first four middle basis vectors, which every suite needs pairwise
+    orthogonal with nonzero norms (ValueError otherwise)."""
+    middles = space.middles[:4]
+    idx = [space.index(m) for m in middles]
+    if len(idx) < 4 or any(bool(space.gram[r][c]) != (r == c) for r in idx for c in idx):
+        raise ValueError("the first four middle vectors must be pairwise "
+                         "orthogonal with nonzero norms")
+    return [space.basis_vector(m) for m in middles]
 
 
 # -- relation suites -------------------------------------------------------------------
 
 
-def _ok(name: str, holds: bool, witness: str = "") -> Check:
-    return (name, holds, "" if holds else witness or name)
+def _ok(name: str, holds: bool) -> Check:
+    return (name, holds, "")
 
 
 def verify_verbitsky(space: MukaiSpace, quad: Sequence[Vector]) -> List[Check]:
@@ -456,3 +462,72 @@ def verify_fourier_compatibility(data: TripleData, genus: int) -> List[Check]:
         checks.append(_ok(f"op-map({op_name[label]}) matches lattice image with cst=c1*(g+1)",
                           mapped == expected))
     return checks
+
+
+# -- suites -----------------------------------------------------------------------------------
+
+LLV_CHECKS = (
+    ("llv-verbitsky", verify_verbitsky),
+    ("llv-isotropic-pairs", verify_isotropic_sl2_pairs),
+    ("llv-cross-triple", verify_cross_triple),
+    ("llv-double-bracket-recovery", verify_double_bracket_recovery),
+)
+
+
+def run_llv_suite(hdim: int = 6, t: Fraction = Fraction(2), trials: int = 3,
+                  seed: int = 0, space: MukaiSpace | None = None) -> List[Report]:
+    """Each relation family on the standard and `trials` random quadruples."""
+    params: Dict[str, object] = {"hdim": hdim, "t": t, "trials": trials,
+                                 "seed": seed}
+    if space is None:
+        space = llv_model_space(hdim, t)
+    else:
+        params["space"] = "custom"
+    quads = [standard_quadruple(space)]
+    quads += [random_quadruple(space, seed + k) for k in range(trials)]
+    return [check_report(check, lambda verify=verify: [
+                c for quad in quads for c in verify(space, quad)], params)
+            for check, verify in LLV_CHECKS]
+
+
+def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
+                     c0_values: Sequence[int] = (1, -1),
+                     c1_values: Sequence[int] = (1, -1)) -> List[Report]:
+    """The conjugate triple of each sign pair, checked in each genus."""
+    space = llv_model_space(6, Fraction(2))
+    quad = standard_quadruple(space)
+    params: Dict[str, object] = {"genus": list(genera),
+                                 "c0": list(c0_values),
+                                 "c1": list(c1_values)}
+    triples: Dict[Tuple[int, int], TripleData] = {}
+
+    def sweep(checks_of: Callable[[int, TripleData], List[Check]]) -> List[Check]:
+        return [(f"{name} g={g} c0={c0} c1={c1}", holds, why)
+                for g in genera for c0 in c0_values for c1 in c1_values
+                for name, holds, why in checks_of(g, triples[c0, c1])]
+
+    def replay() -> List[Check]:
+        # the triple depends only on the signs: its one build per sign pair
+        # is charged to this report, and the other reports reuse it
+        triples.update(((c0, c1), build_triple(space, quad, c0, c1))
+                       for c0 in c0_values for c1 in c1_values)
+        return sweep(lambda g, data: verify_theta_replay(data, g) + data.checks)
+
+    def conjugacy() -> List[Check]:
+        found = {key: verify_fourier_conjugacy(data) for key, data in triples.items()}
+        return sweep(lambda g, data: found[data.c0, data.c1])
+
+    def isometry() -> List[Check]:
+        spaces = {g: mukai_class_space(g) for g in genera}
+        return [(f"isometry g={g} c0={c0}",
+                 is_isometry(spaces[g], fourier_matrix(spaces[g], c0, 1)), "")
+                for g in genera for c0 in c0_values]
+
+    return [
+        check_report("triple-replay-sl2", replay, params),
+        check_report("triple-fourier-conjugacy", conjugacy, params),
+        check_report("triple-fourier-isometry", isometry, params),
+        check_report("triple-fourier-compatibility",
+                     lambda: sweep(lambda g, data: verify_fourier_compatibility(data, g)),
+                     params),
+    ]

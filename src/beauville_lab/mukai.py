@@ -217,9 +217,6 @@ def theta_bar(space: MukaiSpace, c0: int) -> Vector:
     }
 
 
-BARRED_LABELS = (ALPHA, BETA, "ThetaBar", HYP)
-
-
 def to_barred(space: MukaiSpace, v: Vector, c0: int) -> Dict[str, GaussianRational]:
     """Coordinates of v in the basis (alpha, beta, ThetaBar, Hyp).
 

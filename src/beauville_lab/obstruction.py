@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .dr import BoundaryRelation, alpha_terms, boundary_substitution, \
-    top_weight_boundary_relation
+    corollary_theta_push
 from .errors import OutsideModelError
 from .poly import Poly, discriminant_is_square, rational_roots
+from .report import Check, Report, check_report
 from .taut import GENS, TautExpr, abelian_push, boundary_pull, gen, \
     monomial_weight, open_restrict, weight_part
 
@@ -116,7 +118,7 @@ class ObstructionResult:
     rational_roots: List[Fraction] = field(default_factory=list)
     contradiction: Optional[Tuple[Fraction, Fraction]] = None
     theta_class: Optional[str] = None
-    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
+    checks: List[Check] = field(default_factory=list)
 
 
 def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
@@ -202,6 +204,23 @@ def _psi_sum_multiple(expr: TautExpr) -> Poly:
     if set(expr.terms) != {p1, p2} or expr.terms[p1] != expr.terms[p2]:
         raise OutsideModelError("expression is not a multiple of psi1 + psi2")
     return expr.terms[p1]
+
+
+def _pushed_delta_coefficient(g: int, ledger: AssumptionLedger) -> Poly:
+    """The multiple of the boundary divisor that (theta + b delta)^(g+1)
+    pushes to; iota_* of the boundary-base unit is that divisor."""
+    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0, ledger)
+    coeff, rest = _split_unit_and_psi(boundary_part)
+    if not rest.is_zero():
+        raise OutsideModelError("unexpected boundary-base remainder")
+    i_delta = GENS.index("delta")
+    for mono, c in base_part.terms.items():
+        if sum(mono) != mono[i_delta] or mono[i_delta] != 1:
+            raise OutsideModelError("unexpected base-class monomial")
+        coeff = coeff + c
+    ledger.use("delta-nonzero")
+    ledger.use("boundary-irreducibility")
+    return coeff
 
 
 def genus3_obstruction() -> ObstructionResult:
@@ -330,23 +349,8 @@ def single_node_theta() -> ObstructionResult:
     Pushing (theta + b delta)^3 gives (1/8 + 6b) times the boundary
     divisor, forcing b = -1/48.
     """
-    g = 2
     ledger = AssumptionLedger()
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0, ledger)
-
-    unit, rest = _split_unit_and_psi(boundary_part)
-    if not rest.is_zero():
-        raise OutsideModelError("unexpected boundary-base remainder")
-    # iota_* of the unit is the boundary divisor class on the base
-    delta_coeff = unit
-    i_delta = GENS.index("delta")
-    for mono, coeff in base_part.terms.items():
-        j = mono[i_delta]
-        if sum(mono) != j or j != 1:
-            raise OutsideModelError("unexpected base-class monomial")
-        delta_coeff = delta_coeff + coeff
-    ledger.use("delta-nonzero")
-    ledger.use("boundary-irreducibility")
+    delta_coeff = _pushed_delta_coefficient(2, ledger)
     roots = rational_roots(delta_coeff, "b")
     solved = roots[0] if len(roots) == 1 else None
     checks = [
@@ -398,19 +402,7 @@ def high_genus_obstruction(g: int) -> ObstructionResult:
     b_boundary = boundary_roots[0] if len(boundary_roots) == 1 else None
 
     # direct constraint: push (theta + b delta)^(g+1)/(g+1)!
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0, ledger)
-    unit, rest = _split_unit_and_psi(boundary_part)
-    if not rest.is_zero():
-        raise OutsideModelError("unexpected boundary-base remainder")
-    delta_coeff = unit.scale(Fraction(1, factorial(g + 1)))
-    i_delta = GENS.index("delta")
-    for mono, coeff in base_part.terms.items():
-        j = mono[i_delta]
-        if sum(mono) != j or j != 1:
-            raise OutsideModelError("unexpected base-class monomial")
-        delta_coeff = delta_coeff + coeff.scale(Fraction(1, factorial(g + 1)))
-    ledger.use("delta-nonzero")
-    ledger.use("boundary-irreducibility")
+    delta_coeff = _pushed_delta_coefficient(g, ledger).scale(Fraction(1, factorial(g + 1)))
     direct_roots = rational_roots(delta_coeff, "b")
     b_direct = direct_roots[0] if len(direct_roots) == 1 else None
 
@@ -473,3 +465,53 @@ def kappa_exclusion_check(g: int) -> ObstructionResult:
         rational_roots=roots,
         checks=checks,
     )
+
+
+# -- the suite ----------------------------------------------------------------------------
+
+
+def _result_checks(result: ObstructionResult) -> Tuple[List[Check], Dict[str, object]]:
+    """The checks of an obstruction result, with the report fields it sets:
+    its name, the assumptions it consumed and its headline value."""
+    witness = str(result.constant) if result.constant is not None else ""
+    if result.theta_class:
+        witness = result.theta_class
+    if result.contradiction:
+        witness = f"b = {result.contradiction[0]} vs b = {result.contradiction[1]}"
+    return result.checks, {"params": {"name": result.name},
+                           "assumptions": result.assumptions, "witness": witness}
+
+
+def _power_push_checks() -> Tuple[List[Check], Dict[str, object]]:
+    cor = corollary_theta_push()
+    checks = [
+        ("coefficient = 1/48", cor.coefficient == Fraction(1, 48), str(cor.coefficient)),
+        ("weight-deficit certificates", all(cert.holds() for cert in cor.certificates), ""),
+        ("concrete genera", all(ok for _, ok in cor.concrete_checks), str(cor.concrete_checks)),
+    ]
+    return checks, {"params": {"genera": [g for g, _ in cor.concrete_checks]}}
+
+
+def run_theta_suite(extra_genus: Optional[int] = None) -> List[Report]:
+    """Every obstruction pipeline, also at extra_genus, then the theta-power
+    push; a pipeline that leaves the model ends the suite as unsupported."""
+    high = [4, 5] + ([extra_genus] if extra_genus is not None and extra_genus >= 6 else [])
+    kappa = [2, 3] + ([extra_genus] if extra_genus not in (None, 2, 3) else [])
+    pipelines: List[Tuple[str, Callable[[], ObstructionResult]]] = [
+        ("theta-genus3", genus3_obstruction),
+        ("theta-genus2-integral", genus2_obstruction),
+        ("theta-single-node", single_node_theta),
+        *((f"theta-high-genus-g{g}", partial(high_genus_obstruction, g)) for g in high),
+        *((f"theta-kappa-exclusion-g{g}", partial(kappa_exclusion_check, g)) for g in kappa),
+    ]
+    reports = []
+    try:
+        for check, pipeline in pipelines:
+            reports.append(check_report(
+                check, lambda pipeline=pipeline: _result_checks(pipeline())))
+    except OutsideModelError as err:
+        reports.append(Report(check="theta-pipeline", status="unsupported",
+                              params={}, witness=str(err)))
+        return reports
+    reports.append(check_report("theta-power-push", _power_push_checks))
+    return reports

@@ -10,12 +10,17 @@ explicitly requested.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 STATUSES = ("verified", "refuted", "unsupported")
+
+# (name, holds, witness): one identity of a suite; the witness says why a
+# failing check failed and is empty when the name says it all
+Check = Tuple[str, bool, str]
 
 
 @dataclass
@@ -32,15 +37,32 @@ class Report:
             raise ValueError(f"unknown status {self.status!r}")
 
 
+def check_report(check: str, work: Callable[[], object],
+                 params: Optional[Dict[str, object]] = None,
+                 assumptions: Sequence[str] = ()) -> Report:
+    """Run and time work() and report on the checks it returns: refuted with
+    the first four failures, each named once, or verified with the number of
+    identities.  work() may also return (checks, fields), where the dict sets
+    params, assumptions or a verified witness that only the work knows."""
+    start = time.perf_counter()
+    outcome = work()
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    checks, found = outcome if isinstance(outcome, tuple) else (outcome, {})
+    fields = {"params": params or {}, "assumptions": list(assumptions),
+              "witness": f"{len(checks)} identities hold", **found}
+    bad = [f"{name}: {why}" if why else name
+           for name, holds, why in checks if not holds]
+    if bad:
+        fields["witness"] = "; ".join(bad[:4])
+    return Report(check=check, status="refuted" if bad else "verified",
+                  elapsed_ms=elapsed_ms, **fields)
+
+
 def _jsonable(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if value is None:
-        return None
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -24,7 +24,6 @@ from typing import Dict, Tuple
 from .errors import OutsideModelError
 from .lincomb import add_into, add_term, power
 from .poly import Poly
-from .scalars import GaussianRational
 
 GENS = ("theta", "psi1", "psi2", "xi2", "kappa1", "delta")
 WEIGHTS = {"theta": 2, "xi2": 1}

@@ -1,6 +1,7 @@
 """Command-line interface: suites, eval, exit codes, canonical output."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +10,28 @@ import pytest
 from beauville_lab import llv
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
-from beauville_lab.mukai import llv_model_space
+from beauville_lab.mukai import MukaiSpace, llv_model_space
 from beauville_lab.report import (Report, exit_code, render_json, render_text,
                                   report_to_dict)
 
 GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
+
+def space_file(path, middle):
+    """Write a space whose middle gram is `middle` in the documented format."""
+    k = len(middle)
+    gram = [[Fraction(0)] * (k + 2) for _ in range(k + 2)]
+    gram[0][k + 1] = gram[k + 1][0] = Fraction(-1)
+    for r, row in enumerate(middle):
+        gram[r + 1][1:k + 1] = map(Fraction, row)
+    labels = ("alpha", *(f"m{i + 1}" for i in range(k)), "beta")
+    path.write_text(MukaiSpace(labels, tuple(map(tuple, gram))).to_json(),
+                    encoding="utf-8")
+    return str(path)
+
+
+UNEQUAL_NORMS = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -152,6 +169,14 @@ def test_verify_text_format(capsys):
     assert any("assumes: relbv-axiom" in line for line in lines)
 
 
+def test_verify_all_times_every_report(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--timings")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 22
+    assert all(r["elapsed_ms"] >= 0 for r in reports)
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "llv", "--trials", "0")
     assert "elapsed_ms" not in out
@@ -184,6 +209,21 @@ def test_verify_space_file_not_an_object_exits_two(tmp_path, capsys):
         assert "cannot load space" in capsys.readouterr().err
 
 
+def test_refuted_witness_names_each_failing_check_once(tmp_path, capsys):
+    path = space_file(tmp_path / "unequal.json", UNEQUAL_NORMS)
+    code, out, _ = run_cli(capsys, "verify", "llv", "--trials", "0",
+                           "--space", path, "--format", "json")
+    assert code == 1
+    refuted = [r for r in json.loads(out)["reports"]
+               if r["status"] == "refuted"]
+    assert {r["check"] for r in refuted} >= {"llv-verbitsky",
+                                             "llv-cross-triple"}
+    for report in refuted:
+        for failure in report["witness"].split("; "):
+            name, _, why = failure.partition(": ")
+            assert why != name, failure
+
+
 def test_verify_all_matches_the_golden_output(capsys):
     golden = GOLDEN.read_bytes()
     assert main(["verify", "all", "--format", "json"]) == 0
@@ -193,6 +233,11 @@ def test_verify_all_matches_the_golden_output(capsys):
 def test_verify_usage_errors_exit_two(tmp_path, capsys):
     small = tmp_path / "three-middles.json"
     small.write_text(llv_model_space(5, Fraction(2)).to_json(), encoding="utf-8")
+    unequal = space_file(tmp_path / "unequal.json", UNEQUAL_NORMS)
+    isotropic = space_file(tmp_path / "isotropic.json", [
+        [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    skew = space_file(tmp_path / "skew.json", [
+        [2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     for argv in (["verify", "nonsense"],
                  ["verify", "llv", "--hdim", "12"],
                  ["verify", "llv", "--trials", "-1"],
@@ -201,6 +246,10 @@ def test_verify_usage_errors_exit_two(tmp_path, capsys):
                  ["verify", "llv", "--t", "0"],
                  ["verify", "llv", "--space", "/no/such/file.json"],
                  ["verify", "llv", "--space", str(small)],
+                 ["verify", "llv", "--space", unequal],
+                 ["verify", "llv", "--space", isotropic, "--trials", "0"],
+                 ["verify", "llv", "--space", skew, "--trials", "0"],
+                 ["verify", "theta-obstruction", "--genus", "17"],
                  ["verify", "llv", "--c0", "3"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -278,6 +327,23 @@ def test_eval_division_by_zero_exits_one(capsys):
         code, _, err = run_cli(capsys, "eval", "1/0", "--context", context)
         assert code == 1, context
         assert "evaluation error: division by zero" in err
+
+
+def test_eval_refuses_huge_scalar_powers_at_once(capsys):
+    start = time.perf_counter()
+    for context in ("llv", "k3", "taut"):
+        for expr in ("3^20000000", "(2/3)^20000000", "(3^5000)^2"):
+            code, _, err = run_cli(capsys, "eval", expr, "--context", context)
+            assert code == 1, (expr, context)
+            assert "evaluation error" in err
+        for expr, value in (("(-1)^1000000001", "-1"), ("0^1000000000", "0"),
+                            ("1^1000000000", "1"), ("3^9000", str(3**9000))):
+            code, out, _ = run_cli(capsys, "eval", expr, "--context", context)
+            assert (code, out.strip()) == (0, value), (expr, context)
+    for context in ("llv", "taut"):
+        code, out, _ = run_cli(capsys, "eval", "i^1000000002", "--context", context)
+        assert (code, out.strip()) == (0, "-1"), context
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_usage_errors_exit_two(capsys):
