@@ -37,8 +37,11 @@ SUITES = {
     "theta-obstruction": lambda args: run_theta_suite(args.genus),
 }
 HDIMS = range(6, 11)
-# the theta suite's extra genus g costs about g^3 (g = 16: about 1 s)
+# the theta suite's extra genus g costs about g^3 (g = 16: about 0.4 s)
 MAX_GENUS = 16
+# each trial adds one random quadruple to every llv report, so the cost is
+# linear in the trials (--hdim 10, 100 trials: about 2 s)
+MAX_TRIALS = 100
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -63,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--t", type=_fraction_arg, default=Fraction(2),
                         help="middle-basis norm parameter (rational)")
     verify.add_argument("--trials", type=int, default=3,
-                        help="number of random quadruples")
+                        help=f"number of random quadruples (0..{MAX_TRIALS})")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed of the first random quadruple")
     verify.add_argument("--genus", type=int, default=None,
@@ -94,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 0:
-        parser.error("--trials must be nonnegative")
+    if not 0 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must be between 0 and {MAX_TRIALS}")
     if args.genus is not None and not 2 <= args.genus <= MAX_GENUS:
         parser.error(f"--genus must be between 2 and {MAX_GENUS}")
     if not args.t:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log10
-from operator import matmul
+from operator import matmul, mul
 from typing import Dict, List, Optional, Tuple
 
 from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, pair_to_rel, rel,
@@ -324,14 +323,35 @@ def print_expr(expr: Expr) -> str:
 MAX_DIGITS = 4300
 
 
-def _check_scalar_power(z, n: int) -> None:
-    """Refuse z^n before any work when a part of it could pass MAX_DIGITS: for
-    z = x/d over a common denominator, z^n has parts at most |x|^n over d^n."""
-    z = GaussianRational.coerce(z)
-    den = lcm(z.re.denominator, z.im.denominator)
-    norm = int(z.re * den) ** 2 + int(z.im * den) ** 2
-    if norm and n * max(log10(den), log10(norm) / 2) >= MAX_DIGITS:
-        raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _passes_digits(value) -> bool:
+    """Whether a numerator or denominator in value, a scalar or a container
+    of any context, has more than MAX_DIGITS digits."""
+    if isinstance(value, Fraction):
+        return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
+    if isinstance(value, GaussianRational):
+        return _passes_digits(value.re) or _passes_digits(value.im)
+    if isinstance(value, tuple):    # a tagged value of the k3 or taut context
+        return _passes_digits(value[1])
+    if isinstance(value, SparseMat):
+        value = value.entries
+    elif isinstance(value, (Poly, TautExpr)):
+        value = value.terms
+    return any(map(_passes_digits, value.values()))
+
+
+def _bounded_power(x, n: int, one, product):
+    """x^n by repeated squaring that stops as soon as a product has a
+    numerator or denominator past MAX_DIGITS digits, so that the work stays
+    bounded whatever n is."""
+    def checked(a, b):
+        out = product(a, b)
+        if _passes_digits(out):
+            raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
+        return out
+    return power(x, n, one, checked)
 
 
 def _as_index(value, what: str) -> int:
@@ -411,9 +431,8 @@ class LlvContext:
 
     def power(self, x, n: int):
         if isinstance(x, GaussianRational):
-            _check_scalar_power(x, n)
-            return x ** n
-        return power(x, n, SparseMat.identity(x.dim), matmul)
+            return _bounded_power(x, n, GaussianRational(1), mul)
+        return _bounded_power(x, n, SparseMat.identity(x.dim), matmul)
 
     def commutator(self, x, y):
         if isinstance(x, SparseMat) and isinstance(y, SparseMat):
@@ -546,15 +565,14 @@ class K3Context:
 
     def power(self, x, n: int):
         if x[0] == "scalar":
-            _check_scalar_power(x[1], n)
-            return ("scalar", x[1] ** n)
-        if x[0] == "bv":
+            one = ("scalar", Fraction(1))
+        elif x[0] == "bv":
             one = ("bv", bv("one"))
         elif x[0] == "rel":
             one = ("rel", rel("one"))
         else:
             raise EvalError("powers of correspondences are not supported")
-        return power(x, n, one, lambda a, b: self.mul(a, b, "*"))
+        return _bounded_power(x, n, one, lambda a, b: self.mul(a, b, "*"))
 
     def commutator(self, x, y):
         if x[0] == "corr":
@@ -628,9 +646,8 @@ class TautContext:
         return ("taut", -x[1])
 
     def power(self, x, n: int):
-        if x[0] == "poly" and x[1].is_constant():
-            _check_scalar_power(x[1].constant_value(), n)
-        return (x[0], x[1] ** n)
+        one = Poly.const(1) if x[0] == "poly" else TautExpr.const(1, self.locus)
+        return _bounded_power(x, n, (x[0], one), lambda a, b: self.mul(a, b, "*"))
 
     def commutator(self, x, y):
         raise EvalError("commutators are not part of the taut context")

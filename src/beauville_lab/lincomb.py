@@ -3,12 +3,13 @@
 Every exact container keeps a dict of nonzero coefficients (polynomial
 terms, matrix entries, tautological monomials, lattice vectors, cycles).
 Values only need +, * and bool(), where bool() means "nonzero", as for
-Fraction.
+Fraction.  The product of two such dicts keyed by exponent tuples
+(polynomials, tautological expressions) is mul_terms.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterable, Tuple
 
 
@@ -30,6 +31,13 @@ def add_into(acc: Dict, items: Iterable[Tuple[object, object]]) -> Dict:
 def add_term(acc: Dict, key, value) -> None:
     """acc[key] += value, dropping the key if the sum is zero."""
     add_into(acc, ((key, value),))
+
+
+def mul_terms(left: Dict, right: Dict) -> Dict:
+    """The product of two sparse polynomials stored as {exponent tuple:
+    coefficient}: exponents add and coefficients multiply."""
+    return add_into({}, ((tuple(map(add, e1, e2)), c1 * c2)
+                         for e1, c1 in left.items() for e2, c2 in right.items()))
 
 
 def power(base, n: int, one, product=mul):

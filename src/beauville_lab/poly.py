@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Dict, Tuple
 
-from .lincomb import add_into, power
+from .lincomb import add_into, mul_terms, power
 from .scalars import GaussianRational, Rational
 
 VARS: Tuple[str, ...] = ("cst", "N", "d", "a", "b")
@@ -59,7 +58,8 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({_ZERO_EXP: c})
+        c = GaussianRational.coerce(c)
+        return _make({_ZERO_EXP: c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
@@ -98,12 +98,12 @@ class Poly:
 
     def __add__(self, other):
         o = Poly.coerce(other)
-        return Poly(add_into(dict(self.terms), o.terms.items()))
+        return _make(add_into(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({exp: -c for exp, c in self.terms.items()})
+        return _make({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Poly.coerce(other))
@@ -113,9 +113,7 @@ class Poly:
 
     def __mul__(self, other):
         o = Poly.coerce(other)
-        return Poly(add_into({}, ((tuple(map(add, e1, e2)), c1 * c2)
-                                  for e1, c1 in self.terms.items()
-                                  for e2, c2 in o.terms.items())))
+        return _make(mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -197,6 +195,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+_new = object.__new__
+_set_terms = Poly.terms.__set__
+
+
+def _make(terms: Dict[Monomial, GaussianRational]) -> Poly:
+    """The engine's own constructor for a dict of exponent tuples and
+    nonzero GaussianRational coefficients, such as one add_into builds from
+    other polynomials' terms; unlike Poly(terms) it checks and copies
+    nothing."""
+    p = _new(Poly)
+    _set_terms(p, terms)
+    return p
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

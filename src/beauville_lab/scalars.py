@@ -60,39 +60,50 @@ class GaussianRational:
 
     # -- field operations --------------------------------------------------
 
-    # a non-scalar operand (a Poly) falls through to its reflected operator
+    # int and Fraction operands are taken as they are: Fraction arithmetic
+    # with them returns a Fraction.  A zero imaginary part is never
+    # multiplied or negated, so rational values cost one Fraction operation.
+    # A non-scalar operand (a Poly) falls through to its reflected operator.
     def __add__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            im, other_im = self.im, other.im
+            return _make(self.re + other.re, im + other_im if other_im else im)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        im = self.im
+        return _make(-self.re, -im if im else im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        if isinstance(other, GaussianRational):
+            c, d = other.re, other.im
+        elif isinstance(other, (int, Fraction)):
+            c, d = other, 0
+        else:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b = self.re, self.im
+        if not d:
+            return _make(a * c, b * c if b else b)
+        if not b:
+            return _make(a * c, a * d)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -101,7 +112,7 @@ class GaussianRational:
         n = self.norm()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -117,6 +128,8 @@ class GaussianRational:
         return power(self, n, ONE)
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
         try:
             o = GaussianRational.coerce(other)
         except TypeError:
@@ -149,6 +162,20 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self})"
+
+
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """The engine's own constructor: re and im are already Fractions, so
+    unlike GaussianRational(re, im) it checks nothing."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -62,10 +62,10 @@ class SparseMat:
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return SparseMat(self.dim, add_into(dict(self.entries), other.entries.items()))
+        return _make(self.dim, add_into(dict(self.entries), other.entries.items()))
 
     def __neg__(self) -> "SparseMat":
-        return SparseMat(self.dim, {pos: -v for pos, v in self.entries.items()})
+        return _make(self.dim, {pos: -v for pos, v in self.entries.items()})
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + (-other)
@@ -81,7 +81,7 @@ class SparseMat:
         rows: Dict[int, list] = {}
         for (r, c), v in other.entries.items():
             rows.setdefault(r, []).append((c, v))
-        return SparseMat(self.dim, add_into({}, (
+        return _make(self.dim, add_into({}, (
             ((r, c), v * w)
             for (r, k), v in self.entries.items()
             for c, w in rows.get(k, ()))))
@@ -100,7 +100,7 @@ class SparseMat:
                              for (r, c), v in self.entries.items() if c in vec))
 
     def transpose(self) -> "SparseMat":
-        return SparseMat(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
+        return _make(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
     def substitute(self, name: str, value) -> "SparseMat":
         """Substitute into Poly entries; scalar entries pass through."""
@@ -117,6 +117,21 @@ class SparseMat:
 
     def __repr__(self):
         return f"SparseMat(dim={self.dim}, nnz={len(self.entries)})"
+
+
+_new = object.__new__
+_set_dim = SparseMat.dim.__set__
+_set_entries = SparseMat.entries.__set__
+
+
+def _make(dim: int, entries: Dict[Entry, object]) -> SparseMat:
+    """The engine's own constructor for entries built from other matrices'
+    entries, such as add_into's sums; unlike SparseMat(dim, entries) it
+    checks and copies nothing."""
+    m = _new(SparseMat)
+    _set_dim(m, dim)
+    _set_entries(m, entries)
+    return m
 
 
 def bracket(a: SparseMat, b: SparseMat) -> SparseMat:

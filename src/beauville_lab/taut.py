@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, Tuple
 
 from .errors import OutsideModelError
-from .lincomb import add_into, add_term, power
+from .lincomb import add_into, add_term, mul_terms, power
 from .poly import Poly
 
 GENS = ("theta", "psi1", "psi2", "xi2", "kappa1", "delta")
@@ -80,10 +80,10 @@ class TautExpr:
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         self._check_locus(other)
-        return TautExpr(add_into(dict(self.terms), other.terms.items()), self.locus)
+        return _make(add_into(dict(self.terms), other.terms.items()), self.locus)
 
     def __neg__(self) -> "TautExpr":
-        return TautExpr({m: -c for m, c in self.terms.items()}, self.locus)
+        return _make({m: -c for m, c in self.terms.items()}, self.locus)
 
     def __sub__(self, other: "TautExpr") -> "TautExpr":
         return self + (-other)
@@ -92,10 +92,7 @@ class TautExpr:
         if not isinstance(other, TautExpr):
             other = TautExpr.const(other, self.locus)
         self._check_locus(other)
-        return TautExpr(add_into({}, ((tuple(map(add, m1, m2)), c1 * c2)
-                                      for m1, c1 in self.terms.items()
-                                      for m2, c2 in other.terms.items())),
-                        self.locus)
+        return _make(mul_terms(self.terms, other.terms), self.locus)
 
     def __rmul__(self, other) -> "TautExpr":
         return self * other
@@ -175,28 +172,35 @@ def open_restrict(expr: TautExpr) -> TautExpr:
 
 def boundary_pull(expr: TautExpr) -> TautExpr:
     """Pull back to the boundary family: theta becomes theta plus half the
-    psi sum and delta becomes minus the psi sum (self-intersection)."""
+    psi sum, delta becomes minus the psi sum (self-intersection), and the
+    other generators stay as they are.
+
+    Each power of the two moving images is built once, with scalar
+    coefficients, on a ladder shared by every monomial; a monomial's Poly
+    coefficient scales its image once."""
     if expr.locus != "total":
         raise ValueError("boundary pullback starts from the total family")
-    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
-    theta_b = gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2))
-    delta_b = -psi_sum
-    images = {
-        "theta": theta_b,
-        "psi1": gen("psi1", locus="boundary"),
-        "psi2": gen("psi2", locus="boundary"),
-        "xi2": gen("xi2", locus="boundary"),
-        "kappa1": gen("kappa1", locus="boundary"),
-        "delta": delta_b,
-    }
-    out = TautExpr.zero("boundary")
+    i_theta, i_delta = GENS.index("theta"), GENS.index("delta")
+    theta, psi1, psi2 = (tuple(int(x == name) for x in GENS)
+                         for name in ("theta", "psi1", "psi2"))
+    one = {(0,) * len(GENS): 1}
+    half = Fraction(1, 2)
+    theta_ladder = [one, {theta: 1, psi1: half, psi2: half}]
+    delta_ladder = [one, {psi1: -1, psi2: -1}]
+
+    def rung(ladder, e):
+        while len(ladder) <= e:
+            ladder.append(mul_terms(ladder[-1], ladder[1]))
+        return ladder[e]
+
+    out: Dict[Monomial, Poly] = {}
     for mono, coeff in expr.terms.items():
-        part = TautExpr.const(coeff, "boundary")
-        for name, e in zip(GENS, mono):
-            for _ in range(e):
-                part = part * images[name]
-        out = out + part
-    return out
+        image = mul_terms(rung(theta_ladder, mono[i_theta]), rung(delta_ladder, mono[i_delta]))
+        fixed = list(mono)
+        fixed[i_theta] = fixed[i_delta] = 0
+        add_into(out, ((tuple(map(add, m, fixed)), coeff * c)
+                       for m, c in image.items()))
+    return _make(out, "boundary")
 
 
 def abelian_push(expr: TautExpr, n: int) -> TautExpr:
@@ -246,3 +250,18 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
         new[i_theta] = 0
         add_term(out, tuple(new), coeff * Poly.const(factorial(n)))
     return TautExpr(out, target)
+
+
+_new = object.__new__
+_set_terms = TautExpr.terms.__set__
+_set_locus = TautExpr.locus.__set__
+
+
+def _make(terms: Dict[Monomial, Poly], locus: str) -> TautExpr:
+    """The engine's own constructor for monomial tuples with nonzero Poly
+    coefficients, such as add_into builds from other expressions' terms;
+    unlike TautExpr(terms, locus) it checks and copies nothing."""
+    expr = _new(TautExpr)
+    _set_terms(expr, terms)
+    _set_locus(expr, locus)
+    return expr

@@ -241,6 +241,8 @@ def test_verify_usage_errors_exit_two(tmp_path, capsys):
     for argv in (["verify", "nonsense"],
                  ["verify", "llv", "--hdim", "12"],
                  ["verify", "llv", "--trials", "-1"],
+                 ["verify", "llv", "--trials", "101"],
+                 ["verify", "llv", "--trials", "100000000"],
                  ["verify", "triple", "--genus", "1"],
                  ["verify", "llv", "--t", "abc"],
                  ["verify", "llv", "--t", "0"],

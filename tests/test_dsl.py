@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from beauville_lab.cli import main
 from beauville_lab.dsl import (Add, CommBracket, DslError, EvalError, Imag,
                                LlvContext, Mul, Neg, Num, Pow, Sym, evaluate,
                                make_context, parse, print_expr, tokenize)
@@ -235,6 +236,32 @@ def test_huge_powers_of_nilpotents_return_at_once():
     assert evaluate(parse("e(1)^1000000000"), make_context("llv")).is_zero()
     assert evaluate(parse("Theta^1000000000"), make_context("k3")) == ("bv", {})
     assert time.perf_counter() - start < 1.0
+
+
+def test_huge_powers_stop_at_the_digit_limit(capsys):
+    start = time.perf_counter()
+    for text, context in (("h^200000000", "llv"), ("(2*e(1) + h)^200000000", "llv"),
+                          ("(2*one)^200000000", "k3"), ("(p1(s) + 2*p1(one))^200000000", "k3"),
+                          ("(2*a)^100000000", "taut"), ("(2*theta)^100000000", "taut")):
+        with pytest.raises(EvalError, match=r"the power \^\d+ would pass 4300 digits"):
+            evaluate(parse(text), make_context(context))
+        assert main(["eval", text, "--context", context]) == 1, (text, context)
+        assert capsys.readouterr().err.startswith("evaluation error: the power ^")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_digit_limit_is_exact():
+    # 10^4299 has 4300 digits, the most Python prints; 10^4300 has one more
+    for context, text in (("llv", "10"), ("k3", "10*one"), ("taut", "10*a")):
+        ctx = make_context(context)
+        value = evaluate(parse(f"({text})^4299"), ctx)
+        assert str(10 ** 4299) in ctx.render(value)[1]
+        with pytest.raises(EvalError, match="would pass 4300 digits"):
+            evaluate(parse(f"({text})^4300"), ctx)
+    assert evaluate(parse("(1/10)^4299"), make_context("llv")) == \
+        GaussianRational(Fraction(1, 10 ** 4299))
+    with pytest.raises(EvalError, match="would pass 4300 digits"):
+        evaluate(parse("(1/10)^4300"), make_context("llv"))
 
 
 def test_k3_eval_model_boundaries():

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, strategies as st
+import operator
 
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I, ONE, ZERO
 
 rationals = st.fractions(min_value=Fraction(-60), max_value=Fraction(60),
@@ -85,3 +88,46 @@ def test_mul_commutes_and_norm_multiplicative(a, b):
 def test_inverse_property(a):
     if not a.is_zero():
         assert a * a.inverse() == ONE
+
+
+# about half of these have a zero imaginary part, the fast path's case
+fast_gaussians = st.builds(GaussianRational, rationals,
+                           st.one_of(st.just(Fraction(0)), rationals))
+operands = st.one_of(fast_gaussians, st.integers(-60, 60), rationals)
+
+
+def parts(x):
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def assert_is(z, re, im):
+    assert isinstance(z, GaussianRational)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    expected = GaussianRational(re, im)
+    assert z == expected and hash(z) == hash(expected)
+
+
+@given(operands, operands)
+def test_operators_match_the_textbook_formulas(x, y):
+    assume(isinstance(x, GaussianRational) or isinstance(y, GaussianRational))
+    (a, b), (c, d) = parts(x), parts(y)
+    assert_is(x + y, a + c, b + d)
+    assert_is(x - y, a - c, b - d)
+    assert_is(x * y, a * c - b * d, a * d + b * c)
+    for z in (x, y):
+        if isinstance(z, GaussianRational):
+            assert_is(-z, -z.re, -z.im)
+
+
+def test_poly_operands_fall_through_to_poly():
+    b = Poly.var("b")
+    two = GaussianRational(2)
+    for value, expected in ((two * b, b.scale(2)), (b * two, b.scale(2)),
+                            (two + b, b + 2), (two - b, Poly.const(2) - b)):
+        assert isinstance(value, Poly)
+        assert value == expected
+    for op in (operator.add, operator.sub, operator.mul):
+        assert getattr(GaussianRational, f"__{op.__name__}__")(two, b) is NotImplemented

@@ -1,8 +1,10 @@
 """Tautological expressions, locus tags, and the abelian pushforward."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.poly import Poly
@@ -104,6 +106,49 @@ def test_boundary_pull_is_a_ring_map():
     y = gen("theta") * gen("delta")
     assert boundary_pull(x * y) == boundary_pull(x) * boundary_pull(y)
     assert boundary_pull(x + y) == boundary_pull(x) + boundary_pull(y)
+
+
+def naive_boundary_pull(expr: TautExpr) -> TautExpr:
+    """The reference for boundary_pull: substitute each generator's image
+    one factor at a time, then scale by the monomial's coefficient."""
+    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
+    images = {"theta": gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2)),
+              "delta": -psi_sum}
+    out = TautExpr.zero("boundary")
+    for mono, coeff in expr.terms.items():
+        part = TautExpr.const(coeff, "boundary")
+        for name, e in zip(GENS, mono):
+            for _ in range(e):
+                part = part * images.get(name, gen(name, locus="boundary"))
+        out = out + part
+    return out
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+coefficients = st.builds(
+    lambda c0, c1, c2: Poly.const(c0) + Poly.var("b").scale(c1) + Poly.var("a").scale(c2),
+    small_fractions, small_fractions, small_fractions)
+monomials = st.tuples(*[st.integers(0, 3)] * len(GENS))
+taut_exprs = st.dictionaries(monomials, coefficients, max_size=4).map(TautExpr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(taut_exprs)
+def test_boundary_pull_matches_factor_by_factor_substitution(expr):
+    assert boundary_pull(expr) == naive_boundary_pull(expr)
+
+
+def test_boundary_pull_of_the_candidate_power_in_closed_form():
+    # (theta + b*delta) pulls back to theta + (1/2 - b)(psi1 + psi2); in its
+    # (g+1)-st power only the binomial term with theta^(g-1) has weight 2(g-1)
+    b = Poly.var("b")
+    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
+    candidate = gen("theta") + gen("delta").scale(b)
+    for g in range(4, 13):
+        part = weight_part(boundary_pull(candidate ** (g + 1)), 2 * (g - 1))
+        expected = (gen("theta", g - 1, locus="boundary") * psi_sum * psi_sum).scale(
+            (b - Fraction(1, 2)) * (b - Fraction(1, 2)) * comb(g + 1, 2))
+        assert part == expected, g
 
 
 # -- abelian pushforward -----------------------------------------------------------
