@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -162,9 +163,16 @@ def _cmd_eval(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_eval(args)
+    try:
+        code = _cmd_verify(args, parser) if args.command == "verify" else _cmd_eval(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point it at devnull,
+        # so that the flush at exit does not fail again, and exit 1 (the
+        # SIGPIPE note of the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Grammar:
 
 NUMBER is a nonnegative integer or a fraction like 3/2; '*' is the product
 of the ambient ring and 'o' is composition; '[x, y]' is the commutator.
-Parse errors carry a line and column.
+Parse errors carry a line and column.  Parentheses, brackets, arguments and
+prefix minus signs nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class EvalError(ValueError):
 # -- lexer ---------------------------------------------------------------------------------
 
 _PUNCT = set("+-*^()[],")
+# nesting levels of the recursive-descent parser; each costs a few frames of
+# Python's stack (1000 by default) in the parser, evaluator and printer
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,18 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one nesting level deeper, within MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            tok = self.peek()
+            raise DslError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -210,7 +226,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return Neg(self.parse_factor())
+            return Neg(self.nested(self.parse_factor))
         atom = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
@@ -236,23 +252,23 @@ class _Parser:
                 raise DslError("'o' is the composition operator", tok.line, tok.col)
             if self.peek().kind == "(":
                 self.advance()
-                args = [self.parse_expr()]
+                args = [self.nested(self.parse_expr)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.parse_expr())
+                    args.append(self.nested(self.parse_expr))
                 self.expect(")")
                 return Sym(tok.text, tuple(args))
             return Sym(tok.text)
         if tok.kind == "[":
             self.advance()
-            left = self.parse_expr()
+            left = self.nested(self.parse_expr)
             self.expect(",")
-            right = self.parse_expr()
+            right = self.nested(self.parse_expr)
             self.expect("]")
             return CommBracket(left, right)
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect(")")
             return inner
         what = tok.text or "end of input"
@@ -321,6 +337,13 @@ def print_expr(expr: Expr) -> str:
 
 # Python's default limit on the digits of an integer it converts to text
 MAX_DIGITS = 4300
+# A product in a power pairs each term of one factor with each term of the
+# other (a matrix entry, polynomial or tautological monomial, or cycle label
+# counts as one term, a scalar too), so this bounds the work of one product
+# as MAX_DIGITS bounds the size of its numbers.  The largest product of the
+# tests and the benchmark requests pairs 144 terms, and a product of two
+# hdim-10 matrices at most 100 x 100.
+MAX_TERM_PAIRS = 20_000
 
 
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
@@ -342,11 +365,27 @@ def _passes_digits(value) -> bool:
     return any(map(_passes_digits, value.values()))
 
 
+def _term_count(value) -> int:
+    """The number of terms of a value of any context, as MAX_TERM_PAIRS
+    counts them."""
+    if isinstance(value, tuple):    # a tagged value of the k3 or taut context
+        value = value[1]
+    if isinstance(value, SparseMat):
+        return len(value.num)
+    if isinstance(value, (Poly, TautExpr)):
+        return len(value.terms)
+    return len(value) if isinstance(value, dict) else 1
+
+
 def _bounded_power(x, n: int, one, product):
-    """x^n by repeated squaring that stops as soon as a product has a
-    numerator or denominator past MAX_DIGITS digits, so that the work stays
-    bounded whatever n is."""
+    """x^n by repeated squaring that stops before a product would pair more
+    than MAX_TERM_PAIRS terms and as soon as a product has a numerator or
+    denominator past MAX_DIGITS digits, so that the work stays bounded
+    whatever n is."""
     def checked(a, b):
+        if _term_count(a) * _term_count(b) > MAX_TERM_PAIRS:
+            raise EvalError(f"the power ^{n} would pair more than "
+                            f"{MAX_TERM_PAIRS} terms in one product")
         out = product(a, b)
         if _passes_digits(out):
             raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -67,8 +68,23 @@ class MukaiSpace:
 
     # -- basic structure -----------------------------------------------------
 
+    # Computed once per space and kept on the instance (not in a cache keyed
+    # by the space, whose hash would hash the whole Gram matrix each call).
+    @cached_property
+    def _positions(self) -> Dict[str, int]:
+        return {label: k for k, label in enumerate(self.labels)}
+
+    @cached_property
+    def _gram_rows(self) -> Dict[str, Dict[str, Fraction]]:
+        """The nonzero Gram entries by label: rows[l][m] = (l, m)."""
+        return {l: {m: g for m, g in zip(self.labels, row) if g}
+                for l, row in zip(self.labels, self.gram)}
+
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a basis label") from None
 
     @property
     def dim(self) -> int:
@@ -79,7 +95,7 @@ class MukaiSpace:
         return tuple(l for l in self.labels if l not in (ALPHA, BETA))
 
     def basis_vector(self, label: str) -> Vector:
-        if label not in self.labels:
+        if label not in self._positions:
             raise KeyError(label)
         return {label: GaussianRational(1)}
 
@@ -93,14 +109,24 @@ class MukaiSpace:
 
     # -- bilinear form ---------------------------------------------------------
 
+    def covector(self, v: Vector) -> Vector:
+        """The nonzero pairings (v, b) with the basis vectors b, by label."""
+        rows = self._gram_rows
+        try:
+            return add_into({}, ((m, c * g) for l, c in v.items()
+                                 for m, g in rows[l].items()))
+        except KeyError as err:
+            raise ValueError(f"{err.args[0]!r} is not a basis label") from None
+
     def pairing(self, u: Vector, v: Vector) -> GaussianRational:
+        paired = self.covector(u)
         total = GaussianRational(0)
-        for lu, cu in u.items():
-            iu = self.index(lu)
-            for lv, cv in v.items():
-                g = self.gram[iu][self.index(lv)]
-                if g:
-                    total = total + cu * cv * GaussianRational(g)
+        for label, c in v.items():
+            g = paired.get(label)
+            if g is not None:
+                total = total + c * g
+            elif label not in self._positions:
+                raise ValueError(f"{label!r} is not a basis label")
         return total
 
     def q(self, v: Vector) -> GaussianRational:

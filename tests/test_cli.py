@@ -1,6 +1,9 @@
 """Command-line interface: suites, eval, exit codes, canonical output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -356,3 +359,28 @@ def test_eval_usage_errors_exit_two(capsys):
             main(argv)
         assert err.value.code == 2, argv
         capsys.readouterr()
+    # nesting past the parser's depth limit is a parse error, not a
+    # RecursionError
+    for expr in ("(" * 3000 + "h" + ")" * 3000, "h+" + "-" * 3000 + "h",
+                 "[" * 3000 + "h", "e(" * 3000 + "1" + ")" * 3000):
+        code, out, err = run_cli(capsys, "eval", expr, "--context", "llv")
+        assert (code, out) == (2, ""), expr[:10]
+        assert err.startswith("parse error: line 1, column "), err
+        assert err.rstrip().endswith("nesting deeper than 100 levels"), err
+    deep = "(" * 100 + "h" + ")" * 100
+    assert run_cli(capsys, "eval", deep, "--context", "llv", "--format", "json")[0] == 0
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # `beauville-lab verify all | head -c 10`, with the reader gone before
+    # the report is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "beauville_lab.cli", "verify", "all"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -247,6 +247,12 @@ def test_huge_powers_stop_at_the_digit_limit(capsys):
             evaluate(parse(text), make_context(context))
         assert main(["eval", text, "--context", context]) == 1, (text, context)
         assert capsys.readouterr().err.startswith("evaluation error: the power ^")
+    # a power of a sum grows in its number of terms, not digits
+    text = "(theta+delta+psi1+psi2+xi2+kappa1)^30"
+    with pytest.raises(EvalError, match=r"the power \^30 would pair more than 20000 terms"):
+        evaluate(parse(text), make_context("taut"))
+    assert main(["eval", text, "--context", "taut"]) == 1
+    assert capsys.readouterr().err.startswith("evaluation error: the power ^30")
     assert time.perf_counter() - start < 1.0
 
 

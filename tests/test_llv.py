@@ -1,12 +1,15 @@
 """Weight-graded raising/lowering operators and the Fourier operator map."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from test_sparse import random_matrix
 
 from beauville_lab.llv import (Brk, Lin, Sym, TripleData,
                                UnsupportedOperatorError, build_triple,
-                               evaluate_op, fourier_op_map, op_K, op_e,
+                               constant, evaluate_at, evaluate_op,
+                               fourier_op_map, op_K, op_e,
                                op_e_sigma, op_f, op_h, primed_operators,
                                random_quadruple, standard_quadruple,
                                verify_cross_triple,
@@ -228,6 +231,40 @@ def test_fourier_op_map_threads_through_brackets_and_sums():
     assert inner.left == Lin(((Poly.const(1), Sym("E_thetabar")),))
 
 
+def test_evaluate_op_is_linear_in_cst():
+    # cst scales whole terms: brackets are taken on scalar matrices and each
+    # power of cst keeps its own matrix
+    rng = random.Random(7)
+    cst = Poly.var("cst")
+    for _ in range(40):
+        a, b = random_matrix(rng), random_matrix(rng)
+        x = GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                             rng.randint(-2, 2))
+        y = rng.randint(-3, 3)
+        p = cst.scale(x) + y
+        R = {"A": a, "B": b}
+        ab = bracket(a, b)
+        want = {exp: m for exp, m in (((1, 0, 0, 0, 0), ab.scale(x)),
+                                      ((0, 0, 0, 0, 0), ab.scale(y))) if m}
+        assert evaluate_op(Lin(((p, Brk(Sym("A"), Sym("B"))),)), R) == want
+        assert evaluate_op(Brk(Lin(((p, Sym("A")),)), Sym("B")), R) == want
+        assert evaluate_op(Brk(Lin(((p, Sym("A")), (1, Sym("B")))), Sym("B")), R) == want
+        assert evaluate_op(Lin(((p, Sym("A")), (-p, Sym("A")))), R) == {}
+
+
+def test_matrix_polynomial_evaluates_at_cst():
+    cst = Poly.var("cst")
+    R = {"A": SparseMat(2, {(0, 1): 1}), "B": SparseMat(2, {(1, 0): GaussianRational(0, 1)})}
+    mapped = evaluate_op(Lin(((cst, Sym("A")),)), R)
+    assert evaluate_at(mapped, 2, {"cst": 3}) == SparseMat(2, {(0, 1): 3})
+    mapped = evaluate_op(Lin(((cst * cst + 1, Sym("A")), (cst, Sym("B")))), R)
+    assert evaluate_at(mapped, 2, {"cst": -2}) == \
+        SparseMat(2, {(0, 1): 5, (1, 0): GaussianRational(0, -2)})
+    assert evaluate_at(mapped, 2, {"cst": GaussianRational(0, 1)}) == \
+        SparseMat(2, {(1, 0): -1})
+    assert evaluate_at({}, 2, {"cst": 3}) == SparseMat.zero(2)
+
+
 # -- Fourier-conjugate triples ------------------------------------------------------
 
 
@@ -239,7 +276,7 @@ def test_build_triple_checks_and_frozen_spectra():
     assert isinstance(data, TripleData)
     P = primed_operators(space, quad, 1)
     assert data.P == P
-    assert evaluate_op(data.E0_expr, P) == data.E0
+    assert evaluate_op(data.E0_expr, P) == constant(data.E0)
 
     assert weight_decompose(data.H0) == {-1: 2, 0: 2, 1: 2}
     assert weight_decompose(data.D) == {-2: 1, 0: 4, 2: 1}

@@ -131,3 +131,7 @@ def test_poly_operands_fall_through_to_poly():
         assert value == expected
     for op in (operator.add, operator.sub, operator.mul):
         assert getattr(GaussianRational, f"__{op.__name__}__")(two, b) is NotImplemented
+    with pytest.raises(TypeError):
+        two + "x"
+    with pytest.raises(TypeError):
+        two * "x"
