@@ -16,7 +16,7 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from .poly import Poly
-from .taut import TautExpr, abelian_push, gen
+from .taut import TautExpr, abelian_push, boundary_pull, gen
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ def boundary_substitution(g: int, relation: Optional[BoundaryRelation] = None,
         raise ValueError("genus must be at least 2")
     if relation is None:
         relation = top_weight_boundary_relation()
-    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
-    lead = (gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2))) ** (g - 1)
+    lead = boundary_pull(gen("theta", g - 1))
     expr = lead.scale(relation.coefficient / factorial(g - 1))
     if include_alpha:
         alpha = alpha_terms(g)

@@ -129,28 +129,22 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
     For k <= g the power pushes directly: g! delta^j at k = g and zero
     below.  For k >= g+1 the relation theta^(g+1) = (g+1)! times the pushed
     boundary substitution applies; the leftover theta^e delta^j pulls back
-    to the boundary family as (theta + psi/2)^e (-psi1-psi2)^j and the
-    result lives on the boundary base.
+    to the boundary family (boundary_pull) as (theta + psi/2)^e
+    (-psi1-psi2)^j and the result lives on the boundary base.
     """
     if g < 2 or k < 0 or j < 0:
         raise ValueError("need g >= 2 and nonnegative exponents")
     if k <= g:
         if k == g:
             ledger.use("unit-relation")
-            out = TautExpr.const(factorial(g), "base")
-        else:
-            ledger.use("theta-power-vanishing")
-            return TautExpr.zero("base")
-        for _ in range(j):
-            out = out * gen("delta", locus="base")
-        return out
+            return gen("delta", j, locus="base").scale(factorial(g))
+        ledger.use("theta-power-vanishing")
+        return TautExpr.zero("base")
     e = k - g - 1
     inner = boundary_substitution(g, relation, include_alpha=include_alpha)
     if include_alpha and alpha_terms(g) is not None:
         ledger.use("alpha2-input" if g == 3 else "alpha0-input")
-    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
-    theta_b = gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2))
-    expr = inner * theta_b ** e * (-psi_sum) ** j
+    expr = inner * boundary_pull(gen("theta", e) * gen("delta", j))
     xi_idx = GENS.index("xi2")
     if any(m[xi_idx] >= 2 and monomial_weight(m) == 2 * (g - 1)
            for m in expr.terms):

@@ -112,13 +112,19 @@ class Poly:
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
+        # a scalar scales each coefficient; over a field the product of two
+        # nonzero values is nonzero, so only a zero scalar empties the result
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            if not other:
+                return _make({})
+            return _make({exp: c * other for exp, c in self.terms.items()})
         o = Poly.coerce(other)
         return _make(mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Poly":
-        return self * Poly.coerce(factor)
+        return self * factor
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

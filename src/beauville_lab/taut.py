@@ -103,8 +103,8 @@ class TautExpr:
         return power(self, exponent, TautExpr.const(1, self.locus))
 
     def scale(self, value) -> "TautExpr":
-        return TautExpr({m: c * Poly.coerce(value) for m, c in self.terms.items()},
-                        self.locus)
+        terms = {m: c * value for m, c in self.terms.items()}
+        return _make(terms if value else {}, self.locus)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TautExpr) and self.locus == other.locus
@@ -175,17 +175,18 @@ def boundary_pull(expr: TautExpr) -> TautExpr:
     psi sum, delta becomes minus the psi sum (self-intersection), and the
     other generators stay as they are.
 
-    Each power of the two moving images is built once, with scalar
-    coefficients, on a ladder shared by every monomial; a monomial's Poly
-    coefficient scales its image once."""
+    This is the one place the two images are written.  Each power of them
+    is built once, on a ladder shared by every monomial and with integer
+    coefficients: rung k of the theta ladder is (2 theta + psi1 + psi2)^k.
+    A monomial with theta^k divides its Poly coefficient by 2^k once, and
+    that coefficient then scales each integer term of its image."""
     if expr.locus != "total":
         raise ValueError("boundary pullback starts from the total family")
     i_theta, i_delta = GENS.index("theta"), GENS.index("delta")
     theta, psi1, psi2 = (tuple(int(x == name) for x in GENS)
                          for name in ("theta", "psi1", "psi2"))
     one = {(0,) * len(GENS): 1}
-    half = Fraction(1, 2)
-    theta_ladder = [one, {theta: 1, psi1: half, psi2: half}]
+    theta_ladder = [one, {theta: 2, psi1: 1, psi2: 1}]
     delta_ladder = [one, {psi1: -1, psi2: -1}]
 
     def rung(ladder, e):
@@ -195,7 +196,10 @@ def boundary_pull(expr: TautExpr) -> TautExpr:
 
     out: Dict[Monomial, Poly] = {}
     for mono, coeff in expr.terms.items():
-        image = mul_terms(rung(theta_ladder, mono[i_theta]), rung(delta_ladder, mono[i_delta]))
+        k = mono[i_theta]
+        image = mul_terms(rung(theta_ladder, k), rung(delta_ladder, mono[i_delta]))
+        if k:
+            coeff = coeff * Fraction(1, 1 << k)
         fixed = list(mono)
         fixed[i_theta] = fixed[i_delta] = 0
         add_into(out, ((tuple(map(add, m, fixed)), coeff * c)
@@ -238,7 +242,7 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
                 new[i_xi] -= 2
                 new[i_theta] += 1
                 new[psi_idx] += 1
-                stack.append((tuple(new), coeff * Poly.coerce(Fraction(-1, 2))))
+                stack.append((tuple(new), coeff * Fraction(-1, 2)))
             continue
         if e == 1:
             raise OutsideModelError(
@@ -248,8 +252,8 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
                 f"weight bookkeeping failed for monomial {mono}")
         new = list(mono)
         new[i_theta] = 0
-        add_term(out, tuple(new), coeff * Poly.const(factorial(n)))
-    return TautExpr(out, target)
+        add_term(out, tuple(new), coeff * factorial(n))
+    return _make(out, target)
 
 
 _new = object.__new__

@@ -19,6 +19,7 @@ from beauville_lab.report import (Report, exit_code, render_json, render_text,
 
 GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
+THETA_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "theta_obstruction_g16.json"
 
 def space_file(path, middle):
     """Write a space whose middle gram is `middle` in the documented format."""
@@ -230,6 +231,13 @@ def test_refuted_witness_names_each_failing_check_once(tmp_path, capsys):
 def test_verify_all_matches_the_golden_output(capsys):
     golden = GOLDEN.read_bytes()
     assert main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_theta_obstruction_at_genus_16_matches_the_golden_output(capsys):
+    # verify all reaches the high-genus pipeline only at g = 4, 5
+    golden = THETA_G16_GOLDEN.read_bytes()
+    assert main(["verify", "theta-obstruction", "--genus", "16", "--format", "json"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 

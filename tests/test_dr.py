@@ -12,7 +12,7 @@ from beauville_lab.dr import (AffineInt, ExclusionCertificate,
                               top_weight_boundary_relation)
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
-from beauville_lab.taut import gen
+from beauville_lab.taut import abelian_push, gen
 
 
 small_fractions = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
@@ -101,6 +101,27 @@ def test_corollary_theta_push():
     assert cor.coefficient == Fraction(1, 48)
     assert all(cert.holds() for cert in cor.certificates)
     assert cor.concrete_checks == ((2, True), (3, True), (4, True), (5, True))
+
+
+def test_the_one_forty_eighth_push_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    d, theta, psi1, psi2 = sympy.symbols("d theta psi1 psi2")
+    # the relation coefficient from the twist polynomial: both unit twists,
+    # the half automorphism factor, and the sign of moving across
+    twist = -d**4 / 48 + d**2 / 24 - sympy.Rational(1, 240)
+    quartic = sympy.Poly(twist, d).coeff_monomial(d**4)
+    coefficient = -sum(sympy.Rational(1, 2) * quartic * s**4 for s in (1, -1))
+    assert coefficient == sympy.Rational(1, 48)
+    unit = (0,) * 6
+    for g in range(2, 11):
+        lead = sympy.expand(coefficient * (theta + (psi1 + psi2) / 2)**(g - 1)
+                            / sympy.factorial(g - 1))
+        top = sympy.factorial(g - 1) * sympy.Poly(lead, theta, psi1, psi2).coeff_monomial(
+            theta**(g - 1))
+        pushed = abelian_push(boundary_substitution(g, include_alpha=False), g - 1)
+        assert set(pushed.terms) == {unit}, g
+        assert pushed.terms[unit] == Poly.const(Fraction(int(top.p), int(top.q))), g
+    assert corollary_theta_push().coefficient == Fraction(int(coefficient.p), int(coefficient.q))
 
 
 def test_corollary_theta_push_custom_genera():

@@ -67,6 +67,22 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
+gaussian_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in VARS)), st.tuples(coeffs, coeffs),
+    max_size=4).map(lambda d: Poly({m: GaussianRational(*c) for m, c in d.items()}))
+scalars = st.one_of(
+    st.integers(-50, 50), coeffs, st.just(0), st.just(Fraction(0)), st.just(GaussianRational(0)),
+    st.builds(GaussianRational, coeffs, coeffs.filter(bool)))
+
+
+@given(gaussian_polys, scalars)
+def test_scalar_product_matches_the_constant_product(p, s):
+    scaled = p * s
+    assert scaled == p * Poly.const(s) == s * p == p.scale(s)
+    assert all(scaled.terms.values())
+    assert all(type(c) is GaussianRational for c in scaled.terms.values())
+
+
 @given(small_polys(), small_polys())
 def test_substitution_is_a_homomorphism(p, q):
     value = Poly.var("a") + 2

@@ -1,13 +1,17 @@
 """Tautological expressions, locus tags, and the abelian pushforward."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beauville_lab.dr import (alpha_terms, boundary_substitution,
+                              top_weight_boundary_relation)
 from beauville_lab.errors import OutsideModelError
+from beauville_lab.obstruction import AssumptionLedger, theta_delta_push
 from beauville_lab.poly import Poly
+from beauville_lab.scalars import GaussianRational
 from beauville_lab.taut import (GENS, TautExpr, abelian_push, boundary_pull,
                                 gen, monomial_weight, n_weight, open_restrict,
                                 weight_part)
@@ -44,6 +48,20 @@ def test_ring_operations():
     assert theta.scale(b).coefficient_of(theta=1) == b
     with pytest.raises(ValueError, match="exponent"):
         theta ** -1
+
+
+def test_scale_matches_the_validating_constructor():
+    b = Poly.var("b")
+    expr = gen("theta", 2).scale(b) + gen("delta").scale(Fraction(-1, 3)) + TautExpr.const(2)
+    for value in (3, Fraction(-5, 7), GaussianRational(Fraction(1, 2), -2), b,
+                  b * b - Poly.const(GaussianRational(0, 1)), 0, Fraction(0),
+                  GaussianRational(0), Poly.const(0)):
+        expected = TautExpr({m: c * Poly.coerce(value) for m, c in expr.terms.items()},
+                            expr.locus)
+        scaled = expr.scale(value)
+        assert scaled == expected, value
+        assert all(scaled.terms.values()), value
+    assert gen("xi2", locus="open").scale(0) == TautExpr.zero("open")
 
 
 def test_locus_mismatch_rejected():
@@ -136,6 +154,80 @@ taut_exprs = st.dictionaries(monomials, coefficients, max_size=4).map(TautExpr)
 @given(taut_exprs)
 def test_boundary_pull_matches_factor_by_factor_substitution(expr):
     assert boundary_pull(expr) == naive_boundary_pull(expr)
+
+
+def test_boundary_pull_of_high_powers_with_gaussian_coefficients():
+    # the strategy above stops at exponent 3; here the theta ladder reaches
+    # rung 9, and each monomial divides its coefficient by up to 2^9
+    b = Poly.var("b")
+    terms = {}
+    for k in range(10):
+        for j in range(5):
+            mono = tuple(k if name == "theta" else j if name == "delta"
+                         else (k + j) % 2 if name == "kappa1" else 0 for name in GENS)
+            terms[mono] = (Poly.const(GaussianRational(Fraction(k + 1, j + 2), k - j))
+                           + b.scale(GaussianRational(j, Fraction(1, k + 1))))
+    expr = TautExpr(terms)
+    assert boundary_pull(expr) == naive_boundary_pull(expr)
+    assert boundary_pull(gen("theta", 9)) == naive_boundary_pull(gen("theta", 9))
+
+
+def naive_boundary_substitution(g: int, include_alpha: bool) -> TautExpr:
+    """The reference for dr.boundary_substitution: the power
+    (theta + psi/2)^(g-1) written out on the boundary family."""
+    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
+    lead = (gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2))) ** (g - 1)
+    expr = lead.scale(top_weight_boundary_relation().coefficient / factorial(g - 1))
+    alpha = alpha_terms(g) if include_alpha else None
+    return expr if alpha is None else expr + alpha
+
+
+def naive_theta_delta_push(g: int, k: int, j: int):
+    """The reference for obstruction.theta_delta_push: each image written
+    out and multiplied factor by factor.  Returns the pushforward and the
+    names of the inputs it consumed."""
+    ledger = AssumptionLedger()
+    if k < g:
+        ledger.use("theta-power-vanishing")
+        return TautExpr.zero("base"), ledger.names()
+    if k == g:
+        ledger.use("unit-relation")
+        out = TautExpr.const(factorial(g), "base")
+        for _ in range(j):
+            out = out * gen("delta", locus="base")
+        return out, ledger.names()
+    inner = naive_boundary_substitution(g, include_alpha=True)
+    if alpha_terms(g) is not None:
+        ledger.use("alpha2-input" if g == 3 else "alpha0-input")
+    psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
+    theta_b = gen("theta", locus="boundary") + psi_sum.scale(Fraction(1, 2))
+    expr = inner
+    for _ in range(k - g - 1):
+        expr = expr * theta_b
+    for _ in range(j):
+        expr = expr * -psi_sum
+    if any(m[GENS.index("xi2")] >= 2 and monomial_weight(m) == 2 * (g - 1)
+           for m in expr.terms):
+        ledger.use("theta-xi-relation")
+    return abelian_push(expr, g - 1).scale(factorial(g + 1)), ledger.names()
+
+
+def test_boundary_substitution_matches_the_written_out_power():
+    for g in range(2, 11):
+        for include_alpha in (True, False):
+            assert boundary_substitution(g, include_alpha=include_alpha) == \
+                naive_boundary_substitution(g, include_alpha), (g, include_alpha)
+
+
+def test_theta_delta_push_matches_the_written_out_images():
+    for g in range(2, 9):
+        for k in range(g + 4):
+            for j in range(4):
+                ledger = AssumptionLedger()
+                pushed = theta_delta_push(g, k, j, ledger)
+                expected, names = naive_theta_delta_push(g, k, j)
+                assert pushed == expected, (g, k, j)
+                assert ledger.names() == names, (g, k, j)
 
 
 def test_boundary_pull_of_the_candidate_power_in_closed_form():
