@@ -9,7 +9,7 @@ from .scalars import GaussianRational, Rational
 from .poly import Poly, discriminant_is_square, rational_roots
 from .sparse import SparseMat, bracket, kernel_dimension, rank, weight_decompose
 from .mukai import (MukaiSpace, fourier_matrix, is_isometry, llv_model_space,
-                    mukai_class_space, solve_lambda, theta_bar, to_barred)
+                    mukai_class_space, theta_bar, to_barred)
 from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
                   op_e, op_f, op_h, op_K, primed_operators, random_quadruple,
                   standard_quadruple, verify_cross_triple,
@@ -17,12 +17,12 @@ from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
                   verify_fourier_conjugacy, verify_isotropic_sl2_pairs,
                   verify_theta_replay, verify_verbitsky)
 from .k3 import (Corr, bv, bv_fourier, bv_mul, bv_theta, diag_push,
-                 fourier_conjugate, pair_to_rel, pi_pull, pi_star, projectors,
+                 fourier_conjugate, pair_to_rel, pi_star, projectors,
                  rel, rel_bracket, rel_compose, rel_mul, sl2_cycles)
 from .k3_mult import (abs_pair_push, abs_tri_push, bv_absolute_expression,
                       multiplicativity_difference, relbv_expression)
-from .taut import TautExpr, abelian_push, boundary_pull, gen, n_weight, \
-    open_restrict, weight_part
+from .taut import (TautExpr, abelian_push, boundary_pull, gen, open_restrict,
+                   weight_part)
 from .dr import (AffineInt, BoundaryRelation, corollary_theta_push,
                  default_twist_polynomial, top_weight_boundary_relation)
 from .obstruction import (AXIOMS, AssumptionLedger, ObstructionResult,
@@ -45,12 +45,12 @@ __all__ = [
     "fourier_matrix", "fourier_op_map", "gen", "genus2_obstruction",
     "genus3_obstruction", "high_genus_obstruction", "is_isometry",
     "kappa_exclusion_check", "kernel_dimension", "llv_model_space",
-    "mukai_class_space", "multiplicativity_difference", "n_weight", "op_K",
-    "op_e", "op_f", "op_h", "open_restrict", "pair_to_rel", "pi_pull",
+    "mukai_class_space", "multiplicativity_difference", "op_K",
+    "op_e", "op_f", "op_h", "open_restrict", "pair_to_rel",
     "pi_star", "primed_operators", "projectors", "random_quadruple", "rank",
     "rational_roots", "rel", "rel_bracket", "rel_compose", "rel_mul",
     "relbv_expression", "render_json", "render_text", "single_node_theta",
-    "sl2_cycles", "solve_lambda", "standard_quadruple", "theta_bar",
+    "sl2_cycles", "standard_quadruple", "theta_bar",
     "theta_delta_push", "to_barred", "top_weight_boundary_relation",
     "verify_cross_triple", "verify_double_bracket_recovery",
     "verify_fourier_compatibility", "verify_fourier_conjugacy",

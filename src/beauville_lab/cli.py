@@ -23,7 +23,7 @@ from .k3_mult import run_k3_suite
 from .llv import run_llv_suite, run_triple_suite
 from .obstruction import run_theta_suite
 from .report import exit_code, render_json, render_text
-from .taut import abelian_push
+from .taut import TautExpr, abelian_push
 
 # each suite's runner, called with the parsed verify arguments; --genus,
 # --c0 and --c1 each narrow one sweep of the triple suite to one value
@@ -135,11 +135,9 @@ def _cmd_eval(args) -> int:
                                    hdim=args.hdim, t=args.t)
         value = dsl.evaluate(tree, context)
         if args.context == "taut" and args.push is not None:
-            kind, inner = value
-            if kind != "taut":
+            if not isinstance(value, TautExpr):
                 raise dsl.EvalError("--push needs a tautological class")
-            value = ("taut", abelian_push(inner, args.push))
-        kind, text = context.render(value)
+            value = abelian_push(value, args.push)
     except dsl.DslError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -151,12 +149,12 @@ def _cmd_eval(args) -> int:
             "schema_version": 1,
             "context": args.context,
             "expr": dsl.print_expr(tree),
-            "kind": kind,
-            "value": text,
+            "kind": dsl.kind(value),
+            "value": str(value),
         }
         print(json.dumps(body, sort_keys=True, indent=2))
     else:
-        print(text)
+        print(value)
     return 0
 
 

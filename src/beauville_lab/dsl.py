@@ -19,17 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import matmul, mul
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, pair_to_rel, rel,
-                 rel_bracket, rel_mul, BV_LABELS, REL_LABELS)
-from .lincomb import add_into, power
+from .k3 import (Corr, RelativeCycle, SurfaceClass, bv, bv_theta, diag_push,
+                 pair_to_rel, rel, rel_bracket, BV_LABELS)
+from .lincomb import power
 from .llv import (op_e, op_e_sigma, op_e_sigmabar, op_f, op_f_sigma,
                   op_f_sigmabar, op_h, op_K, standard_quadruple)
 from .mukai import llv_model_space
 from .poly import Poly
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational, I
 from .sparse import SparseMat, bracket
 from .taut import GENS as TAUT_GENS
 from .taut import LOCI, TautExpr, gen
@@ -348,295 +347,211 @@ MAX_TERM_PAIRS = 20_000
 
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
+# the kind eval prints for each type of value, in every context
+KINDS = {
+    Fraction: "scalar", GaussianRational: "scalar", Poly: "scalar",
+    SparseMat: "operator", SurfaceClass: SurfaceClass.kind,
+    RelativeCycle: RelativeCycle.kind, Corr: "correspondence",
+    TautExpr: "tautological-class",
+}
+
+
+def kind(value) -> str:
+    return KINDS[type(value)]
+
+
+def _terms(value):
+    """The {key: coefficient} dict of a value of any context, or None for a
+    Fraction or GaussianRational."""
+    if isinstance(value, SparseMat):
+        return value.entries
+    return getattr(value, "terms", None)
+
 
 def _passes_digits(value) -> bool:
-    """Whether a numerator or denominator in value, a scalar or a container
-    of any context, has more than MAX_DIGITS digits."""
-    if isinstance(value, Fraction):
-        return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
+    """Whether a numerator or denominator in value, a value of any context,
+    has more than MAX_DIGITS digits."""
     if isinstance(value, GaussianRational):
         return _passes_digits(value.re) or _passes_digits(value.im)
-    if isinstance(value, tuple):    # a tagged value of the k3 or taut context
-        return _passes_digits(value[1])
-    if isinstance(value, SparseMat):
-        value = value.entries
-    elif isinstance(value, (Poly, TautExpr)):
-        value = value.terms
-    return any(map(_passes_digits, value.values()))
+    terms = _terms(value)
+    if terms is None:
+        return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
+    return any(map(_passes_digits, terms.values()))
 
 
 def _term_count(value) -> int:
     """The number of terms of a value of any context, as MAX_TERM_PAIRS
     counts them."""
-    if isinstance(value, tuple):    # a tagged value of the k3 or taut context
-        value = value[1]
-    if isinstance(value, SparseMat):
-        return len(value.num)
-    if isinstance(value, (Poly, TautExpr)):
-        return len(value.terms)
-    return len(value) if isinstance(value, dict) else 1
+    terms = _terms(value)
+    return 1 if terms is None else len(terms)
 
 
-def _bounded_power(x, n: int, one, product):
-    """x^n by repeated squaring that stops before a product would pair more
-    than MAX_TERM_PAIRS terms and as soon as a product has a numerator or
-    denominator past MAX_DIGITS digits, so that the work stays bounded
-    whatever n is."""
-    def checked(a, b):
-        if _term_count(a) * _term_count(b) > MAX_TERM_PAIRS:
-            raise EvalError(f"the power ^{n} would pair more than "
-                            f"{MAX_TERM_PAIRS} terms in one product")
-        out = product(a, b)
-        if _passes_digits(out):
-            raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
-        return out
-    return power(x, n, one, checked)
+class Context:
+    """The arithmetic of every context.  Values carry their own sums,
+    negatives, scalings (value.scale(scalar)) and '*' products, so sums,
+    scalar multiples, products and bounded powers are written here once.
+    A context gives its symbols (symbol) and its scalars (scalar, from the
+    GaussianRational value of a number or i), and says what composition
+    'o', the commutator [x, y] and the unit of a kind that is not a scalar
+    mean there (compose, commutator, unit)."""
+
+    name = ""
+    # whether a scalar plus another value is that multiple of its unit, or
+    # an error
+    adds_scalars = False
+
+    def add(self, x, y, sign: int):
+        kx, ky = kind(x), kind(y)
+        if kx != ky:
+            if not self.adds_scalars or "scalar" not in (kx, ky):
+                raise EvalError(f"cannot add {kx} and {ky}")
+            if kx == "scalar":
+                x = self.unit(y).scale(x)
+            else:
+                y = self.unit(x).scale(y)
+        return x + (y if sign > 0 else -y)
+
+    def mul(self, x, y, op: str):
+        if op == "o":
+            return self.compose(x, y)
+        kx, ky = kind(x), kind(y)
+        if kx == ky:
+            return x * y
+        if kx == "scalar":
+            return y.scale(x)
+        if ky == "scalar":
+            return x.scale(y)
+        raise EvalError(f"cannot multiply {kx} and {ky}")
+
+    def power(self, x, n: int):
+        """x^n by repeated squaring that stops before a product would pair
+        more than MAX_TERM_PAIRS terms and as soon as a product has a
+        numerator or denominator past MAX_DIGITS digits, so that the work
+        stays bounded whatever n is."""
+        def checked(a, b):
+            if _term_count(a) * _term_count(b) > MAX_TERM_PAIRS:
+                raise EvalError(f"the power ^{n} would pair more than "
+                                f"{MAX_TERM_PAIRS} terms in one product")
+            out = a * b
+            if _passes_digits(out):
+                raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
+            return out
+        one = self.scalar(ONE) if kind(x) == "scalar" else self.unit(x)
+        return power(x, n, one, checked)
+
+    def compose(self, x, y):
+        raise EvalError(f"composition is not part of the {self.name} context")
+
+    def commutator(self, x, y):
+        raise EvalError(f"commutators are not part of the {self.name} context")
 
 
-def _as_index(value, what: str) -> int:
-    if isinstance(value, GaussianRational):
-        if not value.is_rational() or value.rational().denominator != 1:
-            raise EvalError(f"{what} must be an integer")
-        return int(value.rational())
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise EvalError(f"{what} must be an integer")
-        return int(value)
-    raise EvalError(f"{what} must be an integer")
-
-
-class LlvContext:
+class LlvContext(Context):
     """Operators of the standard middle-dimension model."""
 
     name = "llv"
+    SYMBOLS = {
+        "h": (op_h, 0), "e": (op_e, 1), "f": (op_f, 1),
+        "K": (op_K, 2),
+        "esig": (op_e_sigma, 2), "fsig": (op_f_sigma, 2),
+        "esigbar": (op_e_sigmabar, 2), "fsigbar": (op_f_sigmabar, 2),
+    }
 
     def __init__(self, hdim: int = 6, t=2):
         self.space = llv_model_space(hdim, Fraction(t))
         self.quad = standard_quadruple(self.space)
 
     def _vector(self, value, what: str):
-        idx = _as_index(value, what)
-        if not 1 <= idx <= len(self.quad):
+        if kind(value) != "scalar" or value.im or value.re.denominator != 1:
+            raise EvalError(f"{what} must be an integer")
+        if not 1 <= value.re <= len(self.quad):
             raise EvalError(f"{what} must be between 1 and {len(self.quad)}")
-        return self.quad[idx - 1]
+        return self.quad[int(value.re) - 1]
 
     def symbol(self, name: str, args):
-        if name == "h":
-            if args is not None:
-                raise EvalError("h takes no arguments")
-            return op_h(self.space)
-        table = {
-            "e": (op_e, 1), "f": (op_f, 1),
-            "K": (op_K, 2),
-            "esig": (op_e_sigma, 2), "fsig": (op_f_sigma, 2),
-            "esigbar": (op_e_sigmabar, 2), "fsigbar": (op_f_sigmabar, 2),
-        }
-        if name not in table:
+        if name not in self.SYMBOLS:
             raise EvalError(f"unknown symbol {name!r} in the llv context")
-        func, arity = table[name]
-        if args is None or len(args) != arity:
-            raise EvalError(f"{name} takes {arity} index argument(s)")
-        vectors = [self._vector(a, f"argument of {name}") for a in args]
+        func, arity = self.SYMBOLS[name]
+        if len(args or ()) != arity:
+            raise EvalError(f"{name} takes {arity} index argument(s)" if arity
+                            else f"{name} takes no arguments")
+        vectors = [self._vector(a, f"argument of {name}") for a in args or ()]
         return func(self.space, *vectors)
 
-    def scalar(self, value: Fraction):
-        return GaussianRational(value)
+    def scalar(self, value: GaussianRational):
+        return value
 
-    def imaginary(self):
-        return GaussianRational(0, 1)
+    def unit(self, x):
+        return SparseMat.identity(x.dim)
 
-    def add(self, x, y, sign: int):
-        if isinstance(x, SparseMat) and isinstance(y, SparseMat):
-            return x + y.scale(GaussianRational(sign))
-        if isinstance(x, GaussianRational) and isinstance(y, GaussianRational):
-            return x + y * GaussianRational(sign)
-        raise EvalError("cannot add a scalar to an operator")
-
-    def mul(self, x, y, op: str):
-        if isinstance(x, GaussianRational) and isinstance(y, GaussianRational):
-            if op == "o":
-                raise EvalError("composition needs operators")
-            return x * y
-        if isinstance(x, GaussianRational):
-            return y.scale(x)
-        if isinstance(y, GaussianRational):
-            return x.scale(y)
-        return x @ y
-
-    def neg(self, x):
-        if isinstance(x, GaussianRational):
-            return -x
-        return x.scale(GaussianRational(-1))
-
-    def power(self, x, n: int):
-        if isinstance(x, GaussianRational):
-            return _bounded_power(x, n, GaussianRational(1), mul)
-        return _bounded_power(x, n, SparseMat.identity(x.dim), matmul)
+    def compose(self, x, y):
+        if kind(x) == kind(y) == "scalar":
+            raise EvalError("composition needs operators")
+        return self.mul(x, y, "*")
 
     def commutator(self, x, y):
-        if isinstance(x, SparseMat) and isinstance(y, SparseMat):
-            return bracket(x, y)
-        raise EvalError("commutator needs two operators")
-
-    def render(self, value) -> Tuple[str, str]:
-        if isinstance(value, GaussianRational):
-            return "scalar", str(value)
-        return "operator", str(value)
+        if kind(x) != "operator" or kind(y) != "operator":
+            raise EvalError("commutator needs two operators")
+        return bracket(x, y)
 
 
-def _fmt_labelled(cycle: Dict[str, Fraction], order) -> str:
-    if not cycle:
-        return "0"
-    parts = []
-    for label in order:
-        if label not in cycle:
-            continue
-        c = cycle[label]
-        if c == 1:
-            text = label
-        elif c == -1:
-            text = f"-{label}"
-        else:
-            text = f"{c}*{label}"
-        parts.append(text)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
-    return out
-
-
-class K3Context:
+class K3Context(Context):
     """Fiber-square cycles and correspondences of an elliptic surface."""
 
     name = "k3"
+    CONSTANTS = {
+        **{label: SurfaceClass(bv(label)) for label in BV_LABELS},
+        "Theta": SurfaceClass(bv_theta()), "Delta": RelativeCycle(rel("delta")),
+        "F": Corr.fourier(), "Finv": Corr.fourier_inverse(),
+    }
+    # the pushes of a surface class to a relative cycle
+    PUSHES = {
+        "p1": lambda x: pair_to_rel(x, bv("one")),
+        "p2": lambda x: pair_to_rel(bv("one"), x),
+        "Delta": diag_push,
+    }
 
     def symbol(self, name: str, args):
-        if name in BV_LABELS:
-            if args is not None:
-                raise EvalError(f"{name} takes no arguments")
-            return ("bv", bv(name))
-        if name == "Theta":
-            if args is not None:
-                raise EvalError("Theta takes no arguments")
-            return ("bv", bv_theta())
-        if name in ("p1", "p2"):
+        if name in self.CONSTANTS and args is None:
+            return self.CONSTANTS[name]
+        if name in self.PUSHES:
             if args is None or len(args) != 1:
                 raise EvalError(f"{name} takes one surface-class argument")
-            kind, value = args[0]
-            if kind != "bv":
+            if kind(args[0]) != SurfaceClass.kind:
                 raise EvalError(f"{name} needs a surface class")
-            if name == "p1":
-                return ("rel", pair_to_rel(value, bv("one")))
-            return ("rel", pair_to_rel(bv("one"), value))
-        if name == "Delta":
-            if args is None:
-                return ("rel", rel("delta"))
-            if len(args) != 1:
-                raise EvalError("Delta takes at most one argument")
-            kind, value = args[0]
-            if kind != "bv":
-                raise EvalError("Delta needs a surface class")
-            return ("rel", diag_push(value))
-        if name == "F":
-            if args is not None:
-                raise EvalError("F takes no arguments")
-            return ("corr", Corr.fourier())
-        if name == "Finv":
-            if args is not None:
-                raise EvalError("Finv takes no arguments")
-            return ("corr", Corr.fourier_inverse())
+            return RelativeCycle(self.PUSHES[name](args[0].terms))
+        if name in self.CONSTANTS:
+            raise EvalError(f"{name} takes no arguments")
         raise EvalError(f"unknown symbol {name!r} in the k3 context")
 
-    def scalar(self, value: Fraction):
-        return ("scalar", value)
+    def scalar(self, value: GaussianRational):
+        if value.im:
+            raise EvalError("imaginary scalars are not part of the k3 context")
+        return value.re
 
-    def imaginary(self):
-        raise EvalError("imaginary scalars are not part of the k3 context")
-
-    def _scale(self, tagged, factor: Fraction):
-        kind, value = tagged
-        if kind == "scalar":
-            return ("scalar", value * factor)
-        if kind == "corr":
-            value = ("rel", value.as_cycle())
-            kind, value = value
-        scaled = {lab: c * factor for lab, c in value.items() if c * factor}
-        return (kind, scaled)
-
-    def add(self, x, y, sign: int):
-        if x[0] == "scalar" and y[0] == "scalar":
-            return ("scalar", x[1] + sign * y[1])
-        if x[0] == "corr":
-            x = ("rel", x[1].as_cycle())
-        if y[0] == "corr":
-            y = ("rel", y[1].as_cycle())
-        if x[0] != y[0] or x[0] == "scalar":
-            raise EvalError(f"cannot add {x[0]} and {y[0]}")
-        return (x[0], add_into(dict(x[1]),
-                               ((lab, sign * c) for lab, c in y[1].items())))
-
-    def mul(self, x, y, op: str):
-        if op == "o":
-            if x[0] == "scalar" or y[0] == "scalar":
-                raise EvalError("composition needs cycles or correspondences")
-            cx = x[1] if x[0] == "corr" else Corr.of(x[1]) if x[0] == "rel" else None
-            cy = y[1] if y[0] == "corr" else Corr.of(y[1]) if y[0] == "rel" else None
-            if cx is None or cy is None:
-                raise EvalError("composition needs relative cycles")
-            out = cx.compose(cy)
-            if out.kind == "cycle":
-                return ("rel", out.as_cycle())
-            return ("corr", out)
-        if x[0] == "scalar" and y[0] == "scalar":
-            return ("scalar", x[1] * y[1])
-        if x[0] == "scalar":
-            return self._scale(y, x[1])
-        if y[0] == "scalar":
-            return self._scale(x, y[1])
-        if x[0] == "bv" and y[0] == "bv":
-            return ("bv", bv_mul(x[1], y[1]))
-        if x[0] == "rel" and y[0] == "rel":
-            return ("rel", rel_mul(x[1], y[1]))
-        raise EvalError(f"cannot multiply {x[0]} and {y[0]}")
-
-    def neg(self, x):
-        return self._scale(x, Fraction(-1)) if x[0] != "scalar" else ("scalar", -x[1])
-
-    def power(self, x, n: int):
-        if x[0] == "scalar":
-            one = ("scalar", Fraction(1))
-        elif x[0] == "bv":
-            one = ("bv", bv("one"))
-        elif x[0] == "rel":
-            one = ("rel", rel("one"))
-        else:
+    def unit(self, x):
+        if kind(x) == "correspondence":
             raise EvalError("powers of correspondences are not supported")
-        return _bounded_power(x, n, one, lambda a, b: self.mul(a, b, "*"))
+        return type(x)({"one": Fraction(1)})
+
+    def compose(self, x, y):
+        x, y = (Corr.of(v.terms) if kind(v) == RelativeCycle.kind else v for v in (x, y))
+        if kind(x) != "correspondence" or kind(y) != "correspondence":
+            raise EvalError("composition needs relative cycles or correspondences")
+        out = x.compose(y)
+        return RelativeCycle(out.as_cycle()) if out.kind == "cycle" else out
 
     def commutator(self, x, y):
-        if x[0] == "corr":
-            x = ("rel", x[1].as_cycle())
-        if y[0] == "corr":
-            y = ("rel", y[1].as_cycle())
-        if x[0] != "rel" or y[0] != "rel":
+        if kind(x) != RelativeCycle.kind or kind(y) != RelativeCycle.kind:
             raise EvalError("commutator needs relative cycles")
-        return ("rel", rel_bracket(x[1], y[1]))
-
-    def render(self, tagged) -> Tuple[str, str]:
-        kind, value = tagged
-        if kind == "scalar":
-            return "scalar", str(value)
-        if kind == "bv":
-            return "surface-class", _fmt_labelled(value, BV_LABELS)
-        if kind == "rel":
-            return "relative-cycle", _fmt_labelled(value, REL_LABELS)
-        return "correspondence", value.kind
+        return RelativeCycle(rel_bracket(x.terms, y.terms))
 
 
-class TautContext:
+class TautContext(Context):
     """Tautological expressions on a nodal Jacobian family."""
 
     name = "taut"
+    adds_scalars = True
 
     def __init__(self, locus: str = "total"):
         if locus not in LOCI:
@@ -647,69 +562,30 @@ class TautContext:
         if args is not None:
             raise EvalError(f"{name} takes no arguments")
         if name in TAUT_GENS:
-            return ("taut", gen(name, locus=self.locus))
+            return gen(name, locus=self.locus)
         if name in ("a", "b", "N", "d"):
-            return ("poly", Poly.var(name))
+            return Poly.var(name)
         raise EvalError(f"unknown symbol {name!r} in the taut context")
 
-    def scalar(self, value: Fraction):
-        return ("poly", Poly.const(value))
+    def scalar(self, value: GaussianRational):
+        return Poly.const(value)
 
-    def imaginary(self):
-        return ("poly", Poly.const(GaussianRational(0, 1)))
-
-    def add(self, x, y, sign: int):
-        if x[0] == y[0] == "poly":
-            return ("poly", x[1] + y[1].scale(sign))
-        x = self._promote(x)
-        y = self._promote(y)
-        return ("taut", x[1] + y[1].scale(sign))
-
-    def _promote(self, tagged):
-        if tagged[0] == "taut":
-            return tagged
-        return ("taut", TautExpr.const(tagged[1], self.locus))
-
-    def mul(self, x, y, op: str):
-        if op == "o":
-            raise EvalError("composition is not part of the taut context")
-        if x[0] == y[0] == "poly":
-            return ("poly", x[1] * y[1])
-        x = self._promote(x)
-        y = self._promote(y)
-        return ("taut", x[1] * y[1])
-
-    def neg(self, x):
-        if x[0] == "poly":
-            return ("poly", -x[1])
-        return ("taut", -x[1])
-
-    def power(self, x, n: int):
-        one = Poly.const(1) if x[0] == "poly" else TautExpr.const(1, self.locus)
-        return _bounded_power(x, n, (x[0], one), lambda a, b: self.mul(a, b, "*"))
-
-    def commutator(self, x, y):
-        raise EvalError("commutators are not part of the taut context")
-
-    def render(self, tagged) -> Tuple[str, str]:
-        kind, value = tagged
-        if kind == "poly":
-            return "scalar", str(value)
-        return "tautological-class", str(value)
+    def unit(self, x):
+        return TautExpr.const(1, self.locus)
 
 
-def evaluate(expr: Expr, context):
+def evaluate(expr: Expr, context: Context):
     if isinstance(expr, Num):
-        return context.scalar(expr.value)
+        return context.scalar(GaussianRational(expr.value))
     if isinstance(expr, Imag):
-        return context.imaginary()
+        return context.scalar(I)
     if isinstance(expr, Sym):
         args = None
         if expr.args is not None:
             args = [evaluate(a, context) for a in expr.args]
         return context.symbol(expr.name, args)
     if isinstance(expr, Neg):
-        return context.neg(evaluate(expr.body, context))
+        return -evaluate(expr.body, context)
     if isinstance(expr, Pow):
         return context.power(evaluate(expr.base, context), expr.exponent)
     if isinstance(expr, CommBracket):
@@ -729,7 +605,7 @@ def evaluate(expr: Expr, context):
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def make_context(name: str, locus: str = "total", hdim: int = 6, t=2):
+def make_context(name: str, locus: str = "total", hdim: int = 6, t=2) -> Context:
     if name == "llv":
         return LlvContext(hdim, t)
     if name == "k3":

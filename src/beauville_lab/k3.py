@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import OutsideModelError
-from .lincomb import add_into, add_term
+from .lincomb import Labelled, add_into, add_term
 from .report import Check
 
 BvClass = Dict[str, Fraction]
@@ -94,11 +94,6 @@ def pi_star(x: BvClass) -> Dict[str, Fraction]:
     """Pushforward to the base: values on ('unit', 'pt')."""
     base = {"s": "unit", "c": "pt"}
     return add_into({}, ((base[a], ca) for a, ca in x.items() if a in base))
-
-
-def pi_pull(u: Dict[str, Fraction]) -> BvClass:
-    pull = {"unit": "one", "pt": "f"}
-    return add_into({}, ((pull[lab], c) for lab, c in u.items()))
 
 
 # -- relative cycles -------------------------------------------------------------
@@ -233,6 +228,24 @@ def rel_bracket(x: RelCycle, y: RelCycle) -> RelCycle:
                     ((lab, -c) for lab, c in rel_compose(y, x).items()))
 
 
+class SurfaceClass(Labelled):
+    """A class on the surface as a value: a combination of BV_LABELS."""
+
+    __slots__ = ()
+    kind = "surface-class"
+    labels = BV_LABELS
+    product = staticmethod(bv_mul)
+
+
+class RelativeCycle(Labelled):
+    """A relative cycle as a value: a combination of REL_LABELS."""
+
+    __slots__ = ()
+    kind = "relative-cycle"
+    labels = REL_LABELS
+    product = staticmethod(rel_mul)
+
+
 # -- Fourier correspondence ------------------------------------------------------------
 
 
@@ -313,6 +326,23 @@ class Corr:
         if self.kind == "cycle" and other.kind == "Finv" and self._is_delta():
             return Corr.fourier_inverse()
         raise OutsideModelError(f"composition {self.kind} o {other.kind} leaves the model")
+
+    # a correspondence adds, negates, scales and multiplies as its cycle,
+    # which F and Finv do not have
+    def __add__(self, other: "Corr") -> RelativeCycle:
+        return RelativeCycle(self.as_cycle()) + RelativeCycle(other.as_cycle())
+
+    def __neg__(self) -> RelativeCycle:
+        return -RelativeCycle(self.as_cycle())
+
+    def scale(self, factor) -> RelativeCycle:
+        return RelativeCycle(self.as_cycle()).scale(factor)
+
+    def __mul__(self, other: "Corr") -> RelativeCycle:
+        return RelativeCycle(self.as_cycle()) * RelativeCycle(other.as_cycle())
+
+    def __str__(self) -> str:
+        return self.kind
 
 
 def fourier_conjugate(x: RelCycle) -> RelCycle:

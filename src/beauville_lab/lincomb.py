@@ -4,7 +4,8 @@ Every exact container keeps a dict of nonzero coefficients (polynomial
 terms, matrix entries, tautological monomials, lattice vectors, cycles).
 Values only need +, * and bool(), where bool() means "nonzero", as for
 Fraction.  The product of two such dicts keyed by exponent tuples
-(polynomials, tautological expressions) is mul_terms.
+(polynomials, tautological expressions) is mul_terms.  Labelled is such a
+dict as an immutable value with its own sums, scalings and products.
 """
 
 from __future__ import annotations
@@ -51,3 +52,58 @@ def power(base, n: int, one, product=mul):
         if not n:
             return result
         base = product(base, base)
+
+
+class Labelled:
+    """An immutable linear combination of labels.  A subclass fixes its kind
+    (the name eval prints), the order in which its labels print, and its
+    product, a bilinear function on the {label: coefficient} dicts of two
+    combinations."""
+
+    __slots__ = ("terms",)
+    kind = "labelled combination"
+    labels: Tuple[str, ...] = ()
+
+    def __init__(self, terms: Dict | None = None):
+        object.__setattr__(self, "terms", {k: v for k, v in (terms or {}).items() if v})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(add_into(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        return type(self)({k: v * factor for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.product(self.terms, other.terms))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((type(self), frozenset(self.terms.items())))
+
+    def __str__(self):
+        """The terms in label order, such as 'p1s - 2*F' (a coefficient 1 or
+        -1 is left out), or '0'."""
+        parts = []
+        for label in self.labels:
+            if label in self.terms:
+                c = self.terms[label]
+                parts.append(label if c == 1 else f"-{label}" if c == -1 else f"{c}*{label}")
+        return " + ".join(parts).replace(" + -", " - ") or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

@@ -166,21 +166,6 @@ def vec_scale(c, v: Vector) -> Vector:
     return out
 
 
-def solve_lambda(space: MukaiSpace, a: Vector, h: Vector) -> GaussianRational:
-    """The unique lam with q(a + lam*h) = 0, for isotropic h not orthogonal to a."""
-    qh = space.q(h)
-    if not qh.is_zero():
-        raise ValueError("h must be isotropic")
-    ah = space.pairing(a, h)
-    if ah.is_zero():
-        raise ValueError("(a, h) = 0: no isotropic shift along h exists")
-    lam = -space.q(a) / (2 * ah)
-    shifted = vec_add(a, vec_scale(lam, h))
-    if not space.q(shifted).is_zero():
-        raise AssertionError("isotropic shift verification failed")
-    return lam
-
-
 def _require_sign(name: str, value: int) -> None:
     if value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1")

@@ -178,7 +178,6 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
     return z
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 

@@ -121,6 +121,9 @@ class SparseMat:
             raise ValueError("dimension mismatch")
         return _products(self.dim, self.den * other.den, ((1, self.num, other.num),))
 
+    # the ring product of operators is composition
+    __mul__ = __matmul__
+
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
             return NotImplemented

@@ -147,15 +147,6 @@ def monomial_weight(mono: Monomial) -> int:
     return sum(WEIGHTS.get(name, 0) * e for name, e in zip(GENS, mono))
 
 
-def n_weight(expr: TautExpr) -> TautExpr:
-    """Scale each monomial by N to its multiplication-by-N weight."""
-    n_var = Poly.var("N")
-    terms = {}
-    for mono, coeff in expr.terms.items():
-        terms[mono] = coeff * n_var ** monomial_weight(mono)
-    return TautExpr(terms, expr.locus)
-
-
 def weight_part(expr: TautExpr, weight: int) -> TautExpr:
     return TautExpr({m: c for m, c in expr.terms.items()
                      if monomial_weight(m) == weight}, expr.locus)

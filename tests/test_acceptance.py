@@ -142,7 +142,7 @@ def test_criterion_6_k3_motive():
 
         e0, f0, h0 = k3.sl2_cycles()
         ctx = make_context("k3")
-        assert evaluate(parse("p2(Theta) - p1(Theta)"), ctx) == ("rel", h0)
+        assert evaluate(parse("p2(Theta) - p1(Theta)"), ctx) == k3.RelativeCycle(h0)
         for i, pi in enumerate(projectors):
             scaled = {lab: (i - 1) * c for lab, c in pi.items()}
             scaled = {lab: c for lab, c in scaled.items() if c}

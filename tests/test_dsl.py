@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from beauville_lab.cli import main
-from beauville_lab.dsl import (Add, CommBracket, DslError, EvalError, Imag,
-                               LlvContext, Mul, Neg, Num, Pow, Sym, evaluate,
-                               make_context, parse, print_expr, tokenize)
+from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
+                               Imag, LlvContext, Mul, Neg, Num, Pow, Sym,
+                               evaluate, kind, make_context, parse,
+                               print_expr, tokenize)
 from beauville_lab.errors import OutsideModelError
+from beauville_lab.k3 import Corr, RelativeCycle, SurfaceClass
 from beauville_lab.llv import op_K, op_e_sigma, op_f_sigma, op_h
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import bracket
-from beauville_lab.taut import gen
+from beauville_lab.taut import TautExpr, gen
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -190,9 +192,9 @@ def test_llv_eval_errors():
 
 def test_llv_render():
     ctx = LlvContext()
-    assert ctx.render(evaluate(parse("3/2"), ctx)) == ("scalar", "3/2")
-    kind, _ = ctx.render(evaluate(parse("h"), ctx))
-    assert kind == "operator"
+    value = evaluate(parse("3/2"), ctx)
+    assert (kind(value), str(value)) == ("scalar", "3/2")
+    assert kind(evaluate(parse("h"), ctx)) == "operator"
 
 
 # -- k3 context ---------------------------------------------------------------------------
@@ -200,28 +202,30 @@ def test_llv_render():
 
 def test_k3_eval_fourier_conjugation():
     ctx = make_context("k3")
-    tag, value = evaluate(parse("Finv o (Delta(Theta) o F)"), ctx)
-    assert (tag, value) == ("rel", {"one": Fraction(-1)})
-    assert ctx.render((tag, value)) == ("relative-cycle", "-one")
+    value = evaluate(parse("Finv o (Delta(Theta) o F)"), ctx)
+    assert value == RelativeCycle({"one": Fraction(-1)})
+    assert (kind(value), str(value)) == ("relative-cycle", "-one")
 
 
 def test_k3_eval_products_and_powers():
     ctx = make_context("k3")
-    assert evaluate(parse("Theta^2"), ctx) == ("bv", {})
-    assert evaluate(parse("s*s"), ctx) == ("bv", {"c": Fraction(-2)})
-    assert evaluate(parse("p1(s)*p2(s)"), ctx) == ("rel", {"s12": Fraction(1)})
-    assert evaluate(parse("Delta o Delta"), ctx) == ("rel", {"delta": Fraction(1)})
-    tag, corr = evaluate(parse("Finv o Delta"), ctx)
-    assert tag == "corr" and corr.kind == "Finv"
-    assert evaluate(parse("[Delta(s), Delta]"), ctx) == ("rel", {})
-    assert ctx.render(evaluate(parse("s*s"), ctx)) == ("surface-class", "-2*c")
+    assert evaluate(parse("Theta^2"), ctx) == SurfaceClass({})
+    assert evaluate(parse("s*s"), ctx) == SurfaceClass({"c": Fraction(-2)})
+    assert evaluate(parse("p1(s)*p2(s)"), ctx) == RelativeCycle({"s12": Fraction(1)})
+    assert evaluate(parse("Delta o Delta"), ctx) == RelativeCycle({"delta": Fraction(1)})
+    corr = evaluate(parse("Finv o Delta"), ctx)
+    assert isinstance(corr, Corr) and corr.kind == "Finv"
+    assert evaluate(parse("[Delta(s), Delta]"), ctx) == RelativeCycle({})
+    value = evaluate(parse("s*s"), ctx)
+    assert (kind(value), str(value)) == ("surface-class", "-2*c")
 
 
 def test_power_by_squaring_matches_sequential_products():
     for name, texts in (("llv", ("h", "e(1) + f(1)", "K(1,2) + esig(1,2)",
                                  "h + 2*e(2) - f(3)")),
                         ("k3", ("Theta", "s + f + one", "Delta(s) + p1(f)",
-                                "Delta(s) + p1(f) + p1(one)"))):
+                                "Delta(s) + p1(f) + p1(one)")),
+                        ("taut", ("a + b", "theta + b*delta", "2 + theta"))):
         ctx = make_context(name)
         for text in texts:
             x = evaluate(parse(text), ctx)
@@ -234,7 +238,7 @@ def test_power_by_squaring_matches_sequential_products():
 def test_huge_powers_of_nilpotents_return_at_once():
     start = time.perf_counter()
     assert evaluate(parse("e(1)^1000000000"), make_context("llv")).is_zero()
-    assert evaluate(parse("Theta^1000000000"), make_context("k3")) == ("bv", {})
+    assert evaluate(parse("Theta^1000000000"), make_context("k3")) == SurfaceClass({})
     assert time.perf_counter() - start < 1.0
 
 
@@ -261,7 +265,7 @@ def test_digit_limit_is_exact():
     for context, text in (("llv", "10"), ("k3", "10*one"), ("taut", "10*a")):
         ctx = make_context(context)
         value = evaluate(parse(f"({text})^4299"), ctx)
-        assert str(10 ** 4299) in ctx.render(value)[1]
+        assert str(10 ** 4299) in str(value)
         with pytest.raises(EvalError, match="would pass 4300 digits"):
             evaluate(parse(f"({text})^4300"), ctx)
     assert evaluate(parse("(1/10)^4299"), make_context("llv")) == \
@@ -295,21 +299,21 @@ def test_k3_eval_model_boundaries():
 
 def test_taut_eval():
     ctx = make_context("taut")
-    tag, value = evaluate(parse("(theta + b*delta)^3"), ctx)
-    assert tag == "taut"
+    value = evaluate(parse("(theta + b*delta)^3"), ctx)
+    assert isinstance(value, TautExpr)
     direct = (gen("theta") + gen("delta").scale(Poly.var("b"))) ** 3
     assert value == direct
-    tag, poly = evaluate(parse("b^2 - 1/48"), ctx)
-    assert tag == "poly"
+    poly = evaluate(parse("b^2 - 1/48"), ctx)
+    assert isinstance(poly, Poly)
     assert poly == Poly.var("b") ** 2 - Poly.const(Fraction(1, 48))
-    tag, promoted = evaluate(parse("2 + theta"), ctx)
-    assert tag == "taut" and promoted.coefficient_of() == Poly.const(2)
+    promoted = evaluate(parse("2 + theta"), ctx)
+    assert isinstance(promoted, TautExpr) and promoted.coefficient_of() == Poly.const(2)
 
 
 def test_taut_locus_and_errors():
     ctx = make_context("taut", locus="boundary")
-    tag, value = evaluate(parse("theta"), ctx)
-    assert value.locus == "boundary"
+    value = evaluate(parse("theta"), ctx)
+    assert isinstance(value, TautExpr) and value.locus == "boundary"
     with pytest.raises(EvalError, match="unknown locus"):
         make_context("taut", locus="projective")
     ctx = make_context("taut")

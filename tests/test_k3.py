@@ -7,7 +7,7 @@ import pytest
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.k3 import (ALT_REP, BV_LABELS, REL_LABELS, Corr, bv,
                               bv_fourier, bv_mul, bv_theta, diag_push,
-                              fourier_conjugate, pair_to_rel, pi_pull, pi_star,
+                              fourier_conjugate, pair_to_rel, pi_star,
                               projectors, rel, rel_bracket, rel_compose,
                               rel_mul, sl2_cycles)
 
@@ -64,16 +64,12 @@ def test_pi_star_and_pull():
     assert pi_star(bv("c", 3)) == {"pt": Fraction(3)}
     assert pi_star(bv("one")) == {}
     assert pi_star(bv("f")) == {}
-    assert pi_pull({"unit": F1, "pt": Fraction(2)}) == {"one": F1, "f": Fraction(2)}
-    with pytest.raises(KeyError):
-        pi_pull({"volume": F1})
 
 
 def test_projection_formula_samples():
-    # pi_star(pi_pull(u) * x) = u * pi_star(x)
-    u = {"unit": Fraction(2)}
+    # pi_star(pi^*(u) * x) = u * pi_star(x) for u = 2*unit, pulled back to 2*one
     x = {"s": F1, "c": Fraction(-1, 2)}
-    lhs = pi_star(bv_mul(pi_pull(u), x))
+    lhs = pi_star(bv_mul({"one": Fraction(2)}, x))
     assert lhs == {"unit": Fraction(2), "pt": Fraction(-1)}
 
 

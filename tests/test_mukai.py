@@ -7,7 +7,7 @@ import pytest
 from beauville_lab.mukai import (ALPHA, BETA, HYP, THETA, MukaiSpace,
                                  apply_matrix, fourier_matrix, is_isometry,
                                  llv_model_space, mukai_class_space,
-                                 solve_lambda, theta_bar, to_barred, vec_add,
+                                 theta_bar, to_barred, vec_add,
                                  vec_scale)
 from beauville_lab.scalars import GaussianRational
 from beauville_lab.sparse import SparseMat
@@ -101,26 +101,6 @@ def test_vec_helpers():
     assert vec_add(u, v) == {ALPHA: GR(1), THETA: GR(3)}
     assert vec_scale(0, u) == {}
     assert vec_scale(Fraction(1, 3), {THETA: GR(3)}) == {THETA: GR(1)}
-
-
-def test_solve_lambda_oracle():
-    space = mukai_class_space(2)
-    a = vec_add(space.basis_vector(ALPHA),
-                vec_add(space.basis_vector(THETA), space.basis_vector(HYP)))
-    # q(a) = 2, (a, beta) = -1, so lam = -2 / (2 * -1) = 1
-    lam = solve_lambda(space, a, space.basis_vector(BETA))
-    assert lam == GR(1)
-    shifted = vec_add(a, vec_scale(lam, space.basis_vector(BETA)))
-    assert space.q(shifted).is_zero()
-
-
-def test_solve_lambda_rejects_bad_directions():
-    space = mukai_class_space(2, extra=1, t=2)
-    a = space.basis_vector(ALPHA)
-    with pytest.raises(ValueError, match="isotropic"):
-        solve_lambda(space, a, space.basis_vector("m1"))
-    with pytest.raises(ValueError, match="no isotropic shift"):
-        solve_lambda(space, space.basis_vector(THETA), space.basis_vector(BETA))
 
 
 # -- Fourier isometry ------------------------------------------------------------

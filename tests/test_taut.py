@@ -13,7 +13,7 @@ from beauville_lab.obstruction import AssumptionLedger, theta_delta_push
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
 from beauville_lab.taut import (GENS, TautExpr, abelian_push, boundary_pull,
-                                gen, monomial_weight, n_weight, open_restrict,
+                                gen, monomial_weight, open_restrict,
                                 weight_part)
 
 
@@ -96,8 +96,6 @@ def test_weights():
     assert weight_part(expr, 4) == gen("theta", 2)
     assert weight_part(expr, 2) == gen("xi2", 2)
     assert weight_part(expr, 0) == gen("kappa1")
-    weighted = n_weight(gen("theta") * gen("xi2"))
-    assert weighted.coefficient_of(theta=1, xi2=1) == Poly.var("N") ** 3
 
 
 def test_open_restrict():
