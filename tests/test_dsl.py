@@ -1,5 +1,6 @@
 """Expression language: lexer, parser, printer, and the three contexts."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from beauville_lab.cli import main
 from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
-                               Imag, LlvContext, Mul, Neg, Num, Pow, Sym,
-                               evaluate, kind, make_context, parse,
+                               Imag, K3Context, LlvContext, Mul, Neg, Num,
+                               Pow, Sym, evaluate, kind, make_context, parse,
                                print_expr, tokenize)
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.k3 import Corr, RelativeCycle, SurfaceClass
@@ -17,6 +18,7 @@ from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import bracket
+from beauville_lab.taut import GENS as TAUT_GENS
 from beauville_lab.taut import TautExpr, gen
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -325,6 +327,33 @@ def test_taut_locus_and_errors():
         evaluate(parse("zeta"), ctx)
     with pytest.raises(EvalError, match="no arguments"):
         evaluate(parse("theta(1)"), ctx)
+
+
+# symbols and scalars of each context, and values of each kind that products,
+# compositions and commutators make
+KIND_SAMPLES = {
+    "llv": ["2", "3/2", "i", "[e(1), f(1)]", "h*e(1)",
+            *(f"{name}({','.join(str(k + 1) for k in range(arity))})" if arity else name
+              for name, (_, arity) in LlvContext.SYMBOLS.items())],
+    "k3": ["2", "3/2", *K3Context.CONSTANTS, *(f"{name}(s)" for name in K3Context.PUSHES),
+           "s*s", "Delta o Delta", "Finv o Delta", "[Delta(s), Delta]", "2*Theta"],
+    "taut": ["2", "3/2", "i", *TAUT_GENS, "a", "b", "N", "d", "theta*a", "2 + theta"],
+}
+
+
+def test_every_value_has_a_kind_and_json_prints_it(capsys):
+    seen = set()
+    for context, texts in KIND_SAMPLES.items():
+        ctx = make_context(context)
+        for text in texts:
+            value = evaluate(parse(text), ctx)
+            assert type(value) in KINDS, (context, text)
+            seen.add(kind(value))
+            assert main(["eval", "--context", context, "--format", "json", "--", text]) == 0
+            assert json.loads(capsys.readouterr().out)["kind"] == kind(value), (context, text)
+    assert seen == set(KINDS.values()) == {
+        "scalar", "operator", "surface-class", "relative-cycle", "correspondence",
+        "tautological-class"}
 
 
 def test_make_context_rejects_unknown():

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from beauville_lab.lincomb import add_into, add_term, power
+from beauville_lab.k3 import RelativeCycle, SurfaceClass, bv_mul
+from beauville_lab.lincomb import Labelled, add_into, add_term, power
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
 
@@ -74,3 +76,83 @@ def test_power_squares_only_up_to_the_top_bit(base, n):
     assert power(Counted(base), n, Counted(1)).n == base ** n
     # one product per set bit, one squaring per bit below the top one
     assert Counted.products == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+
+# -- labelled combinations -------------------------------------------------------------
+
+F = Fraction
+
+
+def test_labelled_sums_that_cancel_are_empty():
+    x = SurfaceClass({"s": F(1), "c": F(-2)})
+    assert (x - x).terms == {}
+    assert x + (-x) == SurfaceClass()
+    assert x + SurfaceClass({"s": F(-1)}) == SurfaceClass({"c": F(-2)})
+    assert SurfaceClass({"s": F(0), "f": F(1)}).terms == {"f": F(1)}
+
+
+def test_labelled_scale():
+    x = RelativeCycle({"p1s": F(1), "F": F(-1, 2)})
+    assert x.scale(0) == RelativeCycle()
+    assert x.scale(0).terms == {}
+    assert x.scale(F(-2)) == RelativeCycle({"p1s": F(-2), "F": F(1)})
+
+
+def test_labelled_product_is_the_kinds_bilinear_function():
+    s, f = SurfaceClass({"s": F(1)}), SurfaceClass({"f": F(1)})
+    assert s * f == SurfaceClass(bv_mul({"s": F(1)}, {"f": F(1)})) == SurfaceClass({"c": F(1)})
+    assert (s + f) * (s + f) == SurfaceClass()
+    theta = RelativeCycle({"p1s": F(1)})
+    assert theta * RelativeCycle({"one": F(1)}) == theta
+
+
+# the outputs of the k3 printer before the labelled type, on the same dicts
+PRINTED = [
+    (SurfaceClass, {}, "0"),
+    (SurfaceClass, {"c": F(-2)}, "-2*c"),
+    (SurfaceClass, {"f": F(1), "s": F(1)}, "s + f"),
+    (SurfaceClass, {"c": F(1), "one": F(-1)}, "-one + c"),
+    (SurfaceClass, {"s": F(-1), "f": F(-3, 2), "c": F(2)}, "-s - 3/2*f + 2*c"),
+    (RelativeCycle, {"z": F(1), "p1s": F(-1), "delta": F(1, 2)}, "-p1s + 1/2*delta + z"),
+    (RelativeCycle, {"p2s": F(1), "p1s": F(-1)}, "-p1s + p2s"),
+    (RelativeCycle, {"one": F(-1)}, "-one"),
+    (RelativeCycle, {"F": F(-2), "one": F(3)}, "3*one - 2*F"),
+]
+
+
+@pytest.mark.parametrize("cls, terms, text", PRINTED)
+def test_labelled_str_order_and_signs(cls, terms, text):
+    assert str(cls(terms)) == text
+
+
+def test_labelled_is_immutable_and_hashable():
+    x = SurfaceClass({"s": F(1)})
+    with pytest.raises(AttributeError, match="immutable"):
+        x.terms = {}
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert hash(x) == hash(SurfaceClass({"s": F(1)}))
+    assert x.scale(2) == SurfaceClass({"s": F(2)}) and x == SurfaceClass({"s": F(1)})
+
+
+def test_labelled_kinds_do_not_mix():
+    assert SurfaceClass() != RelativeCycle()
+    assert SurfaceClass({"one": F(1)}) != RelativeCycle({"one": F(1)})
+    assert SurfaceClass() != {}
+    with pytest.raises(TypeError):
+        SurfaceClass({"one": F(1)}) + RelativeCycle({"one": F(1)})
+    with pytest.raises(TypeError):
+        SurfaceClass({"one": F(1)}) * RelativeCycle({"one": F(1)})
+
+
+def test_labelled_subclass_fixes_kind_order_and_product():
+    class Pair(Labelled):
+        __slots__ = ()
+        kind = "pair"
+        labels = ("y", "x")
+        product = staticmethod(lambda a, b: {"x": a.get("x", 0) * b.get("x", 0)})
+
+    p = Pair({"x": F(2), "y": F(-1)})
+    assert str(p) == "-y + 2*x"
+    assert p * p == Pair({"x": F(4)})
+    assert repr(p) == "Pair(-y + 2*x)"
