@@ -61,7 +61,7 @@ class Labelled:
     combinations."""
 
     __slots__ = ("terms",)
-    kind = "labelled combination"
+    kind: str
     labels: Tuple[str, ...] = ()
 
     def __init__(self, terms: Dict | None = None):
@@ -91,9 +91,6 @@ class Labelled:
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self), frozenset(self.terms.items())))
 
     def __str__(self):
         """The terms in label order, such as 'p1s - 2*F' (a coefficient 1 or
