@@ -16,9 +16,9 @@ from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
                   verify_double_bracket_recovery, verify_fourier_compatibility,
                   verify_fourier_conjugacy, verify_isotropic_sl2_pairs,
                   verify_theta_replay, verify_verbitsky)
-from .k3 import (Corr, bv, bv_fourier, bv_mul, bv_theta, diag_push,
-                 fourier_conjugate, pair_to_rel, pi_star, projectors,
-                 rel, rel_bracket, rel_compose, rel_mul, sl2_cycles)
+from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, fourier_conjugate,
+                 pair_to_rel, pi_star, projectors, rel, rel_bracket,
+                 rel_compose, rel_mul, sl2_cycles)
 from .k3_mult import (abs_pair_push, abs_tri_push, bv_absolute_expression,
                       multiplicativity_difference, relbv_expression)
 from .taut import (TautExpr, abelian_push, boundary_pull, gen, open_restrict,
@@ -39,7 +39,7 @@ __all__ = [
     "OutsideModelError", "Poly", "Rational", "Report", "SparseMat",
     "TautExpr", "UnsupportedOperatorError", "abelian_push", "abs_pair_push",
     "abs_tri_push", "boundary_pull", "bracket", "build_triple", "bv",
-    "bv_absolute_expression", "bv_fourier", "bv_mul", "bv_theta",
+    "bv_absolute_expression", "bv_mul", "bv_theta",
     "corollary_theta_push", "default_twist_polynomial", "diag_push",
     "discriminant_is_square", "exit_code", "fourier_conjugate",
     "fourier_matrix", "fourier_op_map", "gen", "genus2_obstruction",

@@ -535,11 +535,11 @@ class K3Context(Context):
         return type(x)({"one": Fraction(1)})
 
     def compose(self, x, y):
-        x, y = (Corr.of(v.terms) if kind(v) == RelativeCycle.kind else v for v in (x, y))
+        x, y = (Corr("cycle", v) if kind(v) == RelativeCycle.kind else v for v in (x, y))
         if kind(x) != "correspondence" or kind(y) != "correspondence":
             raise EvalError("composition needs relative cycles or correspondences")
         out = x.compose(y)
-        return RelativeCycle(out.as_cycle()) if out.kind == "cycle" else out
+        return out.cycle if out.kind == "cycle" else out
 
     def commutator(self, x, y):
         if kind(x) != RelativeCycle.kind or kind(y) != RelativeCycle.kind:

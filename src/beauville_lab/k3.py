@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import OutsideModelError
-from .lincomb import Labelled, add_into, add_term
+from .lincomb import Labelled, add_into, bilinear, linear
 from .report import Check
 
 BvClass = Dict[str, Fraction]
@@ -28,10 +28,6 @@ RelCycle = Dict[str, Fraction]
 BV_LABELS = ("one", "s", "f", "c")
 
 REL_LABELS = ("one", "p1s", "p2s", "F", "delta", "s12", "p1c", "p2c", "z")
-
-
-def _clean(d: Dict[str, Fraction]) -> Dict[str, Fraction]:
-    return {k: v for k, v in d.items() if v}
 
 
 def bv(label: str, coeff=1) -> BvClass:
@@ -64,9 +60,7 @@ def _bv_mul_labels(a: str, b: str) -> Dict[str, Fraction]:
 
 
 def bv_mul(x: BvClass, y: BvClass) -> BvClass:
-    return add_into({}, ((lab, ca * cb * cl)
-                         for a, ca in x.items() for b, cb in y.items()
-                         for lab, cl in _bv_mul_labels(a, b).items()))
+    return bilinear(x, y, _bv_mul_labels)
 
 
 _BV_FOURIER_FWD = {
@@ -83,17 +77,12 @@ _BV_FOURIER_INV = {
     "c": {"f": Fraction(-1)},
 }
 
-
-def bv_fourier(x: BvClass, inverse: bool = False) -> BvClass:
-    table = _BV_FOURIER_INV if inverse else _BV_FOURIER_FWD
-    return add_into({}, ((lab, ca * cl)
-                         for a, ca in x.items() for lab, cl in table[a].items()))
+_PI_STAR = {"one": {}, "s": {"unit": Fraction(1)}, "f": {}, "c": {"pt": Fraction(1)}}
 
 
 def pi_star(x: BvClass) -> Dict[str, Fraction]:
     """Pushforward to the base: values on ('unit', 'pt')."""
-    base = {"s": "unit", "c": "pt"}
-    return add_into({}, ((base[a], ca) for a, ca in x.items() if a in base))
+    return linear(x, _PI_STAR)
 
 
 # -- relative cycles -------------------------------------------------------------
@@ -147,9 +136,7 @@ _DIAG_PUSH = {
 
 def pair_to_rel(x: BvClass, y: BvClass) -> RelCycle:
     """p1-pullback of x times p2-pullback of y."""
-    return add_into({}, ((lab, ca * cb * cl)
-                         for a, ca in x.items() for b, cb in y.items()
-                         for lab, cl in _PAIR_TABLE[(a, b)].items()))
+    return bilinear(x, y, lambda a, b: _PAIR_TABLE[a, b])
 
 
 def rel(label: str, coeff=1) -> RelCycle:
@@ -159,8 +146,7 @@ def rel(label: str, coeff=1) -> RelCycle:
 
 
 def _diag_push_internal(x: BvClass) -> RelCycle:
-    return add_into({}, ((lab, ca * cl)
-                         for a, ca in x.items() for lab, cl in _DIAG_PUSH[a].items()))
+    return linear(x, _DIAG_PUSH)
 
 
 def diag_push(x: BvClass) -> RelCycle:
@@ -174,53 +160,34 @@ def _rel_mul_labels(lx: str, ly: str, rep: Dict[str, Tuple[str, str]]) -> RelCyc
     if lx == "delta" and ly == "delta":
         raise OutsideModelError("delta * delta leaves the cycle model")
     if lx == "delta" or ly == "delta":
-        other = ly if lx == "delta" else lx
-        a, b = rep[other]
-        pulled = bv_mul({a: Fraction(1)}, {b: Fraction(1)})
-        return _diag_push_internal(pulled)
-    ax, bx = rep[lx]
-    ay, by = rep[ly]
-    return pair_to_rel(bv_mul({ax: Fraction(1)}, {ay: Fraction(1)}),
-                       bv_mul({bx: Fraction(1)}, {by: Fraction(1)}))
+        return _diag_push_internal(_bv_mul_labels(*rep[ly if lx == "delta" else lx]))
+    (ax, bx), (ay, by) = rep[lx], rep[ly]
+    return pair_to_rel(_bv_mul_labels(ax, ay), _bv_mul_labels(bx, by))
 
 
 def rel_mul(x: RelCycle, y: RelCycle, rep: Dict[str, Tuple[str, str]] | None = None) -> RelCycle:
-    table = dict(REP)
-    if rep:
-        table.update(rep)
-    return add_into({}, ((lab, cx * cy * cl)
-                         for lx, cx in x.items() for ly, cy in y.items()
-                         for lab, cl in _rel_mul_labels(lx, ly, table).items()))
+    table = {**REP, **rep} if rep else REP
+    return bilinear(x, y, lambda lx, ly: _rel_mul_labels(lx, ly, table))
+
+
+# the pullback from the base of its classes ('unit', 'pt')
+_BASE_PULL = {"unit": {"one": Fraction(1)}, "pt": {"F": Fraction(1)}}
+
+
+def _compose_labels(lx: str, ly: str) -> RelCycle:
+    """(a (x) b) o (c (x) d) = pi_*(d.a) (c (x) b), the diagonal acting as the
+    identity."""
+    if lx == "delta":
+        return {ly: Fraction(1)}
+    if ly == "delta":
+        return {lx: Fraction(1)}
+    (ax, bx), (ay, by) = REP[lx], REP[ly]
+    return rel_mul(_PAIR_TABLE[ay, bx], linear(pi_star(_bv_mul_labels(by, ax)), _BASE_PULL))
 
 
 def rel_compose(x: RelCycle, y: RelCycle) -> RelCycle:
     """Correspondence composition x o y (y acts first)."""
-    f_cycle = rel("F")
-
-    def terms():
-        for lx, cx in x.items():
-            for ly, cy in y.items():
-                coeff = cx * cy
-                if lx == "delta":
-                    yield ly, coeff
-                    continue
-                if ly == "delta":
-                    yield lx, coeff
-                    continue
-                ax, bx = REP[lx]
-                ay, by = REP[ly]
-                mid = pi_star(bv_mul({by: Fraction(1)}, {ax: Fraction(1)}))
-                if not mid:
-                    continue
-                base = pair_to_rel({ay: Fraction(1)}, {bx: Fraction(1)})
-                if mid.get("unit"):
-                    for lab, cl in base.items():
-                        yield lab, coeff * mid["unit"] * cl
-                if mid.get("pt"):
-                    for lab, cl in rel_mul(base, f_cycle).items():
-                        yield lab, coeff * mid["pt"] * cl
-
-    return add_into({}, terms())
+    return bilinear(x, y, _compose_labels)
 
 
 def rel_bracket(x: RelCycle, y: RelCycle) -> RelCycle:
@@ -251,26 +218,26 @@ class RelativeCycle(Labelled):
 
 def _fourier_slot1(x: RelCycle) -> RelCycle:
     """x o F for a pure cycle: forward transform through the first slot."""
-    out: RelCycle = {}
-    for lab, c in x.items():
+
+    def image(lab: str) -> RelCycle:
         if lab == "delta":
             raise OutsideModelError("compose the diagonal with F at the Corr level")
         a, b = REP[lab]
-        for lab2, c2 in pair_to_rel(_BV_FOURIER_FWD[a], {b: Fraction(1)}).items():
-            add_term(out, lab2, c * c2)
-    return out
+        return pair_to_rel(_BV_FOURIER_FWD[a], {b: Fraction(1)})
+
+    return linear(x, image)
 
 
 def _fourier_slot2(x: RelCycle) -> RelCycle:
     """Finv o x for a pure cycle: inverse transform through the second slot."""
-    out: RelCycle = {}
-    for lab, c in x.items():
+
+    def image(lab: str) -> RelCycle:
         if lab == "delta":
             raise OutsideModelError("compose the diagonal with Finv at the Corr level")
         a, b = REP[lab]
-        for lab2, c2 in pair_to_rel({a: Fraction(1)}, _BV_FOURIER_INV[b]).items():
-            add_term(out, lab2, c * c2)
-    return out
+        return pair_to_rel({a: Fraction(1)}, _BV_FOURIER_INV[b])
+
+    return linear(x, image)
 
 
 @dataclass(frozen=True)
@@ -278,11 +245,11 @@ class Corr:
     """Correspondence: a relative cycle, or the Fourier kernel F / its inverse."""
 
     kind: str  # 'cycle', 'F', 'Finv'
-    cycle: Tuple[Tuple[str, Fraction], ...] | None = None
+    cycle: RelativeCycle | None = None
 
     @staticmethod
     def of(x: RelCycle) -> "Corr":
-        return Corr("cycle", tuple(sorted(_clean(dict(x)).items())))
+        return Corr("cycle", RelativeCycle(x))
 
     @staticmethod
     def fourier() -> "Corr":
@@ -292,20 +259,21 @@ class Corr:
     def fourier_inverse() -> "Corr":
         return Corr("Finv")
 
-    def as_cycle(self) -> RelCycle:
+    def _cycle(self) -> RelativeCycle:
         if self.kind != "cycle":
             raise OutsideModelError(f"{self.kind} has no cycle expansion in the model")
-        return dict(self.cycle or ())
+        return self.cycle
+
+    def as_cycle(self) -> RelCycle:
+        return self._cycle().terms
 
     def _is_delta(self) -> bool:
-        return self.kind == "cycle" and dict(self.cycle or ()) == {"delta": Fraction(1)}
+        return self.kind == "cycle" and self.cycle.terms == {"delta": 1}
 
     def compose(self, other: "Corr") -> "Corr":
         if self.kind == "cycle" and other.kind == "cycle":
             return Corr.of(rel_compose(self.as_cycle(), other.as_cycle()))
-        if self.kind == "F" and other.kind == "Finv":
-            return Corr.of(rel("delta"))
-        if self.kind == "Finv" and other.kind == "F":
+        if {self.kind, other.kind} == {"F", "Finv"}:
             return Corr.of(rel("delta"))
         if self.kind == "cycle" and other.kind == "F":
             if self._is_delta():
@@ -330,16 +298,16 @@ class Corr:
     # a correspondence adds, negates, scales and multiplies as its cycle,
     # which F and Finv do not have
     def __add__(self, other: "Corr") -> RelativeCycle:
-        return RelativeCycle(self.as_cycle()) + RelativeCycle(other.as_cycle())
+        return self._cycle() + other._cycle()
 
     def __neg__(self) -> RelativeCycle:
-        return -RelativeCycle(self.as_cycle())
+        return -self._cycle()
 
     def scale(self, factor) -> RelativeCycle:
-        return RelativeCycle(self.as_cycle()).scale(factor)
+        return self._cycle().scale(factor)
 
     def __mul__(self, other: "Corr") -> RelativeCycle:
-        return RelativeCycle(self.as_cycle()) * RelativeCycle(other.as_cycle())
+        return self._cycle() * other._cycle()
 
     def __str__(self) -> str:
         return self.kind
@@ -376,8 +344,8 @@ def verify_projectors() -> List[Check]:
     p = projectors()
     checks: List[Check] = [(f"p{i} o p{j}", rel_compose(p[i], p[j]) == (p[i] if i == j else {}), "")
                            for i in range(3) for j in range(3)]
-    total = add_into({}, (term for cycle in p for term in cycle.items()))
-    checks.append(("p0 + p1 + p2 = diagonal", total == rel("delta"), ""))
+    total = sum(map(RelativeCycle, p), RelativeCycle())
+    checks.append(("p0 + p1 + p2 = diagonal", total == RelativeCycle(rel("delta")), ""))
     return checks
 
 

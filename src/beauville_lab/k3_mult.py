@@ -22,7 +22,7 @@ from .k3 import (REP, RelCycle, _bv_mul_labels, _diag_push_internal, bv,
                  bv_theta, pair_to_rel, rel, rel_mul, sl2_cycles,
                  verify_fourier_stability, verify_projectors,
                  verify_sl2_action, verify_weight_operator)
-from .lincomb import add_into, add_term
+from .lincomb import add_into, add_term, bilinear, linear, tensor
 from .report import Check, Report, check_report
 
 TriKey = Tuple
@@ -107,22 +107,13 @@ def tri_from_pair(pair: RelCycle, slots: Tuple[int, int],
         assign[j], assign[k] = REP[label]
         return tri_pt(assign[1], assign[2], assign[3], flags=flags)
 
-    return add_into({}, ((key, coeff * c) for label, coeff in pair.items()
-                         for key, c in pulled(label).items()))
+    return linear(pair, pulled)
 
 
 def _mul_pt_pt(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
     (_, s1, f1), (_, s2, f2) = k1, k2
-    combos: List[Tuple[List[str], Fraction]] = [([], Fraction(1))]
-    for a, b in zip(s1, s2):
-        new_combos = []
-        for slots, coeff in combos:
-            prod = _bv_mul_labels(a, b)
-            for lab, cl in prod.items():
-                new_combos.append((slots + [lab], coeff * cl))
-        combos = new_combos
-    return add_into({}, ((key, coeff * c) for slots, coeff in combos
-                         for key, c in tri_pt(*slots, fdeg=f1 + f2, flags=flags).items()))
+    return linear(tensor(map(_bv_mul_labels, s1, s2)),
+                  lambda slots: tri_pt(*slots, fdeg=f1 + f2, flags=flags))
 
 
 def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
@@ -134,32 +125,23 @@ def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
     if not dec_prod:
         return {}
     # slots j, k (and the common fiber power) pull through the pair diagonal
-    pair_part: RelCycle = rel("delta")
-    if slots[j - 1] != "one":
-        pair_part = rel_mul(pair_part, pair_to_rel(bv(slots[j - 1]), bv("one")))
-    if slots[k - 1] != "one":
-        pair_part = rel_mul(pair_part, pair_to_rel(bv("one"), bv(slots[k - 1])))
+    pair_part = rel_mul(rel("delta"), pair_to_rel(bv(slots[j - 1]), bv(slots[k - 1])))
     for _ in range(fdeg):
         pair_part = rel_mul(pair_part, rel("F"))
     base = tri_from_pair(pair_part, (j, k), flags)
 
-    def terms():
-        for dec_lab, dec_coeff in dec_prod.items():
-            for key, c in base.items():
-                if key[0] == "dg":
-                    for lab2, c2 in _bv_mul_labels(key[2], dec_lab).items():
-                        if lab2 == "f":
-                            raise OutsideModelError("fiber decoration left on a diagonal")
-                        yield ("dg", key[1], lab2), dec_coeff * c * c2
-                    continue
-                _, pslots, pf = key
-                for lab2, c2 in _bv_mul_labels(pslots[i - 1], dec_lab).items():
-                    replaced = list(pslots)
-                    replaced[i - 1] = lab2
-                    for key2, c3 in tri_pt(*replaced, fdeg=pf, flags=flags).items():
-                        yield key2, dec_coeff * c * c2 * c3
+    def decorate(dec_lab: str, key: TriKey) -> TriCycle:
+        """A term of base times the class dec_lab in slot i."""
+        if key[0] == "dg":
+            prod = _bv_mul_labels(key[2], dec_lab)
+            if "f" in prod:
+                raise OutsideModelError("fiber decoration left on a diagonal")
+            return {("dg", key[1], lab): c for lab, c in prod.items()}
+        _, pslots, pf = key
+        return linear(_bv_mul_labels(pslots[i - 1], dec_lab),
+                      lambda lab: tri_pt(*pslots[:i - 1], lab, *pslots[i:], fdeg=pf, flags=flags))
 
-    return add_into({}, terms())
+    return bilinear(dec_prod, base, decorate)
 
 
 def _mul_keys(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
@@ -180,9 +162,7 @@ def _mul_keys(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
 
 
 def tri_mul(x: TriCycle, y: TriCycle, flags: Set[str]) -> TriCycle:
-    return add_into({}, ((key, c1 * c2 * c)
-                         for k1, c1 in x.items() for k2, c2 in y.items()
-                         for key, c in _mul_keys(k1, k2, flags).items()))
+    return bilinear(x, y, lambda k1, k2: _mul_keys(k1, k2, flags))
 
 
 # -- the multiplicativity identity -------------------------------------------------------
@@ -205,8 +185,7 @@ def weight_compose_small_diagonal(h_pair: RelCycle, flags: Set[str]) -> TriCycle
         diag = tri_from_pair(_diag_push_internal(bv(a)), (1, 2), flags)
         return tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags)
 
-    return add_into({}, ((key, coeff * c) for label, coeff in h_pair.items()
-                         for key, c in image(label).items()))
+    return linear(h_pair, image)
 
 
 def relbv_expression(flags: Set[str] | None = None) -> TriCycle:
@@ -257,6 +236,18 @@ def multiplicativity_difference() -> Tuple[TriCycle, Fraction, TriCycle, List[st
 # -- absolute pushforward -----------------------------------------------------------------
 
 
+def _fiber_push(slots: Tuple[str, ...], places: Tuple[Tuple[int, ...], ...]) -> AbsCycle:
+    """The sum over the slot sets in places of the point monomial slots with
+    f multiplied into each slot of the set."""
+
+    def push(where: Tuple[int, ...]) -> AbsCycle:
+        factors = (_bv_mul_labels(x, "f") if pos in where else {x: Fraction(1)}
+                   for pos, x in enumerate(slots, start=1))
+        return {("t", built): c for built, c in tensor(factors).items()}
+
+    return linear(dict.fromkeys(places, Fraction(1)), push)
+
+
 def abs_pair_push(pair: RelCycle) -> AbsCycle:
     """Pushforward of a pair cycle to the absolute product.
 
@@ -264,37 +255,8 @@ def abs_pair_push(pair: RelCycle) -> AbsCycle:
     with presentation (a, b) pushes to (a.f) (x) b + a (x) (b.f); the relative
     diagonal pushes to the absolute diagonal symbol.
     """
-    out: AbsCycle = {}
-    for label, coeff in pair.items():
-        if label == "delta":
-            add_term(out, ("D",), coeff)
-            continue
-        a, b = REP[label]
-        for af, ca in _bv_mul_labels(a, "f").items():
-            add_term(out, ("t", (af, b)), coeff * ca)
-        for bf, cb in _bv_mul_labels(b, "f").items():
-            add_term(out, ("t", (a, bf)), coeff * cb)
-    return out
-
-
-def _abs_pt_push(slots: Tuple[str, str, str], fdeg: int) -> AbsCycle:
-    out: AbsCycle = {}
-    if fdeg == 0:
-        inserts = [(1, 2), (1, 3), (2, 3)]
-    else:
-        inserts = [(1, 2, 3)]
-    for where in inserts:
-        combos: List[Tuple[List[str], Fraction]] = [([], Fraction(1))]
-        for pos, x in enumerate(slots, start=1):
-            new_combos = []
-            for built, coeff in combos:
-                prod = _bv_mul_labels(x, "f") if pos in where else {x: Fraction(1)}
-                for lab, cl in prod.items():
-                    new_combos.append((built + [lab], coeff * cl))
-            combos = new_combos
-        for built, coeff in combos:
-            add_term(out, ("t", tuple(built)), coeff)
-    return out
+    return linear(pair, lambda label: {("D",): Fraction(1)} if label == "delta"
+                  else _fiber_push(REP[label], ((1,), (2,))))
 
 
 def abs_tri_push(tri: TriCycle) -> AbsCycle:
@@ -306,26 +268,25 @@ def abs_tri_push(tri: TriCycle) -> AbsCycle:
     slots (j,k); the small diagonal pushes to the absolute small-diagonal
     symbol.
     """
-    out: AbsCycle = {}
-    for key, coeff in tri.items():
+
+    def push(key: TriKey) -> AbsCycle:
         if key[0] == "pt":
-            for k2, c2 in _abs_pt_push(key[1], key[2]).items():
-                add_term(out, k2, coeff * c2)
-        elif key[0] == "dg":
-            _, (j, k), dec = key
-            i = _other_slot(j, k)
-            for lab, cl in _bv_mul_labels(dec, "f").items():
-                add_term(out, ("D", (j, k), lab), coeff * cl)
-            for cpos, fpos in ((j, k), (k, j)):
-                slots = dict.fromkeys((1, 2, 3), "one")
-                slots[cpos], slots[fpos], slots[i] = "c", "f", dec
-                assembled = (slots[1], slots[2], slots[3])
-                add_term(out, ("t", assembled), coeff)
-        elif key[0] == "sm":
-            add_term(out, ("SM",), coeff)
-        else:
+            # f lands on two slots, or with the common fiber class on all three
+            return _fiber_push(key[1], PAIRS if key[2] == 0 else ((1, 2, 3),))
+        if key[0] == "sm":
+            return {("SM",): Fraction(1)}
+        if key[0] != "dg":
             raise OutsideModelError(f"cannot push {key}")
-    return out
+        _, (j, k), dec = key
+        i = _other_slot(j, k)
+        out = {("D", (j, k), lab): cl for lab, cl in _bv_mul_labels(dec, "f").items()}
+        for cpos, fpos in ((j, k), (k, j)):
+            slots = dict.fromkeys((1, 2, 3), "one")
+            slots[cpos], slots[fpos], slots[i] = "c", "f", dec
+            add_term(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
+        return out
+
+    return linear(tri, push)
 
 
 def bv_absolute_expression() -> AbsCycle:

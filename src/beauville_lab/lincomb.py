@@ -4,8 +4,10 @@ Every exact container keeps a dict of nonzero coefficients (polynomial
 terms, matrix entries, tautological monomials, lattice vectors, cycles).
 Values only need +, * and bool(), where bool() means "nonzero", as for
 Fraction.  The product of two such dicts keyed by exponent tuples
-(polynomials, tautological expressions) is mul_terms.  Labelled is such a
-dict as an immutable value with its own sums, scalings and products.
+(polynomials, tautological expressions) is mul_terms.  A map given on
+labels extends to such dicts by linear and bilinear, and tensor multiplies
+dicts slot by slot.  Labelled is such a dict as an immutable value with its
+own sums, scalings and products.
 """
 
 from __future__ import annotations
@@ -39,6 +41,31 @@ def mul_terms(left: Dict, right: Dict) -> Dict:
     coefficient}: exponents add and coefficients multiply."""
     return add_into({}, ((tuple(map(add, e1, e2)), c1 * c2)
                          for e1, c1 in left.items() for e2, c2 in right.items()))
+
+
+def linear(x: Dict, image) -> Dict:
+    """The linear extension to x of image, which sends a label to a {label:
+    coefficient} dict: a function of the label, or a dict indexed by it."""
+    if isinstance(image, dict):
+        image = image.__getitem__
+    return add_into({}, ((lab, c * ci) for a, c in x.items() for lab, ci in image(a).items()))
+
+
+def bilinear(x: Dict, y: Dict, product) -> Dict:
+    """The bilinear extension to x and y of product, a function that sends
+    two labels to a {label: coefficient} dict."""
+    return add_into({}, ((lab, cx * cy * cp) for a, cx in x.items() for b, cy in y.items()
+                         for lab, cp in product(a, b).items()))
+
+
+def tensor(factors: Iterable[Dict]) -> Dict:
+    """The slotwise product of one {label: coefficient} dict per slot:
+    {(label_1, ..., label_n): c_1 * ... * c_n}."""
+    out: Dict = {(): 1}
+    for factor in factors:
+        out = add_into({}, ((key + (lab,), c * cf)
+                            for key, c in out.items() for lab, cf in factor.items()))
+    return out
 
 
 def power(base, n: int, one, product=mul):

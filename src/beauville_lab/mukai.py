@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .lincomb import add_into, add_term
+from .lincomb import add_into, linear
 from .scalars import GaussianRational, Rational
 from .sparse import SparseMat
 
@@ -111,10 +111,8 @@ class MukaiSpace:
 
     def covector(self, v: Vector) -> Vector:
         """The nonzero pairings (v, b) with the basis vectors b, by label."""
-        rows = self._gram_rows
         try:
-            return add_into({}, ((m, c * g) for l, c in v.items()
-                                 for m, g in rows[l].items()))
+            return linear(v, self._gram_rows)
         except KeyError as err:
             raise ValueError(f"{err.args[0]!r} is not a basis label") from None
 
@@ -154,16 +152,6 @@ class MukaiSpace:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return add_into(dict(u), v.items())
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = GaussianRational.coerce(c)
-    out = {}
-    for l, x in v.items():
-        p = c * x
-        if not p.is_zero():
-            out[l] = p
-    return out
 
 
 def _require_sign(name: str, value: int) -> None:
@@ -234,17 +222,14 @@ def to_barred(space: MukaiSpace, v: Vector, c0: int) -> Dict[str, GaussianRation
     Uses Theta = -c0*ThetaBar + (g+1)/2 * beta.
     """
     _require_sign("c0", c0)
-    g = space.genus
-    out: Dict[str, GaussianRational] = {}
-    for label, c in v.items():
-        if label == THETA:
-            add_term(out, "ThetaBar", c * GaussianRational(-c0))
-            add_term(out, BETA, c * GaussianRational(Fraction(g + 1, 2)))
-        elif label in (ALPHA, BETA, HYP):
-            add_term(out, label, c)
-        else:
-            raise ValueError(f"{label} is outside the span of (alpha, beta, Theta, Hyp)")
-    return out
+    one = GaussianRational(1)
+    image = {ALPHA: {ALPHA: one}, BETA: {BETA: one}, HYP: {HYP: one},
+             THETA: {"ThetaBar": GaussianRational(-c0),
+                     BETA: GaussianRational(Fraction(space.genus + 1, 2))}}
+    try:
+        return linear(v, image)
+    except KeyError as err:
+        raise ValueError(f"{err.args[0]} is outside the span of (alpha, beta, Theta, Hyp)") from None
 
 
 # -- standard spaces ------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The sparse linear-combination core over Fraction, GaussianRational and Poly."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from beauville_lab.k3 import RelativeCycle, SurfaceClass, bv_mul
-from beauville_lab.lincomb import Labelled, add_into, add_term, power
+from beauville_lab.lincomb import (Labelled, add_into, add_term, bilinear,
+                                   linear, power, tensor)
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
 
@@ -76,6 +79,43 @@ def test_power_squares_only_up_to_the_top_bit(base, n):
     assert power(Counted(base), n, Counted(1)).n == base ** n
     # one product per set bit, one squaring per bit below the top one
     assert Counted.products == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+
+# -- linear extensions of maps on labels ---------------------------------------------
+
+# small label sets and coefficients, so that images often cancel
+combinations = st.dictionaries(keys, fractions.filter(bool), max_size=4)
+images = st.dictionaries(keys, fractions, max_size=3)
+
+
+@given(combinations, st.fixed_dictionaries({k: images for k in range(4)}))
+def test_linear_agrees_with_a_naive_loop(x, image):
+    naive = sum_then_filter([(lab, c * ci) for a, c in x.items()
+                             for lab, ci in image[a].items()])
+    assert linear(x, image) == naive
+    assert linear(x, lambda a: image[a]) == naive
+    assert all(linear(x, image).values())
+
+
+@given(combinations, combinations, st.dictionaries(st.tuples(keys, keys), images, max_size=8))
+def test_bilinear_agrees_with_a_naive_loop(x, y, table):
+    def pair_image(a, b):
+        return table.get((a, b), {})
+
+    got = bilinear(x, y, pair_image)
+    assert got == sum_then_filter([(lab, cx * cy * cp) for a, cx in x.items()
+                                   for b, cy in y.items() for lab, cp in pair_image(a, b).items()])
+    assert all(got.values())
+
+
+@given(st.lists(images, max_size=3))
+def test_tensor_matches_itertools_product(factors):
+    expected = {}
+    for items in product(*(factor.items() for factor in factors)):
+        coeff = prod(c for _, c in items)
+        if coeff:
+            expected[tuple(lab for lab, _ in items)] = coeff
+    assert tensor(factors) == expected
 
 
 # -- labelled combinations -------------------------------------------------------------
