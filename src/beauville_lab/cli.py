@@ -11,6 +11,7 @@ every requested check verifies, 1 when any check is refuted or unsupported,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,6 +53,8 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
 
 
+# built on first use and shared by every later main() call: keep it stateless
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beauville-lab",

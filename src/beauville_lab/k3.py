@@ -118,14 +118,6 @@ REP: Dict[str, Tuple[str, str]] = {
     "z": ("c", "s"),
 }
 
-# alternative presentations of the identified labels (route-independence)
-ALT_REP: Dict[str, Tuple[str, str]] = {
-    "F": ("one", "f"),
-    "p1c": ("s", "f"),
-    "p2c": ("f", "s"),
-    "z": ("s", "c"),
-}
-
 _DIAG_PUSH = {
     "one": {"delta": Fraction(1)},
     "s": {"s12": Fraction(1)},
@@ -156,18 +148,17 @@ def diag_push(x: BvClass) -> RelCycle:
     return _diag_push_internal(x)
 
 
-def _rel_mul_labels(lx: str, ly: str, rep: Dict[str, Tuple[str, str]]) -> RelCycle:
+def _rel_mul_labels(lx: str, ly: str) -> RelCycle:
     if lx == "delta" and ly == "delta":
         raise OutsideModelError("delta * delta leaves the cycle model")
     if lx == "delta" or ly == "delta":
-        return _diag_push_internal(_bv_mul_labels(*rep[ly if lx == "delta" else lx]))
-    (ax, bx), (ay, by) = rep[lx], rep[ly]
+        return _diag_push_internal(_bv_mul_labels(*REP[ly if lx == "delta" else lx]))
+    (ax, bx), (ay, by) = REP[lx], REP[ly]
     return pair_to_rel(_bv_mul_labels(ax, ay), _bv_mul_labels(bx, by))
 
 
-def rel_mul(x: RelCycle, y: RelCycle, rep: Dict[str, Tuple[str, str]] | None = None) -> RelCycle:
-    table = {**REP, **rep} if rep else REP
-    return bilinear(x, y, lambda lx, ly: _rel_mul_labels(lx, ly, table))
+def rel_mul(x: RelCycle, y: RelCycle) -> RelCycle:
+    return bilinear(x, y, _rel_mul_labels)
 
 
 # the pullback from the base of its classes ('unit', 'pt')
@@ -220,8 +211,6 @@ def _fourier_slot1(x: RelCycle) -> RelCycle:
     """x o F for a pure cycle: forward transform through the first slot."""
 
     def image(lab: str) -> RelCycle:
-        if lab == "delta":
-            raise OutsideModelError("compose the diagonal with F at the Corr level")
         a, b = REP[lab]
         return pair_to_rel(_BV_FOURIER_FWD[a], {b: Fraction(1)})
 
@@ -232,8 +221,6 @@ def _fourier_slot2(x: RelCycle) -> RelCycle:
     """Finv o x for a pure cycle: inverse transform through the second slot."""
 
     def image(lab: str) -> RelCycle:
-        if lab == "delta":
-            raise OutsideModelError("compose the diagonal with Finv at the Corr level")
         a, b = REP[lab]
         return pair_to_rel({a: Fraction(1)}, _BV_FOURIER_INV[b])
 

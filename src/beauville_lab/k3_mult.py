@@ -37,7 +37,7 @@ def _other_slot(j: int, k: int) -> int:
     return 6 - j - k
 
 
-def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Tuple[TriKey, Fraction] | None:
+def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> TriKey | None:
     out = []
     for x in slots:
         if x == "f":
@@ -63,17 +63,14 @@ def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Tuple[TriKey, Frac
     if len(cs) == 2 and out[cs[0]] == "s" and out[cs[1]] == "c":
         flags.add("z-identification")
         out[cs[0]], out[cs[1]] = "c", "s"
-    return ("pt", tuple(out), fdeg), Fraction(1)
+    return ("pt", tuple(out), fdeg)
 
 
 def tri_pt(x1: str = "one", x2: str = "one", x3: str = "one",
            fdeg: int = 0, coeff=1, flags: Set[str] | None = None) -> TriCycle:
     flags = set() if flags is None else flags
-    normed = _norm_pt([x1, x2, x3], fdeg, flags)
-    if normed is None:
-        return {}
-    key, scale = normed
-    return {key: Fraction(coeff) * scale}
+    key = _norm_pt([x1, x2, x3], fdeg, flags)
+    return {} if key is None else {key: Fraction(coeff)}
 
 
 def tri_dg(j: int, k: int, dec: str = "one", coeff=1) -> TriCycle:

@@ -42,10 +42,8 @@ class MukaiSpace:
             raise ValueError("duplicate basis labels")
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix shape mismatch")
-        for r in range(n):
-            for c in range(n):
-                if self.gram[r][c] != self.gram[c][r]:
-                    raise ValueError("gram matrix not symmetric")
+        if list(map(tuple, self.gram)) != list(zip(*self.gram)):
+            raise ValueError("gram matrix not symmetric")
         for name in (ALPHA, BETA):
             if name not in self.labels:
                 raise ValueError(f"missing distinguished label {name}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from beauville_lab import llv
+from beauville_lab import cli, llv
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
 from beauville_lab.mukai import MukaiSpace, llv_model_space
@@ -38,7 +38,11 @@ UNEQUAL_NORMS = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main(argv) as (exit code, stdout, stderr), whether it returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as err:
+        code = err.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -241,7 +245,8 @@ def test_theta_obstruction_at_genus_16_matches_the_golden_output(capsys):
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
-def test_verify_usage_errors_exit_two(tmp_path, capsys):
+def verify_usage_errors(tmp_path):
+    """argv lists that `verify` rejects with exit code 2."""
     small = tmp_path / "three-middles.json"
     small.write_text(llv_model_space(5, Fraction(2)).to_json(), encoding="utf-8")
     unequal = space_file(tmp_path / "unequal.json", UNEQUAL_NORMS)
@@ -249,21 +254,30 @@ def test_verify_usage_errors_exit_two(tmp_path, capsys):
         [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     skew = space_file(tmp_path / "skew.json", [
         [2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-    for argv in (["verify", "nonsense"],
-                 ["verify", "llv", "--hdim", "12"],
-                 ["verify", "llv", "--trials", "-1"],
-                 ["verify", "llv", "--trials", "101"],
-                 ["verify", "llv", "--trials", "100000000"],
-                 ["verify", "triple", "--genus", "1"],
-                 ["verify", "llv", "--t", "abc"],
-                 ["verify", "llv", "--t", "0"],
-                 ["verify", "llv", "--space", "/no/such/file.json"],
-                 ["verify", "llv", "--space", str(small)],
-                 ["verify", "llv", "--space", unequal],
-                 ["verify", "llv", "--space", isotropic, "--trials", "0"],
-                 ["verify", "llv", "--space", skew, "--trials", "0"],
-                 ["verify", "theta-obstruction", "--genus", "17"],
-                 ["verify", "llv", "--c0", "3"]):
+    return (["verify", "nonsense"],
+            ["verify", "llv", "--hdim", "12"],
+            ["verify", "llv", "--trials", "-1"],
+            ["verify", "llv", "--trials", "101"],
+            ["verify", "llv", "--trials", "100000000"],
+            ["verify", "triple", "--genus", "1"],
+            ["verify", "llv", "--t", "abc"],
+            ["verify", "llv", "--t", "0"],
+            ["verify", "llv", "--space", "/no/such/file.json"],
+            ["verify", "llv", "--space", str(small)],
+            ["verify", "llv", "--space", unequal],
+            ["verify", "llv", "--space", isotropic, "--trials", "0"],
+            ["verify", "llv", "--space", skew, "--trials", "0"],
+            ["verify", "theta-obstruction", "--genus", "17"],
+            ["verify", "llv", "--c0", "3"])
+
+
+EVAL_USAGE_ERRORS = (["eval", "h", "--context", "galois"],
+                     ["eval", "h", "--context", "llv", "--hdim", "5"],
+                     ["eval", "h", "--context", "llv", "--hdim", "800"])
+
+
+def test_verify_usage_errors_exit_two(tmp_path, capsys):
+    for argv in verify_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
@@ -360,9 +374,7 @@ def test_eval_refuses_huge_scalar_powers_at_once(capsys):
 
 
 def test_eval_usage_errors_exit_two(capsys):
-    for argv in (["eval", "h", "--context", "galois"],
-                 ["eval", "h", "--context", "llv", "--hdim", "5"],
-                 ["eval", "h", "--context", "llv", "--hdim", "800"]):
+    for argv in EVAL_USAGE_ERRORS:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
@@ -377,6 +389,55 @@ def test_eval_usage_errors_exit_two(capsys):
         assert err.rstrip().endswith("nesting deeper than 100 levels"), err
     deep = "(" * 100 + "h" + ")" * 100
     assert run_cli(capsys, "eval", deep, "--context", "llv", "--format", "json")[0] == 0
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.__wrapped__() is not cli._build_parser()
+
+
+def test_usage_errors_repeat_and_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    argvs = (*verify_usage_errors(tmp_path), *EVAL_USAGE_ERRORS)
+    shared = [(run_cli(capsys, *argv), run_cli(capsys, *argv))
+              for argv in argvs]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for argv, (first, second) in zip(argvs, shared):
+        assert first[0] == 2 and first[2], argv
+        assert first == second == run_cli(capsys, *argv), argv
+
+
+def test_no_argument_leaks_into_the_next_call(tmp_path, capsys):
+    plain = ["verify", "llv", "--trials", "1"]
+    before = run_cli(capsys, *plain)
+    space = tmp_path / "space.json"
+    space.write_text(llv_model_space(7, Fraction(3)).to_json(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "llv", "--trials", "1", "--seed", "5",
+                           "--space", str(space), "--genus", "3", "--c0", "-1",
+                           "--timings")
+    assert code == 0 and "custom" in out and "elapsed_ms" in out
+    assert run_cli(capsys, *plain) == before
+    assert "space" not in json.loads(before[1])["reports"][0]["params"]
+    args = vars(cli._build_parser().parse_args(plain))
+    assert "space_obj" not in args
+    assert args == vars(cli._build_parser.__wrapped__().parse_args(plain))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["eval", "--help"]])
+def test_help_is_unchanged_and_follows_columns(argv, capsys, monkeypatch):
+    shared = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        shared[columns] = run_cli(capsys, *argv)
+        assert shared[columns][0::2] == (0, "")
+        assert run_cli(capsys, *argv) == shared[columns]
+    assert shared["40"] != shared["120"]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for columns, streams in shared.items():
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run_cli(capsys, *argv) == streams
 
 
 def test_closed_stdout_ends_without_a_traceback():
