@@ -7,7 +7,7 @@ families."""
 from .errors import OutsideModelError
 from .scalars import GaussianRational, Rational
 from .poly import Poly, discriminant_is_square, rational_roots
-from .sparse import SparseMat, bracket, kernel_dimension, rank, weight_decompose
+from .sparse import SparseMat, bracket
 from .mukai import (MukaiSpace, fourier_matrix, is_isometry, llv_model_space,
                     mukai_class_space, theta_bar, to_barred)
 from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
@@ -44,10 +44,10 @@ __all__ = [
     "discriminant_is_square", "exit_code", "fourier_conjugate",
     "fourier_matrix", "fourier_op_map", "gen", "genus2_obstruction",
     "genus3_obstruction", "high_genus_obstruction", "is_isometry",
-    "kappa_exclusion_check", "kernel_dimension", "llv_model_space",
+    "kappa_exclusion_check", "llv_model_space",
     "mukai_class_space", "multiplicativity_difference", "op_K",
     "op_e", "op_f", "op_h", "open_restrict", "pair_to_rel",
-    "pi_star", "primed_operators", "projectors", "random_quadruple", "rank",
+    "pi_star", "primed_operators", "projectors", "random_quadruple",
     "rational_roots", "rel", "rel_bracket", "rel_compose", "rel_mul",
     "relbv_expression", "render_json", "render_text", "single_node_theta",
     "sl2_cycles", "standard_quadruple", "theta_bar",
@@ -55,6 +55,5 @@ __all__ = [
     "verify_cross_triple", "verify_double_bracket_recovery",
     "verify_fourier_compatibility", "verify_fourier_conjugacy",
     "verify_isotropic_sl2_pairs", "verify_theta_replay", "verify_verbitsky",
-    "weight_decompose",
     "weight_part",
 ]

@@ -39,7 +39,7 @@ SUITES = {
     "theta-obstruction": lambda args: run_theta_suite(args.genus),
 }
 HDIMS = range(6, 11)
-# the theta suite's extra genus g costs about g^2 (g = 16: about 0.03 s)
+# the theta suite's extra genus costs a few ms (g = 16: about 6 ms)
 MAX_GENUS = 16
 # each trial adds one random quadruple to every llv report, so the cost is
 # linear in the trials (--hdim 10, 100 trials: about 2 s)

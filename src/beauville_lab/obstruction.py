@@ -16,13 +16,13 @@ from functools import partial
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dr import BoundaryRelation, alpha_terms, boundary_substitution, \
-    corollary_theta_push
+from .dr import BoundaryRelation, alpha_terms, corollary_theta_push, \
+    top_weight_boundary_relation
 from .errors import OutsideModelError
 from .poly import Poly, discriminant_is_square, rational_roots
 from .report import Check, Report, check_report
 from .taut import GENS, TautExpr, abelian_push, boundary_pull, gen, \
-    monomial_weight, open_restrict, weight_part
+    open_restrict, weight_part
 
 AXIOMS: Dict[str, str] = {
     "unit-relation": (
@@ -131,6 +131,12 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
     boundary substitution applies; the leftover theta^e delta^j pulls back
     to the boundary family (boundary_pull) as (theta + psi/2)^e
     (-psi1-psi2)^j and the result lives on the boundary base.
+
+    Only the weight-2(g-1) part of the product reaches the push.  The
+    pullback is a ring map, so the lead term of the substitution times the
+    pulled theta^e delta^j is the relation coefficient over (g-1)! times the
+    pull of theta^(g-1+e) delta^j, of which only that weight is built; the
+    decorated terms of genus 2 and 3 multiply the whole small pull.
     """
     if g < 2 or k < 0 or j < 0:
         raise ValueError("need g >= 2 and nonnegative exponents")
@@ -140,14 +146,18 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
             return gen("delta", j, locus="base").scale(factorial(g))
         ledger.use("theta-power-vanishing")
         return TautExpr.zero("base")
-    e = k - g - 1
-    inner = boundary_substitution(g, relation, include_alpha=include_alpha)
-    if include_alpha and alpha_terms(g) is not None:
+    e, top = k - g - 1, 2 * (g - 1)
+    if relation is None:
+        relation = top_weight_boundary_relation()
+    expr = boundary_pull(gen("theta", g - 1 + e) * gen("delta", j), top).scale(
+        relation.coefficient / factorial(g - 1))
+    alpha = alpha_terms(g) if include_alpha else None
+    if alpha is not None:
         ledger.use("alpha2-input" if g == 3 else "alpha0-input")
-    expr = inner * boundary_pull(gen("theta", e) * gen("delta", j))
+        pulled = boundary_pull(gen("theta", e) * gen("delta", j))
+        expr = expr + weight_part(alpha * pulled, top)
     xi_idx = GENS.index("xi2")
-    if any(m[xi_idx] >= 2 and monomial_weight(m) == 2 * (g - 1)
-           for m in expr.terms):
+    if any(m[xi_idx] >= 2 for m in expr.terms):
         ledger.use("theta-xi-relation")
     pushed = abelian_push(expr, g - 1)
     return pushed.scale(factorial(g + 1))
@@ -379,9 +389,8 @@ def high_genus_obstruction(g: int) -> ObstructionResult:
     ledger = AssumptionLedger()
 
     # boundary constraint: weight-2(g-1) part of the pulled-back power
-    pulled = boundary_pull(_theta_candidate() ** (g + 1))
-    part = weight_part(pulled, 2 * (g - 1))
-    pushed = abelian_push(part, g - 1)
+    pulled = boundary_pull(_theta_candidate() ** (g + 1), 2 * (g - 1))
+    pushed = abelian_push(pulled, g - 1)
     psi1 = tuple(2 if name == "psi1" else 0 for name in GENS)
     psi2 = tuple(2 if name == "psi2" else 0 for name in GENS)
     cross = tuple(1 if name in ("psi1", "psi2") else 0 for name in GENS)

@@ -234,60 +234,3 @@ def bracket(a: SparseMat, b: SparseMat) -> SparseMat:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     return _products(a.dim, a.den * b.den, ((1, a.num, b.num), (-1, b.num, a.num)))
-
-
-def _dense_rows(m: SparseMat) -> list[list[GaussianRational]]:
-    zero = GaussianRational(0)
-    rows = [[zero] * m.dim for _ in range(m.dim)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    return rows
-
-
-def rank(m: SparseMat) -> int:
-    """Exact rank over Q(i) by Gaussian elimination."""
-    rows = _dense_rows(m)
-    n = m.dim
-    rnk = 0
-    col = 0
-    while rnk < n and col < n:
-        pivot = next((r for r in range(rnk, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rnk], rows[pivot] = rows[pivot], rows[rnk]
-        inv = rows[rnk][col].inverse()
-        rows[rnk] = [inv * x for x in rows[rnk]]
-        for r in range(n):
-            if r != rnk and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rnk])]
-        rnk += 1
-        col += 1
-    return rnk
-
-
-def kernel_dimension(m: SparseMat) -> int:
-    return m.dim - rank(m)
-
-
-def weight_decompose(h: SparseMat, bound: int = 8) -> Dict[int, int]:
-    """Eigenspace dimensions of a diagonalizable integer-weight operator.
-
-    Probes ker(h - w*id) for integer w in [-bound, bound]; checks the
-    dimensions exhaust the space and are symmetric about zero.
-    """
-    spectrum: Dict[int, int] = {}
-    for w in range(-bound, bound + 1):
-        dim = kernel_dimension(h - SparseMat.identity(h.dim, w))
-        if dim:
-            spectrum[w] = dim
-    total = sum(spectrum.values())
-    if total != h.dim:
-        raise ValueError(
-            f"weights in [-{bound},{bound}] span {total} of {h.dim} dimensions"
-        )
-    for w, d in spectrum.items():
-        if spectrum.get(-w, 0) != d:
-            raise ValueError(f"weight spectrum not symmetric: {spectrum}")
-    return spectrum

@@ -17,7 +17,7 @@ generators have weight 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import add
 from typing import Dict, Tuple
 
@@ -161,40 +161,45 @@ def open_restrict(expr: TautExpr) -> TautExpr:
     return TautExpr(terms, "open")
 
 
-def boundary_pull(expr: TautExpr) -> TautExpr:
+def boundary_pull(expr: TautExpr, weight: int | None = None) -> TautExpr:
     """Pull back to the boundary family: theta becomes theta plus half the
-    psi sum, delta becomes minus the psi sum (self-intersection), and the
-    other generators stay as they are.
+    psi sum s = psi1 + psi2, delta becomes -s (self-intersection), and the
+    other generators stay as they are.  With weight given, only the part of
+    the image of that multiplication-by-N weight is built.
 
-    This is the one place the two images are written.  Each power of them
-    is built once, on a ladder shared by every monomial and with integer
-    coefficients: rung k of the theta ladder is (2 theta + psi1 + psi2)^k.
-    A monomial with theta^k divides its Poly coefficient by 2^k once, and
-    that coefficient then scales each integer term of its image."""
+    This is the one place the two images are written.  By the binomial
+    theorem theta^k delta^j pulls back to (-1)^j 2^-k times the sum over i
+    of C(k, i) 2^i theta^i s^(k-i+j), and each power of s is built once, on
+    an integer ladder shared by every monomial.  Term i has weight 2i plus
+    the weight of the monomial's other generators, so a given weight keeps
+    at most one i."""
     if expr.locus != "total":
         raise ValueError("boundary pullback starts from the total family")
     i_theta, i_delta = GENS.index("theta"), GENS.index("delta")
-    theta, psi1, psi2 = (tuple(int(x == name) for x in GENS)
-                         for name in ("theta", "psi1", "psi2"))
-    one = {(0,) * len(GENS): 1}
-    theta_ladder = [one, {theta: 2, psi1: 1, psi2: 1}]
-    delta_ladder = [one, {psi1: -1, psi2: -1}]
-
-    def rung(ladder, e):
-        while len(ladder) <= e:
-            ladder.append(mul_terms(ladder[-1], ladder[1]))
-        return ladder[e]
+    psi1, psi2 = (tuple(int(x == name) for x in GENS) for name in ("psi1", "psi2"))
+    ladder = [{(0,) * len(GENS): 1}, {psi1: 1, psi2: 1}]
 
     out: Dict[Monomial, Poly] = {}
     for mono, coeff in expr.terms.items():
-        k = mono[i_theta]
-        image = mul_terms(rung(theta_ladder, k), rung(delta_ladder, mono[i_delta]))
-        if k:
-            coeff = coeff * Fraction(1, 1 << k)
+        k, j = mono[i_theta], mono[i_delta]
         fixed = list(mono)
         fixed[i_theta] = fixed[i_delta] = 0
-        add_into(out, ((tuple(map(add, m, fixed)), coeff * c)
-                       for m, c in image.items()))
+        if weight is None:
+            thetas = range(k + 1)
+        else:
+            i, odd = divmod(weight - monomial_weight(fixed), 2)
+            if odd or not 0 <= i <= k:
+                continue
+            thetas = (i,)
+        if k:
+            coeff = coeff * Fraction(1, 1 << k)
+        for i in thetas:
+            while len(ladder) <= k - i + j:
+                ladder.append(mul_terms(ladder[-1], ladder[1]))
+            fixed[i_theta] = i
+            scale = (-1) ** j * comb(k, i) << i
+            add_into(out, ((tuple(map(add, m, fixed)), coeff * (scale * c))
+                           for m, c in ladder[k - i + j].items()))
     return _make(out, "boundary")
 
 

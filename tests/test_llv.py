@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_sparse import random_matrix
+from test_sparse import random_matrix, weight_decompose
 
 from beauville_lab.llv import (Brk, Lin, Sym, TripleData,
                                UnsupportedOperatorError, build_triple,
@@ -21,7 +21,7 @@ from beauville_lab.llv import (Brk, Lin, Sym, TripleData,
 from beauville_lab.mukai import ALPHA, BETA, MukaiSpace, llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
-from beauville_lab.sparse import SparseMat, bracket, weight_decompose
+from beauville_lab.sparse import SparseMat, bracket
 
 GR = GaussianRational
 

@@ -161,7 +161,7 @@ def test_single_node_theta():
 # -- genus at least 4 ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [4, 5, 6])
+@pytest.mark.parametrize("g", range(4, 25))
 def test_high_genus_contradiction(g):
     result = high_genus_obstruction(g)
     assert result.contradiction == (Fraction(1, 2), Fraction(-1, 48))

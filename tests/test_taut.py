@@ -10,7 +10,7 @@ from beauville_lab.dr import (alpha_terms, boundary_substitution,
                               top_weight_boundary_relation)
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.obstruction import AssumptionLedger, theta_delta_push
-from beauville_lab.poly import Poly
+from beauville_lab.poly import VARS, Poly
 from beauville_lab.scalars import GaussianRational
 from beauville_lab.taut import (GENS, TautExpr, abelian_push, boundary_pull,
                                 gen, monomial_weight, open_restrict,
@@ -154,6 +154,15 @@ def test_boundary_pull_matches_factor_by_factor_substitution(expr):
     assert boundary_pull(expr) == naive_boundary_pull(expr)
 
 
+@settings(max_examples=40, deadline=None)
+@given(taut_exprs)
+def test_boundary_pull_at_one_weight_is_that_part_of_the_full_pull(expr):
+    full = boundary_pull(expr)
+    top = max((monomial_weight(m) for m in expr.terms), default=0)
+    for weight in range(top + 2):
+        assert boundary_pull(expr, weight) == weight_part(full, weight), weight
+
+
 def test_boundary_pull_of_high_powers_with_gaussian_coefficients():
     # the strategy above stops at exponent 3; here the theta ladder reaches
     # rung 9, and each monomial divides its coefficient by up to 2^9
@@ -234,11 +243,38 @@ def test_boundary_pull_of_the_candidate_power_in_closed_form():
     b = Poly.var("b")
     psi_sum = gen("psi1", locus="boundary") + gen("psi2", locus="boundary")
     candidate = gen("theta") + gen("delta").scale(b)
-    for g in range(4, 13):
-        part = weight_part(boundary_pull(candidate ** (g + 1)), 2 * (g - 1))
+    for g in range(4, 25):
+        power = candidate ** (g + 1)
+        part = weight_part(boundary_pull(power), 2 * (g - 1))
         expected = (gen("theta", g - 1, locus="boundary") * psi_sum * psi_sum).scale(
             (b - Fraction(1, 2)) * (b - Fraction(1, 2)) * comb(g + 1, 2))
         assert part == expected, g
+        assert boundary_pull(power, 2 * (g - 1)) == expected, g
+
+
+def test_top_weight_of_the_pulled_candidate_power_matches_sympy():
+    # an independent route: substitute the two images into theta + b delta in
+    # sympy, raise it to the power g+1 with sympy's polynomial arithmetic, and
+    # read off the theta^(g-1) part
+    sympy = pytest.importorskip("sympy")
+    theta, delta, psi1, psi2, b = sympy.symbols("theta delta psi1 psi2 b")
+    images = {theta: theta + (psi1 + psi2) / 2, delta: -(psi1 + psi2)}
+    pulled_candidate = sympy.Poly((theta + b * delta).subs(images, simultaneous=True),
+                                  theta, psi1, psi2, b)
+    candidate = gen("theta") + gen("delta").scale(Poly.var("b"))
+    i_psi1, i_psi2, i_b = GENS.index("psi1"), GENS.index("psi2"), VARS.index("b")
+    for g in range(4, 17):
+        expected = {(e1, e2, eb): c for (et, e1, e2, eb), c
+                    in (pulled_candidate ** (g + 1)).terms() if et == g - 1}
+        got = {}
+        for mono, coeff in boundary_pull(candidate ** (g + 1), 2 * (g - 1)).terms.items():
+            assert [e for k, e in enumerate(mono) if k not in (i_psi1, i_psi2)] == \
+                [g - 1, 0, 0, 0], (g, mono)
+            for exps, c in coeff.terms.items():
+                c = c.rational()
+                got[mono[i_psi1], mono[i_psi2], exps[i_b]] = sympy.Rational(
+                    c.numerator, c.denominator)
+        assert got == expected, g
 
 
 # -- abelian pushforward -----------------------------------------------------------
