@@ -10,9 +10,9 @@ from .poly import Poly, discriminant_is_square, rational_roots
 from .sparse import SparseMat, bracket
 from .mukai import (MukaiSpace, fourier_matrix, is_isometry, llv_model_space,
                     mukai_class_space, theta_bar, to_barred)
-from .llv import (UnsupportedOperatorError, build_triple, fourier_op_map,
-                  op_e, op_f, op_h, op_K, primed_operators, random_quadruple,
-                  standard_quadruple, verify_cross_triple,
+from .llv import (OperatorTable, UnsupportedOperatorError, build_triple,
+                  fourier_op_map, op_e, op_f, op_h, primed_operators,
+                  random_quadruple, standard_quadruple, verify_cross_triple,
                   verify_double_bracket_recovery, verify_fourier_compatibility,
                   verify_fourier_conjugacy, verify_isotropic_sl2_pairs,
                   verify_theta_replay, verify_verbitsky)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIOMS", "AffineInt", "AssumptionLedger", "BoundaryRelation", "Corr",
-    "GaussianRational", "MukaiSpace", "ObstructionResult",
+    "GaussianRational", "MukaiSpace", "ObstructionResult", "OperatorTable",
     "OutsideModelError", "Poly", "Rational", "Report", "SparseMat",
     "TautExpr", "UnsupportedOperatorError", "abelian_push", "abs_pair_push",
     "abs_tri_push", "boundary_pull", "bracket", "build_triple", "bv",
@@ -45,7 +45,7 @@ __all__ = [
     "fourier_matrix", "fourier_op_map", "gen", "genus2_obstruction",
     "genus3_obstruction", "high_genus_obstruction", "is_isometry",
     "kappa_exclusion_check", "llv_model_space",
-    "mukai_class_space", "multiplicativity_difference", "op_K",
+    "mukai_class_space", "multiplicativity_difference",
     "op_e", "op_f", "op_h", "open_restrict", "pair_to_rel",
     "pi_star", "primed_operators", "projectors", "random_quadruple",
     "rational_roots", "rel", "rel_bracket", "rel_compose", "rel_mul",

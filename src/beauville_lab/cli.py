@@ -42,7 +42,7 @@ HDIMS = range(6, 11)
 # the theta suite's extra genus costs a few ms (g = 16: about 6 ms)
 MAX_GENUS = 16
 # each trial adds one random quadruple to every llv report, so the cost is
-# linear in the trials (--hdim 10, 100 trials: about 2 s)
+# linear in the trials (--hdim 10, 100 trials: about 0.5 s wall)
 MAX_TRIALS = 100
 
 

@@ -24,8 +24,7 @@ from typing import List, Optional, Tuple
 from .k3 import (Corr, RelativeCycle, SurfaceClass, bv, bv_theta, diag_push,
                  pair_to_rel, rel, rel_bracket, BV_LABELS)
 from .lincomb import power
-from .llv import (op_e, op_e_sigma, op_e_sigmabar, op_f, op_f_sigma,
-                  op_f_sigmabar, op_h, op_K, standard_quadruple)
+from .llv import OperatorTable, standard_quadruple
 from .mukai import llv_model_space
 from .poly import Poly
 from .scalars import ONE, GaussianRational, I
@@ -450,33 +449,33 @@ class LlvContext(Context):
     """Operators of the standard middle-dimension model."""
 
     name = "llv"
+    # symbol -> (OperatorTable method, number of vector indices)
     SYMBOLS = {
-        "h": (op_h, 0), "e": (op_e, 1), "f": (op_f, 1),
-        "K": (op_K, 2),
-        "esig": (op_e_sigma, 2), "fsig": (op_f_sigma, 2),
-        "esigbar": (op_e_sigmabar, 2), "fsigbar": (op_f_sigmabar, 2),
+        "h": ("h", 0), "e": ("e", 1), "f": ("f", 1), "K": ("K", 2),
+        "esig": ("e_sigma", 2), "fsig": ("f_sigma", 2),
+        "esigbar": ("e_sigmabar", 2), "fsigbar": ("f_sigmabar", 2),
     }
 
     def __init__(self, hdim: int = 6, t=2):
-        self.space = llv_model_space(hdim, Fraction(t))
-        self.quad = standard_quadruple(self.space)
+        space = llv_model_space(hdim, Fraction(t))
+        self.ops = OperatorTable(space, standard_quadruple(space))
 
-    def _vector(self, value, what: str):
+    def _index(self, value, what: str) -> int:
         if kind(value) != "scalar" or value.im or value.re.denominator != 1:
             raise EvalError(f"{what} must be an integer")
-        if not 1 <= value.re <= len(self.quad):
-            raise EvalError(f"{what} must be between 1 and {len(self.quad)}")
-        return self.quad[int(value.re) - 1]
+        if not 1 <= value.re <= len(self.ops.quad):
+            raise EvalError(f"{what} must be between 1 and {len(self.ops.quad)}")
+        return int(value.re)
 
     def symbol(self, name: str, args):
         if name not in self.SYMBOLS:
             raise EvalError(f"unknown symbol {name!r} in the llv context")
-        func, arity = self.SYMBOLS[name]
+        method, arity = self.SYMBOLS[name]
         if len(args or ()) != arity:
             raise EvalError(f"{name} takes {arity} index argument(s)" if arity
                             else f"{name} takes no arguments")
-        vectors = [self._vector(a, f"argument of {name}") for a in args or ()]
-        return func(self.space, *vectors)
+        indices = [self._index(a, f"argument of {name}") for a in args or ()]
+        return getattr(self.ops, method)(*indices)
 
     def scalar(self, value: GaussianRational):
         return value

@@ -41,7 +41,7 @@ def test_criterion_1_verbitsky_relations():
             covered.add((t, hdim))
             space = mukai.llv_model_space(hdim, t)
             quad = llv.random_quadruple(space, seed)
-            checks = llv.verify_verbitsky(space, quad)
+            checks = llv.verify_verbitsky(llv.OperatorTable(space, quad))
             assert checks and _all_hold(checks), (seed, t, hdim)
         assert covered == {(t, d) for t in t_values for d in range(6, 11)}
         elapsed = time.perf_counter() - start
@@ -56,7 +56,7 @@ def test_criterion_2_isotropic_sl2_pairs():
     try:
         space = mukai.llv_model_space(6, Fraction(2))
         quad = llv.standard_quadruple(space)
-        checks = llv.verify_isotropic_sl2_pairs(space, quad)
+        checks = llv.verify_isotropic_sl2_pairs(llv.OperatorTable(space, quad))
         assert _all_hold(checks)
         assert {name for name, _, _ in checks} == {
             "h_sigma=(h-iK)/2", "h_sigmabar=(h+iK)/2",
@@ -76,14 +76,14 @@ def test_criterion_3_triple_replay():
     ok = False
     try:
         space = mukai.llv_model_space(6, Fraction(2))
-        quad = llv.standard_quadruple(space)
+        ops = llv.OperatorTable(space, llv.standard_quadruple(space))
         required = {
             "E0=-[F_alpha,E_theta]", "F0=-fourier(E0) identically in cst",
             "H0=(i/2)(K12-K34)", "[H0,E0]=2E0", "[H0,F0]=-2F0",
             "[D,E0]=2E0", "[D,F0]=-2F0",
         }
         for c0, c1 in SIGN_PAIRS:
-            data = llv.build_triple(space, quad, c0, c1)
+            data = llv.build_triple(ops, c0, c1)
             for g in range(2, 13):
                 checks = llv.verify_theta_replay(data, g) + data.checks
                 assert _all_hold(checks), (g, c0, c1)
@@ -97,10 +97,9 @@ def test_criterion_4_fourier_conjugacy():
     ok = False
     try:
         space = mukai.llv_model_space(6, Fraction(2))
-        quad = llv.standard_quadruple(space)
+        ops = llv.OperatorTable(space, llv.standard_quadruple(space))
         for c0, c1 in SIGN_PAIRS:
-            checks = llv.verify_fourier_conjugacy(
-                llv.build_triple(space, quad, c0, c1))
+            checks = llv.verify_fourier_conjugacy(llv.build_triple(ops, c0, c1))
             assert _all_hold(checks), (c0, c1)
             assert {name for name, _, _ in checks} == {
                 "fourier(E0)=-F0", "fourier(F0)=-E0", "fourier(H0)=-H0"}
@@ -113,8 +112,8 @@ def test_criterion_5_fourier_isometry_and_compatibility():
     ok = False
     try:
         space = mukai.llv_model_space(6, Fraction(2))
-        quad = llv.standard_quadruple(space)
-        triples = {(c0, c1): llv.build_triple(space, quad, c0, c1)
+        ops = llv.OperatorTable(space, llv.standard_quadruple(space))
+        triples = {(c0, c1): llv.build_triple(ops, c0, c1)
                    for c0, c1 in SIGN_PAIRS}
         for g in range(2, 13):
             class_space = mukai.mukai_class_space(g)

@@ -20,6 +20,7 @@ from beauville_lab.report import (Report, exit_code, render_json, render_text,
 GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
 THETA_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "theta_obstruction_g16.json"
+LLV_LARGEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "llv_hdim10_trials100.json"
 
 def space_file(path, middle):
     """Write a space whose middle gram is `middle` in the documented format."""
@@ -242,6 +243,13 @@ def test_theta_obstruction_at_genus_16_matches_the_golden_output(capsys):
     # verify all reaches the high-genus pipeline only at g = 4, 5
     golden = THETA_G16_GOLDEN.read_bytes()
     assert main(["verify", "theta-obstruction", "--genus", "16", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_llv_suite_at_the_largest_allowed_work_matches_the_golden_output(capsys):
+    golden = LLV_LARGEST_GOLDEN.read_bytes()
+    argv = ["verify", "llv", "--hdim", "10", "--trials", str(cli.MAX_TRIALS), "--format", "json"]
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_llv import op_K
 
 from beauville_lab.cli import main
 from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
@@ -13,7 +14,7 @@ from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
                                print_expr, tokenize)
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.k3 import Corr, RelativeCycle, SurfaceClass
-from beauville_lab.llv import op_K, op_e_sigma, op_f_sigma, op_h
+from beauville_lab.llv import op_h
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
@@ -167,7 +168,7 @@ def test_llv_eval_identities():
     assert evaluate(parse("[e(1), f(1)] - h"), ctx).is_zero()
     space = llv_model_space(6, Fraction(2))
     quad_sigma = evaluate(parse("[esig(1,2), fsig(1,2)]"), ctx)
-    v1, v2 = ctx.quad[0], ctx.quad[1]
+    v1, v2 = ctx.ops.quad[0], ctx.ops.quad[1]
     expected = (op_h(space) - op_K(space, v1, v2).scale(I)).scale(HALF)
     assert quad_sigma == expected
     assert evaluate(parse("h^2"), ctx) == op_h(space) @ op_h(space)

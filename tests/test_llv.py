@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_sparse import random_matrix, weight_decompose
 
-from beauville_lab.llv import (Brk, Lin, Sym, TripleData,
+from beauville_lab import llv
+from beauville_lab.llv import (Brk, Lin, OperatorTable, Sym, TripleData,
                                UnsupportedOperatorError, build_triple,
                                constant, evaluate_at, evaluate_op,
-                               fourier_op_map, op_K, op_e,
-                               op_e_sigma, op_f, op_h, primed_operators,
-                               random_quadruple, standard_quadruple,
+                               fourier_op_map, op_e, op_f, op_h,
+                               primed_operators, random_quadruple,
+                               standard_quadruple,
                                verify_cross_triple,
                                verify_double_bracket_recovery,
                                verify_fourier_compatibility,
@@ -24,6 +27,65 @@ from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import SparseMat, bracket
 
 GR = GaussianRational
+HALF = GR(Fraction(1, 2))
+
+
+# -- the free-function route, an oracle for the operator table ------------------------
+
+
+def op_f_per_entry(space, eta):
+    """f_eta written out entry by entry, with 2/q(eta) from the space's form."""
+    q = space.q(eta)
+    two_over_q = GR(2) / q
+    ia, ib = space.index(ALPHA), space.index(BETA)
+    entries = {(space.index(label), ib): two_over_q * c for label, c in eta.items()}
+    for mu, pair in space.covector(eta).items():
+        entries[(ia, space.index(mu))] = two_over_q * pair
+    return SparseMat(space.dim, entries)
+
+
+def op_K(space, eta_i, eta_j):
+    return bracket(op_e(space, eta_i), op_f_per_entry(space, eta_j))
+
+
+def op_e_sigma(space, eta_i, eta_j):
+    return (op_e(space, eta_i) + op_e(space, eta_j).scale(I)).scale(HALF)
+
+
+def op_f_sigma(space, eta_i, eta_j):
+    return (op_f_per_entry(space, eta_i) - op_f_per_entry(space, eta_j).scale(I)).scale(HALF)
+
+
+def op_e_sigmabar(space, eta_i, eta_j):
+    return (op_e(space, eta_i) - op_e(space, eta_j).scale(I)).scale(HALF)
+
+
+def op_f_sigmabar(space, eta_i, eta_j):
+    return (op_f_per_entry(space, eta_i) + op_f_per_entry(space, eta_j).scale(I)).scale(HALF)
+
+
+def fraction_random_quadruple(space, seed, steps=3):
+    """The rotations of random_quadruple on whole Fraction matrices."""
+    middles = space.middles
+    k = len(middles)
+    rng = random.Random(seed)
+    mat = [[Fraction(1) if r == c else Fraction(0) for c in range(k)] for r in range(k)]
+    for _ in range(steps):
+        p, q = rng.sample(range(k), 2)
+        m = Fraction(rng.randint(1, 4), rng.randint(2, 5)) * rng.choice((1, -1))
+        c = (1 - m * m) / (1 + m * m)
+        s = 2 * m / (1 + m * m)
+        row_p = [c * a - s * b for a, b in zip(mat[p], mat[q])]
+        row_q = [s * a + c * b for a, b in zip(mat[p], mat[q])]
+        mat[p], mat[q] = row_p, row_q
+    quad = []
+    for col in range(4):
+        vec = {}
+        for r in range(k):
+            if mat[r][col]:
+                vec[middles[r]] = GR(mat[r][col])
+        quad.append(vec)
+    return quad
 
 
 def all_hold(checks):
@@ -158,38 +220,111 @@ def test_random_quadruple_guards():
         random_quadruple(lopsided, seed=0)
 
 
+T_VALUES = (Fraction(2), Fraction(3, 2), Fraction(-5, 3), Fraction(-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hdim=st.integers(6, 10), t=st.sampled_from(T_VALUES),
+       seed=st.integers(0, 10**6), steps=st.integers(0, 6))
+def test_integer_rotations_match_the_fraction_oracle(hdim, t, seed, steps):
+    space = llv_model_space(hdim, t)
+    oracle = fraction_random_quadruple(space, seed, steps)
+    # the same vectors, with their labels in the same order
+    assert [list(v.items()) for v in random_quadruple(space, seed, steps)] == \
+        [list(v.items()) for v in oracle]
+
+
+def assert_table_matches_free_functions(space, quad):
+    ops = OperatorTable(space, quad)
+    assert ops.h() == op_h(space)
+    for i, v in enumerate(quad, 1):
+        assert ops.e(i) == op_e(space, v)
+        assert ops.f(i) == op_f_per_entry(space, v) == op_f(space, v)
+    for i, vi in enumerate(quad, 1):
+        for j, vj in enumerate(quad, 1):
+            assert ops.K(i, j) == op_K(space, vi, vj)
+            if i != j:
+                assert ops.e_sigma(i, j) == op_e_sigma(space, vi, vj)
+                assert ops.f_sigma(i, j) == op_f_sigma(space, vi, vj)
+                assert ops.e_sigmabar(i, j) == op_e_sigmabar(space, vi, vj)
+                assert ops.f_sigmabar(i, j) == op_f_sigmabar(space, vi, vj)
+    # a second request returns the kept matrix
+    assert ops.K(2, 1) is ops.K(2, 1) and ops.f(3) is ops.f(3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(hdim=st.integers(6, 10), t=st.sampled_from(T_VALUES), seed=st.integers(0, 10**6))
+def test_operator_table_matches_the_free_functions(hdim, t, seed):
+    space = llv_model_space(hdim, t)
+    assert_table_matches_free_functions(space, random_quadruple(space, seed))
+
+
+def test_op_f_swap_and_scale_with_a_complex_norm():
+    space = llv_model_space(7, Fraction(3, 2))
+    eta = {"m1": GR(1, 1), "m2": GR(Fraction(2, 3), -2), "m4": GR(0, Fraction(-1, 5))}
+    q = space.q(eta)
+    assert q.im and q.re
+    assert op_f(space, eta) == op_f_per_entry(space, eta)
+    assert bracket(op_e(space, eta), op_f(space, eta)) == op_h(space)
+    others = [{"m3": GR(1)}, {"m5": GR(0, 2)}, {"m1": GR(1), "m2": GR(-1)}]
+    assert_table_matches_free_functions(space, [eta, *others])
+
+
+def test_operator_table_index_guard():
+    space = llv_model_space(6, t=2)
+    ops = OperatorTable(space, standard_quadruple(space))
+    for bad in (0, 5):
+        with pytest.raises(IndexError, match="outside 1..4"):
+            ops.e(bad)
+
+
+def test_double_bracket_recovery_fails_before_building_operators(monkeypatch):
+    built = []
+    for name in ("op_e", "op_h", "bracket"):
+        def counted(*args, _name=name, _original=getattr(llv, name)):
+            built.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(llv, name, counted)
+    space = llv_model_space(8, t=2)
+    quad = random_quadruple(space, seed=3)
+    with pytest.raises(ValueError, match="orthogonal to the sigma pair"):
+        verify_double_bracket_recovery(OperatorTable(space, quad), extra_eta=quad[1])
+    assert built == []
+
+
 # -- relation suites -------------------------------------------------------------
 
 
 def test_verbitsky_standard_quadruple():
     space = llv_model_space(6, t=2)
-    assert all_hold(verify_verbitsky(space, standard_quadruple(space))) == 112
+    assert all_hold(verify_verbitsky(OperatorTable(space, standard_quadruple(space)))) == 112
 
 
 @pytest.mark.parametrize("hdim,t,seed", [(6, 1, 1), (7, 2, 2), (10, Fraction(-3), 5)])
 def test_verbitsky_random_quadruples(hdim, t, seed):
     space = llv_model_space(hdim, t=t)
-    all_hold(verify_verbitsky(space, random_quadruple(space, seed)))
+    all_hold(verify_verbitsky(OperatorTable(space, random_quadruple(space, seed))))
 
 
 def test_isotropic_pairs_suite():
     space = llv_model_space(6, t=2)
-    assert all_hold(verify_isotropic_sl2_pairs(space, standard_quadruple(space))) == 11
-    all_hold(verify_isotropic_sl2_pairs(space, random_quadruple(space, 9), pair=(2, 4)))
+    assert all_hold(verify_isotropic_sl2_pairs(OperatorTable(space, standard_quadruple(space)))) == 11
+    all_hold(verify_isotropic_sl2_pairs(OperatorTable(space, random_quadruple(space, 9)),
+                                        pair=(2, 4)))
 
 
 def test_cross_triple_suite():
     space = llv_model_space(7, t=2)
-    assert all_hold(verify_cross_triple(space, standard_quadruple(space))) == 7
-    all_hold(verify_cross_triple(space, random_quadruple(space, 4)))
+    assert all_hold(verify_cross_triple(OperatorTable(space, standard_quadruple(space)))) == 7
+    all_hold(verify_cross_triple(OperatorTable(space, random_quadruple(space, 4))))
 
 
 def test_double_bracket_recovery():
     space = llv_model_space(6, t=2)
     quad = standard_quadruple(space)
-    assert all_hold(verify_double_bracket_recovery(space, quad)) == 3
+    assert all_hold(verify_double_bracket_recovery(OperatorTable(space, quad))) == 3
     with pytest.raises(ValueError, match="orthogonal"):
-        verify_double_bracket_recovery(space, quad, extra_eta=quad[1])
+        verify_double_bracket_recovery(OperatorTable(space, quad), extra_eta=quad[1])
 
 
 def test_isotropic_triples_commute_with_their_bar_partners():
@@ -270,11 +405,11 @@ def test_matrix_polynomial_evaluates_at_cst():
 
 def test_build_triple_checks_and_frozen_spectra():
     space = llv_model_space(6, t=2)
-    quad = standard_quadruple(space)
-    data = build_triple(space, quad, c0=1, c1=1)
+    ops = OperatorTable(space, standard_quadruple(space))
+    data = build_triple(ops, c0=1, c1=1)
     assert all_hold(verify_theta_replay(data, 2) + data.checks) == 10
     assert isinstance(data, TripleData)
-    P = primed_operators(space, quad, 1)
+    P = primed_operators(ops, 1)
     assert data.P == P
     assert evaluate_op(data.E0_expr, P) == constant(data.E0)
 
@@ -286,14 +421,13 @@ def test_build_triple_checks_and_frozen_spectra():
 def test_build_triple_rejects_bad_signs():
     space = llv_model_space(6, t=2)
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
-        build_triple(space, standard_quadruple(space), c0=0, c1=1)
+        build_triple(OperatorTable(space, standard_quadruple(space)), c0=0, c1=1)
 
 
 @pytest.mark.parametrize("c0,c1", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_triple_replay_and_conjugacy_random_quadruple(c0, c1):
     space = llv_model_space(6, t=2)
-    quad = random_quadruple(space, seed=11)
-    data = build_triple(space, quad, c0, c1)
+    data = build_triple(OperatorTable(space, random_quadruple(space, seed=11)), c0, c1)
     all_hold(verify_theta_replay(data, 5) + data.checks)
     all_hold(verify_fourier_conjugacy(data))
 
@@ -302,8 +436,8 @@ def test_triple_replay_and_conjugacy_random_quadruple(c0, c1):
 @pytest.mark.parametrize("c0,c1", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
 def test_fourier_compatibility_with_lattice_matrix(genus, c0, c1):
     space = llv_model_space(6, t=2)
-    quad = standard_quadruple(space)
-    checks = verify_fourier_compatibility(build_triple(space, quad, c0, c1), genus)
+    ops = OperatorTable(space, standard_quadruple(space))
+    checks = verify_fourier_compatibility(build_triple(ops, c0, c1), genus)
     assert all_hold(checks) == 4
 
 
@@ -311,7 +445,7 @@ def test_triple_H0_ladder_in_cst():
     # [D, F0] = -2 F0 holds identically in the undetermined constant
     space = llv_model_space(6, t=2)
     quad = standard_quadruple(space)
-    data = build_triple(space, quad, c0=-1, c1=1)
+    data = build_triple(OperatorTable(space, quad), c0=-1, c1=1)
     lhs = bracket(data.D, data.F0)
     assert lhs == data.F0.scale(-2)
     assert op_K(space, quad[0], quad[1]).scale(I) == data.D
