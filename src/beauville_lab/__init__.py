@@ -10,9 +10,9 @@ from .poly import Poly, discriminant_is_square, rational_roots
 from .sparse import SparseMat, bracket
 from .mukai import (MukaiSpace, fourier_matrix, is_isometry, llv_model_space,
                     mukai_class_space, theta_bar, to_barred)
-from .llv import (OperatorTable, UnsupportedOperatorError, build_triple,
-                  fourier_op_map, op_e, op_f, op_h, primed_operators,
-                  random_quadruple, standard_quadruple, verify_cross_triple,
+from .llv import (OperatorTable, build_triple, op_e, op_f, op_h,
+                  primed_operators, random_quadruple,
+                  standard_quadruple, verify_cross_triple,
                   verify_double_bracket_recovery, verify_fourier_compatibility,
                   verify_fourier_conjugacy, verify_isotropic_sl2_pairs,
                   verify_theta_replay, verify_verbitsky)
@@ -37,12 +37,12 @@ __all__ = [
     "AXIOMS", "AffineInt", "AssumptionLedger", "BoundaryRelation", "Corr",
     "GaussianRational", "MukaiSpace", "ObstructionResult", "OperatorTable",
     "OutsideModelError", "Poly", "Rational", "Report", "SparseMat",
-    "TautExpr", "UnsupportedOperatorError", "abelian_push", "abs_pair_push",
+    "TautExpr", "abelian_push", "abs_pair_push",
     "abs_tri_push", "boundary_pull", "bracket", "build_triple", "bv",
     "bv_absolute_expression", "bv_mul", "bv_theta",
     "corollary_theta_push", "default_twist_polynomial", "diag_push",
     "discriminant_is_square", "exit_code", "fourier_conjugate",
-    "fourier_matrix", "fourier_op_map", "gen", "genus2_obstruction",
+    "fourier_matrix", "gen", "genus2_obstruction",
     "genus3_obstruction", "high_genus_obstruction", "is_isometry",
     "kappa_exclusion_check", "llv_model_space",
     "mukai_class_space", "multiplicativity_difference",

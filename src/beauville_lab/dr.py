@@ -30,9 +30,6 @@ class AffineInt:
         object.__setattr__(self, "p", Fraction(self.p))
         object.__setattr__(self, "q", Fraction(self.q))
 
-    def value_at(self, g: int) -> Fraction:
-        return self.p * g + self.q
-
     def is_positive_for_all_genus(self) -> bool:
         """Positivity of p*g + q for every genus g >= 2."""
         return self.p >= 0 and 2 * self.p + self.q > 0

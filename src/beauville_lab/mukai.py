@@ -125,9 +125,6 @@ class MukaiSpace:
                 raise ValueError(f"{label!r} is not a basis label")
         return total
 
-    def q(self, v: Vector) -> GaussianRational:
-        return self.pairing(v, v)
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:

@@ -1,6 +1,7 @@
-"""Weight-graded raising/lowering operators and the Fourier operator map."""
+"""Weight-graded raising/lowering operators and their Fourier images."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from test_sparse import random_matrix, weight_decompose
 
 from beauville_lab import llv
-from beauville_lab.llv import (Brk, Lin, OperatorTable, Sym, TripleData,
-                               UnsupportedOperatorError, build_triple,
-                               constant, evaluate_at, evaluate_op,
-                               fourier_op_map, op_e, op_f, op_h,
+from beauville_lab.llv import (OperatorTable, TripleData, build_triple,
+                               op_e, op_f, op_h,
                                primed_operators, random_quadruple,
                                standard_quadruple,
                                verify_cross_triple,
@@ -22,7 +21,6 @@ from beauville_lab.llv import (Brk, Lin, OperatorTable, Sym, TripleData,
                                verify_isotropic_sl2_pairs, verify_theta_replay,
                                verify_verbitsky)
 from beauville_lab.mukai import ALPHA, BETA, MukaiSpace, llv_model_space
-from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import SparseMat, bracket
 
@@ -35,7 +33,7 @@ HALF = GR(Fraction(1, 2))
 
 def op_f_per_entry(space, eta):
     """f_eta written out entry by entry, with 2/q(eta) from the space's form."""
-    q = space.q(eta)
+    q = space.pairing(eta, eta)
     two_over_q = GR(2) / q
     ia, ib = space.index(ALPHA), space.index(BETA)
     entries = {(space.index(label), ib): two_over_q * c for label, c in eta.items()}
@@ -88,9 +86,12 @@ def fraction_random_quadruple(space, seed, steps=3):
     return quad
 
 
+def failed(checks):
+    return [name for name, ok, _ in checks if not ok]
+
+
 def all_hold(checks):
-    failed = [name for name, ok, _ in checks if not ok]
-    assert not failed, f"failed identities: {failed}"
+    assert not failed(checks), f"failed identities: {failed(checks)}"
     return len(checks)
 
 
@@ -191,7 +192,7 @@ def test_op_guards():
     with pytest.raises(ValueError, match="middle part"):
         op_f(space, {BETA: GR(1)})
     isotropic = {"m1": GR(1), "m2": I}
-    assert space.q(isotropic).is_zero()
+    assert space.pairing(isotropic, isotropic).is_zero()
     with pytest.raises(ValueError, match="q\\(eta\\) != 0"):
         op_f(space, isotropic)
 
@@ -201,7 +202,7 @@ def test_random_quadruple_orthogonality_and_determinism():
     for seed in range(6):
         quad = random_quadruple(space, seed)
         for i in range(4):
-            assert space.q(quad[i]) == GR(Fraction(-3))
+            assert space.pairing(quad[i], quad[i]) == GR(Fraction(-3))
             for j in range(i + 1, 4):
                 assert space.pairing(quad[i], quad[j]).is_zero()
     assert random_quadruple(space, 3) == random_quadruple(space, 3)
@@ -262,7 +263,7 @@ def test_operator_table_matches_the_free_functions(hdim, t, seed):
 def test_op_f_swap_and_scale_with_a_complex_norm():
     space = llv_model_space(7, Fraction(3, 2))
     eta = {"m1": GR(1, 1), "m2": GR(Fraction(2, 3), -2), "m4": GR(0, Fraction(-1, 5))}
-    q = space.q(eta)
+    q = space.pairing(eta, eta)
     assert q.im and q.re
     assert op_f(space, eta) == op_f_per_entry(space, eta)
     assert bracket(op_e(space, eta), op_f(space, eta)) == op_h(space)
@@ -334,70 +335,79 @@ def test_isotropic_triples_commute_with_their_bar_partners():
     assert bracket(es, es).is_zero()
 
 
-# -- Fourier operator map ---------------------------------------------------------
+# -- Fourier images -----------------------------------------------------------------
+
+
+def fourier_table(c0, c1):
+    """The Fourier image of each primed generator as (coefficient, power of
+    cst, generator) terms."""
+    return {
+        "E_alpha": ((c1, 0, "E_thetabar"),),
+        "E_thetabar": ((-c1, 0, "E_alpha"), (1, 1, "E_hyp")),
+        "E_beta": ((c1 * c0, 0, "E_hyp"),),
+        "E_hyp": ((-c1 * c0, 0, "E_beta"),),
+        "F_alpha": ((c1, 0, "F_thetabar"),),
+        "F_thetabar": ((-c1, 0, "F_alpha"), (1, 1, "F_hyp")),
+    }
 
 
 def test_fourier_op_map_frozen_images():
-    assert fourier_op_map(Sym("E_alpha"), 1, 1) == Lin(
-        ((Poly.const(1), Sym("E_thetabar")),))
-    assert fourier_op_map(Sym("E_beta"), -1, 1) == Lin(
-        ((Poly.const(-1), Sym("E_hyp")),))
-    mapped = fourier_op_map(Sym("E_thetabar"), 1, -1)
-    assert mapped == Lin(((Poly.const(1), Sym("E_alpha")),
-                          (Poly.var("cst"), Sym("E_hyp"))))
+    # every image in full, cst coefficients included: [F_thetabar, E_alpha]
+    # cancels the cst term of the F_thetabar image, and the lattice check
+    # reads the E images only, so no report sees that coefficient
+    space = llv_model_space(6, t=2)
+    for quad in (standard_quadruple(space), random_quadruple(space, seed=5)):
+        ops = OperatorTable(space, quad)
+        for c0 in (1, -1):
+            for c1 in (1, -1):
+                data = build_triple(ops, c0, c1)
+                assert data.images == {
+                    name: {k: data.P[gen].scale(coeff) for coeff, k, gen in terms}
+                    for name, terms in fourier_table(c0, c1).items()}
 
 
-def test_fourier_op_map_rejects_outside_span():
-    assert issubclass(UnsupportedOperatorError, ValueError)
-    with pytest.raises(UnsupportedOperatorError):
-        fourier_op_map(Sym("F_hyp"), 1, 1)
-    with pytest.raises(UnsupportedOperatorError):
-        fourier_op_map(Sym("nonsense"), 1, 1)
-    with pytest.raises(TypeError):
-        fourier_op_map(42, 1, 1)
+def random_matrix_poly(rng):
+    """A matrix polynomial {power of cst: matrix} of degree <= 2."""
+    return {k: random_matrix(rng) for k in range(3) if rng.random() < 0.7}
 
 
-def test_fourier_op_map_threads_through_brackets_and_sums():
-    expr = Lin(((Poly.const(2), Brk(Sym("E_alpha"), Sym("F_alpha"))),))
-    mapped = fourier_op_map(expr, 1, 1)
-    assert isinstance(mapped, Lin)
-    inner = mapped.terms[0][1]
-    assert isinstance(inner, Brk)
-    assert inner.left == Lin(((Poly.const(1), Sym("E_thetabar")),))
+def at(matrix_poly, cst, dim=6):
+    """The matrix a matrix polynomial takes at cst."""
+    return sum((m.scale(cst ** k) for k, m in matrix_poly.items()), SparseMat.zero(dim))
 
 
-def test_evaluate_op_is_linear_in_cst():
-    # cst scales whole terms: brackets are taken on scalar matrices and each
-    # power of cst keeps its own matrix
+def test_matrix_polynomial_bracket_commutes_with_evaluation():
     rng = random.Random(7)
-    cst = Poly.var("cst")
-    for _ in range(40):
+    for _ in range(30):
+        x, y = random_matrix_poly(rng), random_matrix_poly(rng)
+        xy = llv._poly_bracket(x, y)
+        assert all(xy.values())
+        for cst in (-2, -1, 0, 1, 2, I):
+            assert at(xy, cst) == bracket(at(x, cst), at(y, cst))
+
+
+def test_matrix_polynomial_bracket_drops_cancelled_terms():
+    rng = random.Random(8)
+    for _ in range(10):
         a, b = random_matrix(rng), random_matrix(rng)
-        x = GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                             rng.randint(-2, 2))
-        y = rng.randint(-3, 3)
-        p = cst.scale(x) + y
-        R = {"A": a, "B": b}
         ab = bracket(a, b)
-        want = {exp: m for exp, m in (((1, 0, 0, 0, 0), ab.scale(x)),
-                                      ((0, 0, 0, 0, 0), ab.scale(y))) if m}
-        assert evaluate_op(Lin(((p, Brk(Sym("A"), Sym("B"))),)), R) == want
-        assert evaluate_op(Brk(Lin(((p, Sym("A")),)), Sym("B")), R) == want
-        assert evaluate_op(Brk(Lin(((p, Sym("A")), (1, Sym("B")))), Sym("B")), R) == want
-        assert evaluate_op(Lin(((p, Sym("A")), (-p, Sym("A")))), R) == {}
+        assert ab
+        # the cst terms of [a + a*cst, b - b*cst] cancel: no key is left for them
+        assert llv._poly_bracket({0: a, 1: a}, {0: b, 1: -b}) == {0: ab, 2: -ab}
+        assert llv._poly_bracket({0: a, 2: a}, {1: a}) == {}
+        assert llv._poly_bracket({0: a}, {}) == {}
 
 
-def test_matrix_polynomial_evaluates_at_cst():
-    cst = Poly.var("cst")
-    R = {"A": SparseMat(2, {(0, 1): 1}), "B": SparseMat(2, {(1, 0): GaussianRational(0, 1)})}
-    mapped = evaluate_op(Lin(((cst, Sym("A")),)), R)
-    assert evaluate_at(mapped, 2, {"cst": 3}) == SparseMat(2, {(0, 1): 3})
-    mapped = evaluate_op(Lin(((cst * cst + 1, Sym("A")), (cst, Sym("B")))), R)
-    assert evaluate_at(mapped, 2, {"cst": -2}) == \
-        SparseMat(2, {(0, 1): 5, (1, 0): GaussianRational(0, -2)})
-    assert evaluate_at(mapped, 2, {"cst": GaussianRational(0, 1)}) == \
-        SparseMat(2, {(1, 0): -1})
-    assert evaluate_at({}, 2, {"cst": 3}) == SparseMat.zero(2)
+def test_fourier_checks_fail_on_a_wrong_image():
+    space = llv_model_space(6, t=2)
+    data = build_triple(OperatorTable(space, standard_quadruple(space)), c0=1, c1=-1)
+    E_hyp = data.P["E_hyp"]
+    wrong = {**data.images["E_thetabar"], 1: E_hyp.scale(2)}
+    bad = replace(data, images={**data.images, "E_thetabar": wrong})
+    assert failed(verify_fourier_compatibility(bad, 7)) == [
+        "op-map(E_thetabar) matches lattice image with cst=c1*(g+1)"]
+    bad = replace(data, E0_image={**data.E0_image, 1: E_hyp})
+    assert failed(verify_fourier_conjugacy(bad)) == ["fourier(E0)=-F0", "fourier(H0)=-H0"]
 
 
 # -- Fourier-conjugate triples ------------------------------------------------------
@@ -411,7 +421,7 @@ def test_build_triple_checks_and_frozen_spectra():
     assert isinstance(data, TripleData)
     P = primed_operators(ops, 1)
     assert data.P == P
-    assert evaluate_op(data.E0_expr, P) == constant(data.E0)
+    assert data.E0_image == {0: -data.F0} and data.F0_image == {0: -data.E0}
 
     assert weight_decompose(data.H0) == {-1: 2, 0: 2, 1: 2}
     assert weight_decompose(data.D) == {-2: 1, 0: 4, 2: 1}

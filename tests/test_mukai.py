@@ -31,13 +31,15 @@ def test_builders_shapes():
     assert space.labels == (ALPHA, "m1", "m2", "m3", "m4", BETA)
     assert space.dim == 6
     assert space.genus is None
-    assert space.q(space.basis_vector("m2")) == GR(2)
+    m2 = space.basis_vector("m2")
+    assert space.pairing(m2, m2) == GR(2)
     assert space.pairing(space.basis_vector(ALPHA), space.basis_vector(BETA)) == GR(-1)
 
     mk = mukai_class_space(5, extra=2, t=Fraction(-3))
     assert mk.labels == (ALPHA, BETA, THETA, HYP, "m1", "m2")
     assert mk.genus == 5
-    assert mk.q(mk.basis_vector("m1")) == GR(-3)
+    m1 = mk.basis_vector("m1")
+    assert mk.pairing(m1, m1) == GR(-3)
     assert mk.pairing(mk.basis_vector(THETA), mk.basis_vector(HYP)) == GR(1)
 
 
