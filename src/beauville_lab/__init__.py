@@ -21,8 +21,8 @@ from .k3 import (Corr, bv, bv_mul, bv_theta, diag_push, fourier_conjugate,
                  rel_compose, rel_mul, sl2_cycles)
 from .k3_mult import (abs_pair_push, abs_tri_push, bv_absolute_expression,
                       multiplicativity_difference, relbv_expression)
-from .taut import (TautExpr, abelian_push, boundary_pull, gen, open_restrict,
-                   weight_part)
+from .taut import (TautExpr, abelian_push, boundary_pull, gen, multiple,
+                   open_restrict, weight_part)
 from .dr import (AffineInt, BoundaryRelation, corollary_theta_push,
                  default_twist_polynomial, top_weight_boundary_relation)
 from .obstruction import (AXIOMS, AssumptionLedger, ObstructionResult,
@@ -45,7 +45,7 @@ __all__ = [
     "fourier_matrix", "gen", "genus2_obstruction",
     "genus3_obstruction", "high_genus_obstruction", "is_isometry",
     "kappa_exclusion_check", "llv_model_space",
-    "mukai_class_space", "multiplicativity_difference",
+    "mukai_class_space", "multiple", "multiplicativity_difference",
     "op_e", "op_f", "op_h", "open_restrict", "pair_to_rel",
     "pi_star", "primed_operators", "projectors", "random_quadruple",
     "rational_roots", "rel", "rel_bracket", "rel_compose", "rel_mul",

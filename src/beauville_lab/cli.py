@@ -115,7 +115,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             llv.standard_quadruple(args.space_obj)
             if args.trials:
                 llv.random_quadruple(args.space_obj, args.seed)
-        except (OSError, ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError,
+                OverflowError) as err:
             parser.error(f"cannot load space from {args.space}: {err}")
 
     requested = list(args.suites)

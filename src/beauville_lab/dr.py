@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .poly import Poly
 from .taut import TautExpr, abelian_push, boundary_pull, gen
@@ -105,7 +105,7 @@ def top_weight_boundary_relation(f: Optional[Poly] = None) -> BoundaryRelation:
     """
     if f is None:
         f = default_twist_polynomial()
-    for name in ("cst", "N", "a", "b"):
+    for name in ("N", "a", "b"):
         if f.degree(name) > 0:
             raise ValueError("twist polynomial must involve only d")
     quartic = f.coefficient("d", 4)
@@ -168,8 +168,7 @@ class TauAdjoint:
     concrete_checks: Tuple[Tuple[int, bool], ...]
 
 
-def corollary_theta_push(f: Optional[Poly] = None,
-                         concrete_genera: Tuple[int, ...] = (2, 3, 4, 5)) -> TauAdjoint:
+def corollary_theta_push(concrete_genera: Tuple[int, ...] = (2, 3, 4, 5)) -> TauAdjoint:
     """pi_*(theta^(g+1)/(g+1)!) equals (1/48) times the boundary divisor.
 
     Symbolically in g: only the theta^(g-1) part of the substituted boundary
@@ -178,19 +177,16 @@ def corollary_theta_push(f: Optional[Poly] = None,
     the affine deficit certificates.  For the listed genera the pushforward
     is also evaluated concretely.
     """
-    relation = top_weight_boundary_relation(f)
+    relation = top_weight_boundary_relation()
     if not relation.all_exclusions_hold():
         raise AssertionError("weight-deficit certificate failed")
-    checks: List[Tuple[int, bool]] = []
-    unit_mono = (0,) * 6
-    for g in concrete_genera:
-        lead = boundary_substitution(g, relation, include_alpha=False)
-        pushed = abelian_push(lead, g - 1)
-        ok = (set(pushed.terms) == {unit_mono}
-              and pushed.terms[unit_mono] == Poly.coerce(relation.coefficient))
-        checks.append((g, ok))
+    expected = TautExpr.const(relation.coefficient, "boundary-base")
+    checks = tuple(
+        (g, abelian_push(boundary_substitution(g, relation, include_alpha=False),
+                         g - 1) == expected)
+        for g in concrete_genera)
     return TauAdjoint(
         coefficient=relation.coefficient,
         certificates=relation.certificates,
-        concrete_checks=tuple(checks),
+        concrete_checks=checks,
     )

@@ -77,14 +77,14 @@ def tokenize(src: str) -> List[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start_col = col
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
+            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdecimal():
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j].isdecimal():
                     j += 1
             tokens.append(Token("number", src[i:j], line, start_col))
             col += j - i

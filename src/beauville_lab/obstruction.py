@@ -16,12 +16,11 @@ from functools import partial
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dr import BoundaryRelation, alpha_terms, corollary_theta_push, \
-    top_weight_boundary_relation
+from .dr import alpha_terms, corollary_theta_push, top_weight_boundary_relation
 from .errors import OutsideModelError
 from .poly import Poly, discriminant_is_square, rational_roots
 from .report import Check, Report, check_report
-from .taut import GENS, TautExpr, abelian_push, boundary_pull, gen, \
+from .taut import GENS, TautExpr, abelian_push, boundary_pull, gen, multiple, \
     open_restrict, weight_part
 
 AXIOMS: Dict[str, str] = {
@@ -121,9 +120,7 @@ class ObstructionResult:
     checks: List[Check] = field(default_factory=list)
 
 
-def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
-                     relation: Optional[BoundaryRelation] = None,
-                     include_alpha: bool = True) -> TautExpr:
+def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger) -> TautExpr:
     """Pushforward of theta^k delta^j along the g-dimensional fibration.
 
     For k <= g the power pushes directly: g! delta^j at k = g and zero
@@ -147,11 +144,10 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger,
         ledger.use("theta-power-vanishing")
         return TautExpr.zero("base")
     e, top = k - g - 1, 2 * (g - 1)
-    if relation is None:
-        relation = top_weight_boundary_relation()
+    relation = top_weight_boundary_relation()
     expr = boundary_pull(gen("theta", g - 1 + e) * gen("delta", j), top).scale(
         relation.coefficient / factorial(g - 1))
-    alpha = alpha_terms(g) if include_alpha else None
+    alpha = alpha_terms(g)
     if alpha is not None:
         ledger.use("alpha2-input" if g == 3 else "alpha0-input")
         pulled = boundary_pull(gen("theta", e) * gen("delta", j))
@@ -168,12 +164,22 @@ def _theta_candidate(b: Poly | None = None) -> TautExpr:
     return gen("theta") + gen("delta").scale(coeff)
 
 
+# the classes each pipeline reads its push as a multiple of, built once
+_UNIT = TautExpr.const(1, "boundary-base")
+_PSI_SUM = gen("psi1", locus="boundary-base") + gen("psi2", locus="boundary-base")
+_PSI_SUM_SQUARE = _PSI_SUM * _PSI_SUM
+_DELTA, _DELTA_SQUARE = gen("delta", locus="base"), gen("delta", 2, locus="base")
+_KAPPA1 = gen("kappa1", locus="base")
+
+
 def _push_theta_mixed_power(g: int, power: int, extra_theta: int,
                             ledger: AssumptionLedger) -> Tuple[TautExpr, TautExpr]:
     """Push theta^extra * (theta + b delta)^power, split by target locus.
 
     Returns (base part, boundary-base part); the boundary-base part still
-    needs the genus-specific boundary descent applied by the caller.
+    needs the genus-specific boundary descent applied by the caller.  Only
+    theta^g delta^j has a nonzero base push, so the base part is a multiple
+    of delta^(power + extra - g).
     """
     integrand = gen("theta") ** extra_theta * _theta_candidate() ** power
     base_total = TautExpr.zero("base")
@@ -190,41 +196,37 @@ def _push_theta_mixed_power(g: int, power: int, extra_theta: int,
     return base_total, boundary_total
 
 
-def _split_unit_and_psi(expr: TautExpr) -> Tuple[Poly, TautExpr]:
-    """Split a boundary-base expression into its unit coefficient and rest."""
-    unit_mono = (0,) * len(GENS)
-    unit = expr.terms.get(unit_mono, Poly.const(0))
-    rest = TautExpr({m: c for m, c in expr.terms.items() if m != unit_mono},
-                    expr.locus)
-    return unit, rest
-
-
-def _psi_sum_multiple(expr: TautExpr) -> Poly:
-    """The coefficient P with expr = P * (psi1 + psi2) on the boundary base."""
-    if expr.is_zero():
-        return Poly.const(0)
-    p1 = tuple(1 if name == "psi1" else 0 for name in GENS)
-    p2 = tuple(1 if name == "psi2" else 0 for name in GENS)
-    if set(expr.terms) != {p1, p2} or expr.terms[p1] != expr.terms[p2]:
-        raise OutsideModelError("expression is not a multiple of psi1 + psi2")
-    return expr.terms[p1]
-
-
 def _pushed_delta_coefficient(g: int, ledger: AssumptionLedger) -> Poly:
     """The multiple of the boundary divisor that (theta + b delta)^(g+1)
     pushes to; iota_* of the boundary-base unit is that divisor."""
     base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0, ledger)
-    coeff, rest = _split_unit_and_psi(boundary_part)
-    if not rest.is_zero():
-        raise OutsideModelError("unexpected boundary-base remainder")
-    i_delta = GENS.index("delta")
-    for mono, c in base_part.terms.items():
-        if sum(mono) != mono[i_delta] or mono[i_delta] != 1:
-            raise OutsideModelError("unexpected base-class monomial")
-        coeff = coeff + c
+    coeff = multiple(boundary_part, _UNIT) + multiple(base_part, _DELTA)
     ledger.use("delta-nonzero")
     ledger.use("boundary-irreducibility")
     return coeff
+
+
+def _push_theta_times_candidate(g: int, ledger: AssumptionLedger) -> Tuple[Poly, Poly]:
+    """Push theta * (theta + b delta)^(g+1) and read it as (the multiple of
+    the boundary-base psi sum, the multiple of delta^2 on the base)."""
+    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 1, ledger)
+    return multiple(boundary_part, _PSI_SUM), multiple(base_part, _DELTA_SQUARE)
+
+
+def _no_root_result(name: str, conclusion: str, base_class: str, constant: Poly,
+                    expected: Poly, ledger: AssumptionLedger) -> ObstructionResult:
+    """The certificate of a quadratic obstruction constant in b: it is the
+    expected one, and its discriminant is no rational square."""
+    disc, is_sq = discriminant_is_square(constant, "b")
+    roots = rational_roots(constant, "b")
+    checks = [
+        ("constant", constant == expected, str(constant)),
+        ("no-rational-root", not roots and not is_sq, f"disc={disc}"),
+    ]
+    return ObstructionResult(
+        name=name, conclusion=conclusion, assumptions=ledger.names(),
+        constant=constant, base_class=base_class, discriminant=disc,
+        discriminant_is_square=is_sq, rational_roots=roots, checks=checks)
 
 
 def genus3_obstruction() -> ObstructionResult:
@@ -234,53 +236,19 @@ def genus3_obstruction() -> ObstructionResult:
     the result is a multiple of the pushed psi sum, and the multiple has no
     rational root in b.
     """
-    g = 3
     ledger = AssumptionLedger()
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 1, ledger)
-
+    psi_mult, delta2 = _push_theta_times_candidate(3, ledger)
     # base part: delta^2 restricts through the boundary as -(psi1 + psi2)
-    i_delta = GENS.index("delta")
-    converted = TautExpr.zero("boundary-base")
-    psi_sum = (gen("psi1", locus="boundary-base")
-               + gen("psi2", locus="boundary-base"))
-    for mono, coeff in base_part.terms.items():
-        j = mono[i_delta]
-        if sum(mono) != j:
-            raise OutsideModelError("unexpected base-class monomial")
-        if j == 0:
-            continue
+    if delta2:
         ledger.use("boundary-self-intersection")
-        if j == 1:
-            raise OutsideModelError("a bare delta cannot cancel in this pipeline")
-        if j == 2:
-            converted = converted + (-psi_sum).scale(coeff)
-        else:
-            ledger.use("delta3-vanishing-g3")
-    total = boundary_part + converted
-    constant = _psi_sum_multiple(total)
     ledger.use("psi-sum-nonvanishing-M22")
     ledger.use("h3-M3-vanishing")
     ledger.use("boundary-irreducibility")
-    disc, is_sq = discriminant_is_square(constant, "b")
-    roots = rational_roots(constant, "b")
-    checks = [
-        ("constant", constant == _expected_genus3_constant(),
-         str(constant)),
-        ("no-rational-root", not roots and not is_sq, f"disc={disc}"),
-    ]
-    return ObstructionResult(
-        name="genus3-obstruction",
-        conclusion=("no rational b extends the theta divisor: the pushed "
-                    "obstruction class is a nonzero multiple of the psi sum "
-                    "for every rational b"),
-        assumptions=ledger.names(),
-        constant=constant,
-        base_class="iota_*(psi1 + psi2)",
-        discriminant=disc,
-        discriminant_is_square=is_sq,
-        rational_roots=roots,
-        checks=checks,
-    )
+    return _no_root_result(
+        "genus3-obstruction",
+        "no rational b extends the theta divisor: the pushed obstruction "
+        "class is a nonzero multiple of the psi sum for every rational b",
+        "iota_*(psi1 + psi2)", psi_mult - delta2, _expected_genus3_constant(), ledger)
 
 
 def _expected_genus3_constant() -> Poly:
@@ -302,49 +270,20 @@ def genus2_obstruction() -> ObstructionResult:
     the stratum class R with factor 1/12 and the base delta^2 converts by
     the Mumford relation; the resulting multiple of R has no rational root.
     """
-    g = 2
     ledger = AssumptionLedger()
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 1, ledger)
-
-    unit, rest = _split_unit_and_psi(boundary_part)
-    if not unit.is_zero():
-        raise OutsideModelError("unexpected unit term in the genus-2 pipeline")
-    psi_mult = _psi_sum_multiple(rest)
+    psi_mult, delta2 = _push_theta_times_candidate(2, ledger)
     ledger.use("psi-boundary-descent-g2")
-    r_coeff = psi_mult.scale(Fraction(1, 12))
-
-    i_delta = GENS.index("delta")
-    for mono, coeff in base_part.terms.items():
-        j = mono[i_delta]
-        if sum(mono) != j:
-            raise OutsideModelError("unexpected base-class monomial")
-        if j == 0:
-            continue
-        if j != 2:
-            raise OutsideModelError("only delta^2 converts on this locus")
+    if delta2:
         ledger.use("delta2-mumford-g2")
-        r_coeff = r_coeff + coeff.scale(Fraction(-1, 6))
     ledger.use("r-int-nonzero")
     ledger.use("boundary-irreducibility")
-    disc, is_sq = discriminant_is_square(r_coeff, "b")
-    roots = rational_roots(r_coeff, "b")
-    checks = [
-        ("constant", r_coeff == _expected_genus2_constant(), str(r_coeff)),
-        ("no-rational-root", not roots and not is_sq, f"disc={disc}"),
-    ]
-    return ObstructionResult(
-        name="genus2-obstruction",
-        conclusion=("no rational b extends the theta divisor over integral "
-                    "curves: the pushed obstruction class is a nonzero "
-                    "multiple of the stratum class R for every rational b"),
-        assumptions=ledger.names(),
-        constant=r_coeff,
-        base_class="R",
-        discriminant=disc,
-        discriminant_is_square=is_sq,
-        rational_roots=roots,
-        checks=checks,
-    )
+    r_coeff = psi_mult.scale(Fraction(1, 12)) + delta2.scale(Fraction(-1, 6))
+    return _no_root_result(
+        "genus2-obstruction",
+        "no rational b extends the theta divisor over integral curves: the "
+        "pushed obstruction class is a nonzero multiple of the stratum class "
+        "R for every rational b",
+        "R", r_coeff, _expected_genus2_constant(), ledger)
 
 
 def single_node_theta() -> ObstructionResult:
@@ -390,16 +329,7 @@ def high_genus_obstruction(g: int) -> ObstructionResult:
 
     # boundary constraint: weight-2(g-1) part of the pulled-back power
     pulled = boundary_pull(_theta_candidate() ** (g + 1), 2 * (g - 1))
-    pushed = abelian_push(pulled, g - 1)
-    psi1 = tuple(2 if name == "psi1" else 0 for name in GENS)
-    psi2 = tuple(2 if name == "psi2" else 0 for name in GENS)
-    cross = tuple(1 if name in ("psi1", "psi2") else 0 for name in GENS)
-    if set(pushed.terms) != {psi1, psi2, cross}:
-        raise OutsideModelError("unexpected boundary pushforward support")
-    square_coeff = pushed.terms[psi1]
-    if (pushed.terms[psi2] != square_coeff
-            or pushed.terms[cross] != square_coeff.scale(2)):
-        raise OutsideModelError("pushforward is not a multiple of the psi-sum square")
+    square_coeff = multiple(abelian_push(pulled, g - 1), _PSI_SUM_SQUARE)
     ledger.use("bsz-psi-square-nonvanishing")
     boundary_roots = rational_roots(square_coeff, "b")
     b_boundary = boundary_roots[0] if len(boundary_roots) == 1 else None
@@ -442,11 +372,7 @@ def kappa_exclusion_check(g: int) -> ObstructionResult:
     candidate = gen("theta") + gen("kappa1").scale(Poly.var("a"))
     expr = open_restrict(candidate ** (g + 1))
     part = weight_part(expr, 2 * g)
-    pushed = abelian_push(part, g)
-    kappa_mono = tuple(1 if name == "kappa1" else 0 for name in GENS)
-    if set(pushed.terms) - {kappa_mono}:
-        raise OutsideModelError("unexpected smooth-locus pushforward support")
-    coeff = pushed.terms.get(kappa_mono, Poly.const(0))
+    coeff = multiple(abelian_push(part, g), _KAPPA1)
     ledger.use("unit-relation")
     ledger.use("h2-span-theta-kappa")
     ledger.use("kappa1-nonzero")

@@ -3,7 +3,6 @@
 A fixed global variable tuple keeps every polynomial in one flat
 exponent-dict representation:
 
-    cst : undetermined structure constant carried through operator identities
     N   : multiplication weight on an abelian fibration
     d   : edge decoration variable of boundary-term polynomials
     a   : ansatz coefficient of a kappa-class term
@@ -21,7 +20,7 @@ from typing import Dict, Tuple
 from .lincomb import add_into, mul_terms, power
 from .scalars import GaussianRational, Rational
 
-VARS: Tuple[str, ...] = ("cst", "N", "d", "a", "b")
+VARS: Tuple[str, ...] = ("N", "d", "a", "b")
 _NVARS = len(VARS)
 _VAR_INDEX = {v: k for k, v in enumerate(VARS)}
 _ZERO_EXP = (0,) * _NVARS

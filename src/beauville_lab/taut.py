@@ -143,6 +143,28 @@ def gen(name: str, power: int = 1, locus: str = "total") -> TautExpr:
     return TautExpr.generator(name, power, locus)
 
 
+def multiple(expr: TautExpr, of: TautExpr) -> Poly:
+    """The P with expr == P * of, for a nonzero class of with scalar
+    coefficients; zero is the zero multiple.  An expression on another
+    locus, on other monomials or in other ratios leaves the model."""
+    if expr.locus != of.locus:
+        raise OutsideModelError(
+            f"a {expr.locus} class is not a multiple of a {of.locus} class")
+    if not of.terms:
+        raise ValueError("a multiple of the zero class is not unique")
+    if not expr.terms:
+        return Poly.const(0)
+    if expr.terms.keys() != of.terms.keys():
+        raise OutsideModelError(f"{expr} is not a multiple of {of}")
+    (mono, c), *rest = ((m, c.constant_value()) for m, c in of.terms.items())
+    lead = expr.terms[mono]
+    # every other coefficient is the lead's times d/c; where d == c, as in
+    # most classes read, that is the lead's itself and needs no product
+    if any(expr.terms[m] != (lead if d == c else lead * (d / c)) for m, d in rest):
+        raise OutsideModelError(f"{expr} is not a multiple of {of}")
+    return lead if c == 1 else lead * c.inverse()
+
+
 def monomial_weight(mono: Monomial) -> int:
     return sum(WEIGHTS.get(name, 0) * e for name, e in zip(GENS, mono))
 

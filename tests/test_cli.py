@@ -262,6 +262,12 @@ def verify_usage_errors(tmp_path):
         [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     skew = space_file(tmp_path / "skew.json", [
         [2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    # nesting past the json decoder's recursion limit, and a Gram entry
+    # that json reads as an infinite float
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"labels": ["a"], "gram": [[1e400]]}', encoding="utf-8")
     return (["verify", "nonsense"],
             ["verify", "llv", "--hdim", "12"],
             ["verify", "llv", "--trials", "-1"],
@@ -275,6 +281,8 @@ def verify_usage_errors(tmp_path):
             ["verify", "llv", "--space", unequal],
             ["verify", "llv", "--space", isotropic, "--trials", "0"],
             ["verify", "llv", "--space", skew, "--trials", "0"],
+            ["verify", "llv", "--space", str(deep)],
+            ["verify", "llv", "--space", str(huge)],
             ["verify", "theta-obstruction", "--genus", "17"],
             ["verify", "llv", "--c0", "3"])
 
@@ -347,6 +355,17 @@ def test_eval_parse_error_exits_two(capsys):
     assert code == 2
     assert "parse error" in err
     assert "line 1, column 3" in err
+
+
+def test_eval_reads_decimal_digits_only(capsys):
+    # a superscript two is a digit but not a decimal digit: no number starts
+    # there, so it is a character the grammar does not know
+    code, out, err = run_cli(capsys, "eval", "theta+²", "--context", "taut")
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1, column 7: unexpected character '²'\n"
+    # every decimal digit reads as its value, the Arabic-Indic three too
+    code, out, _ = run_cli(capsys, "eval", "1/٣", "--context", "taut")
+    assert (code, out.strip()) == (0, "1/3")
 
 
 def test_eval_model_errors_exit_one(capsys):

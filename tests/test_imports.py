@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name it defines is read there."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,26 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unread_private_names(source: str):
+    """The private module-level functions, classes and constants source
+    defines but never reads, with their lines."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((name.id, node.lineno) for target in targets
+                           for name in ast.walk(target) if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # dunders such as __version__ are read by the import system and tools
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
 def test_detector_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import os, json\nfrom a.b import c as d, e\n"
@@ -32,4 +53,17 @@ def test_no_unused_imports_in_the_package():
     # __init__.py imports names to re-export them
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_detector_finds_unread_private_names():
+    source = ("__version__ = '1'\n_A, _B = 1, 2\n_C: int = _A\n"
+              "def _f():\n    return _g()\ndef _g():\n    x = 1\n"
+              "class _K:\n    _inner = 0\n")
+    assert unread_private_names(source) == [(2, "_B"), (3, "_C"), (4, "_f"), (8, "_K")]
+
+
+def test_no_unread_private_names_in_the_package():
+    found = {path.name: unread_private_names(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

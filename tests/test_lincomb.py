@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 from beauville_lab.k3 import RelativeCycle, SurfaceClass, bv_mul
 from beauville_lab.lincomb import (Labelled, add_into, add_term, bilinear,
                                    linear, power, tensor)
-from beauville_lab.poly import Poly
+from beauville_lab.poly import VARS, Poly
 from beauville_lab.scalars import GaussianRational
 
 fractions = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                          max_denominator=4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
-polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 5), gaussians,
+polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(VARS)), gaussians,
                         max_size=3).map(Poly)
 values = st.one_of(fractions, gaussians, polys)
 keys = st.integers(0, 3)

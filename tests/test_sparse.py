@@ -132,9 +132,9 @@ def test_rank_and_kernel():
 def test_constructor_rejects_polynomial_entries():
     # a matrix holds scalars only: cst lives in llv's matrix polynomials
     with pytest.raises(TypeError):
-        SparseMat(2, {(0, 0): Poly.var("cst")})
+        SparseMat(2, {(0, 0): Poly.var("b")})
     with pytest.raises(TypeError):
-        SparseMat.identity(2).scale(Poly.var("cst"))
+        SparseMat.identity(2).scale(Poly.var("b"))
     with pytest.raises(TypeError):
         SparseMat.diagonal([1, Poly.const(1)])
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from beauville_lab.dr import (alpha_terms, boundary_substitution,
                               top_weight_boundary_relation)
@@ -12,9 +12,9 @@ from beauville_lab.errors import OutsideModelError
 from beauville_lab.obstruction import AssumptionLedger, theta_delta_push
 from beauville_lab.poly import VARS, Poly
 from beauville_lab.scalars import GaussianRational
-from beauville_lab.taut import (GENS, TautExpr, abelian_push, boundary_pull,
-                                gen, monomial_weight, open_restrict,
-                                weight_part)
+from beauville_lab.taut import (GENS, LOCI, TautExpr, abelian_push,
+                                boundary_pull, gen, monomial_weight, multiple,
+                                open_restrict, weight_part)
 
 
 def test_construction_and_validation():
@@ -325,3 +325,51 @@ def test_push_locus_routing():
         abelian_push(TautExpr.const(1, "base"), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         abelian_push(gen("theta"), -1)
+
+
+# -- reading a class as a multiple of another ------------------------------------------
+
+
+nonzero_scalars = st.one_of(
+    small_fractions, st.builds(GaussianRational, small_fractions, small_fractions)
+).filter(bool)
+# polynomials in a and b, the zero polynomial among them
+ab_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero_scalars, max_size=3
+).map(lambda terms: sum((Poly.var("a", i) * Poly.var("b", j) * c
+                         for (i, j), c in terms.items()), Poly()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LOCI), st.dictionaries(monomials, nonzero_scalars, min_size=1, max_size=4),
+       ab_polys, monomials, st.sampled_from(LOCI), ab_polys.filter(bool))
+def test_multiple_inverts_scaling_and_refuses_every_other_class(
+        locus, of_terms, p, extra, other_locus, perturbation):
+    of = TautExpr(of_terms, locus)
+    expr = of.scale(p)
+    assert multiple(expr, of) == p
+    assume(extra not in of.terms)
+    off_support = TautExpr({extra: 1}, locus)
+    # a nonzero class where the multiple would be zero, and one monomial too many
+    for wrong in (off_support, expr + off_support.scale(perturbation)):
+        with pytest.raises(OutsideModelError):
+            multiple(wrong, of)
+    # one coefficient perturbed: its ratio differs from the others'
+    if len(of.terms) >= 2:
+        mono = sorted(of.terms)[0]
+        with pytest.raises(OutsideModelError):
+            multiple(expr + TautExpr({mono: perturbation}, locus), of)
+    if other_locus != locus:
+        with pytest.raises(OutsideModelError, match="not a multiple"):
+            multiple(TautExpr(expr.terms, other_locus), of)
+
+
+def test_multiple_reads_the_pushes_of_the_theta_pipelines():
+    psi_sum = gen("psi1", locus="boundary-base") + gen("psi2", locus="boundary-base")
+    b = Poly.var("b")
+    assert multiple((psi_sum * psi_sum).scale(b - 1), psi_sum * psi_sum) == b - 1
+    assert multiple(TautExpr.zero("base"), gen("kappa1", locus="base")) == Poly()
+    with pytest.raises(OutsideModelError):
+        multiple(psi_sum, psi_sum * psi_sum)
+    with pytest.raises(ValueError, match="zero class"):
+        multiple(psi_sum, TautExpr.zero("boundary-base"))
