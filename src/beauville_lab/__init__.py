@@ -7,9 +7,10 @@ families."""
 from .errors import OutsideModelError
 from .scalars import GaussianRational, Rational
 from .poly import Poly, discriminant_is_square, rational_roots
-from .sparse import SparseMat, bracket
-from .mukai import (MukaiSpace, fourier_matrix, is_isometry, llv_model_space,
-                    mukai_class_space, theta_bar, to_barred)
+from .sparse import SparseMat, bracket, combination
+from .mukai import (MukaiSpace, barred_fourier_matrix, fourier_matrix,
+                    is_isometry, llv_model_space, mukai_class_space, theta_bar,
+                    to_barred)
 from .llv import (OperatorTable, build_triple, op_e, op_f, op_h,
                   primed_operators, random_quadruple,
                   standard_quadruple, verify_cross_triple,
@@ -38,8 +39,9 @@ __all__ = [
     "GaussianRational", "MukaiSpace", "ObstructionResult", "OperatorTable",
     "OutsideModelError", "Poly", "Rational", "Report", "SparseMat",
     "TautExpr", "abelian_push", "abs_pair_push",
-    "abs_tri_push", "boundary_pull", "bracket", "build_triple", "bv",
-    "bv_absolute_expression", "bv_mul", "bv_theta",
+    "abs_tri_push", "barred_fourier_matrix", "boundary_pull", "bracket",
+    "build_triple", "bv",
+    "bv_absolute_expression", "bv_mul", "bv_theta", "combination",
     "corollary_theta_push", "default_twist_polynomial", "diag_push",
     "discriminant_is_square", "exit_code", "fourier_conjugate",
     "fourier_matrix", "gen", "genus2_obstruction",

@@ -21,13 +21,14 @@ from math import gcd
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .lincomb import add_into
-from .mukai import ALPHA, BETA, HYP, MukaiSpace, Vector, apply_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space, theta_bar, to_barred, vec_add
+from .mukai import ALPHA, BETA, HYP, THETA, MukaiSpace, Vector, barred_fourier_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space, vec_add
 from .report import Check, Report, check_report
 from .scalars import GaussianRational, I
-from .sparse import SparseMat, bracket
+from .sparse import SparseMat, bracket, combination
 from .sparse import _make as _matrix
 
 HALF = GaussianRational(Fraction(1, 2))
+HALF_I = GaussianRational(0, Fraction(1, 2))
 # a matrix polynomial {power of cst: scalar matrix}: the Fourier images carry
 # the undetermined constant cst only through their coefficients
 MatrixPoly = Dict[int, SparseMat]
@@ -133,7 +134,7 @@ class OperatorTable:
 
 
 def _half_sum(x: SparseMat, y: SparseMat, unit: GaussianRational) -> SparseMat:
-    return (x + y.scale(unit)).scale(HALF)
+    return combination(x.dim, ((HALF, x), (HALF * unit, y)))
 
 
 # -- random orthogonal quadruples ----------------------------------------------------
@@ -230,8 +231,8 @@ def verify_isotropic_sl2_pairs(ops: OperatorTable,
     es, fs = ops.e_sigma(i, j), ops.f_sigma(i, j)
     eb, fb = ops.e_sigmabar(i, j), ops.f_sigmabar(i, j)
     hs, hb = bracket(es, fs), bracket(eb, fb)
-    half_minus = (h - K.scale(I)).scale(HALF)
-    half_plus = (h + K.scale(I)).scale(HALF)
+    half_minus = combination(h.dim, ((HALF, h), (-HALF_I, K)))
+    half_plus = combination(h.dim, ((HALF, h), (HALF_I, K)))
     return [
         _ok("h_sigma=(h-iK)/2", hs == half_minus),
         _ok("h_sigmabar=(h+iK)/2", hb == half_plus),
@@ -255,11 +256,11 @@ def verify_cross_triple(ops: OperatorTable) -> List[Check]:
     K12_K34 = K(1, 2) - K(3, 4)
     L = bracket(ops.e_sigma(1, 2), ops.f_sigma(3, 4))
     Lam = bracket(ops.e_sigma(3, 4), ops.f_sigma(1, 2))
-    quarter = GaussianRational(Fraction(1, 4))
-    L_expected = (plus - minus.scale(I)).scale(quarter)
-    Lam_expected = ((-plus) - minus.scale(I)).scale(quarter)
+    quarter, quarter_i = Fraction(1, 4), HALF_I * HALF
+    L_expected = combination(L.dim, ((quarter, plus), (-quarter_i, minus)))
+    Lam_expected = combination(L.dim, ((-quarter, plus), (-quarter_i, minus)))
     H = bracket(L, Lam)
-    H_expected = K12_K34.scale(I).scale(GaussianRational(Fraction(-1, 2)))
+    H_expected = K12_K34.scale(-HALF_I)
     return [
         _ok("L=((K13+K24)-i(K14-K23))/4", L == L_expected),
         _ok("Lambda=(-(K13+K24)-i(K14-K23))/4", Lam == Lam_expected),
@@ -283,7 +284,7 @@ def verify_double_bracket_recovery(ops: OperatorTable,
     es, fs = ops.e_sigma(2, 3), ops.f_sigma(2, 3)
     e1 = ops.e(1)
     inner = bracket(fs, e1)
-    inner_expected = ((-ops.K(1, 2)) + ops.K(1, 3).scale(I)).scale(HALF)
+    inner_expected = combination(e1.dim, ((-HALF, ops.K(1, 2)), (HALF_I, ops.K(1, 3))))
     e_x = op_e(space, extra_eta)
     return [
         _ok("[f_sigma23,e_1]=(-K12+iK13)/2", inner == inner_expected),
@@ -333,7 +334,8 @@ def _poly_bracket(x: MatrixPoly, y: MatrixPoly) -> MatrixPoly:
 class TripleData:
     """The Fourier-conjugate triple of one sign pair (c0, c1), realized by
     the primed operators P, with the Fourier images of the generators and
-    of E0 and F0; it does not depend on the genus."""
+    of E0 and F0, and the checks that do not depend on the genus: the
+    replay's premise [F_alpha, E_beta] = 0 and the triple's own."""
     c0: int
     c1: int
     P: Dict[str, SparseMat]
@@ -344,6 +346,7 @@ class TripleData:
     images: Dict[str, MatrixPoly]
     E0_image: MatrixPoly
     F0_image: MatrixPoly
+    premise: Check
     checks: List[Check]
 
 
@@ -368,7 +371,7 @@ def build_triple(ops: OperatorTable, c0: int, c1: int) -> TripleData:
 
     H0 = bracket(E0, F0)
     K12, K34 = ops.K(1, 2), ops.K(3, 4)
-    H0_expected = (K12 - K34).scale(I * HALF)
+    H0_expected = combination(K12.dim, ((HALF_I, K12), (-HALF_I, K34)))
     checks.append(_ok("H0=(i/2)(K12-K34)", H0 == H0_expected))
     checks.append(_ok("[H0,E0]=2E0", bracket(H0, E0) == E0.scale(2)))
     checks.append(_ok("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(-2)))
@@ -382,20 +385,21 @@ def build_triple(ops: OperatorTable, c0: int, c1: int) -> TripleData:
     checks.append(_ok("E0=-c0*Lambda", E0 == Lam.scale(-c0)))
     checks.append(_ok("F0=-c0*L", F0 == L.scale(-c0)))
 
+    premise = _ok("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero())
     return TripleData(c0=c0, c1=c1, P=P, E0=E0, F0=F0, H0=H0, D=D,
                       images=images, E0_image=E0_image, F0_image=F0_image,
-                      checks=checks)
+                      premise=premise, checks=checks)
 
 
 def verify_theta_replay(data: TripleData, genus: int) -> List[Check]:
     """Replay E0 through the unbarred class: -[F_alpha, E_theta] with
-    E_theta = -c0*E_thetabar + (g+1)/2 * E_beta needs [F_alpha, E_beta] = 0."""
+    E_theta = -c0*E_thetabar + (g+1)/2 * E_beta needs [F_alpha, E_beta] = 0,
+    which the triple checked once for every genus."""
     P = data.P
-    e_theta = P["E_thetabar"].scale(-data.c0) + P["E_beta"].scale(Fraction(genus + 1, 2))
-    return [
-        _ok("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero()),
-        _ok("E0=-[F_alpha,E_theta]", -bracket(P["F_alpha"], e_theta) == data.E0),
-    ]
+    e_theta = combination(data.E0.dim, ((-data.c0, P["E_thetabar"]),
+                                        (Fraction(genus + 1, 2), P["E_beta"])))
+    return [data.premise,
+            _ok("E0=-[F_alpha,E_theta]", -bracket(P["F_alpha"], e_theta) == data.E0)]
 
 
 def verify_fourier_conjugacy(data: TripleData) -> List[Check]:
@@ -414,29 +418,25 @@ def verify_fourier_compatibility(data: TripleData, genus: int) -> List[Check]:
     beta -> -sigmabar(1,2), ThetaBar -> sigma(3,4), Hyp -> -c0*sigmabar(3,4),
     with cst = c1*(g+1).
     """
+    return _compatibility(data, mukai_class_space(genus))
+
+
+def _compatibility(data: TripleData, class_space: MukaiSpace) -> List[Check]:
+    """verify_fourier_compatibility in the given class space: each image's
+    barred coordinates are a column of the one barred Fourier matrix."""
     c0, c1, P = data.c0, data.c1, data.P
-    dim = P["E_alpha"].dim
-    class_space = mukai_class_space(genus)
-    F = fourier_matrix(class_space, c0, c1)
-    barred_vectors: Dict[str, Vector] = {
-        "alpha": class_space.basis_vector(ALPHA),
-        "beta": class_space.basis_vector(BETA),
-        "ThetaBar": theta_bar(class_space, c0),
-        "Hyp": class_space.basis_vector(HYP),
-    }
-    op_name = {"alpha": "E_alpha", "beta": "E_beta",
-               "ThetaBar": "E_thetabar", "Hyp": "E_hyp"}
-    cst = c1 * (genus + 1)
+    dim = data.E0.dim
+    op_name = {class_space.index(label): name for label, name in (
+        (ALPHA, "E_alpha"), (BETA, "E_beta"), (THETA, "E_thetabar"), (HYP, "E_hyp"))}
+    columns: Dict[int, list] = {k: [] for k in op_name}
+    for (r, c), x in barred_fourier_matrix(class_space, c0, c1).entries.items():
+        columns[c].append((x * c1, P[op_name[r]]))
+    cst = c1 * (class_space.genus + 1)
     checks: List[Check] = []
-    for label, vec in barred_vectors.items():
-        image = apply_matrix(class_space, F, vec)
-        coords = to_barred(class_space, image, c0)
-        expected = SparseMat.zero(dim)
-        for y, coeff in coords.items():
-            expected = expected + P[op_name[y]].scale(coeff * c1)
-        mapped = sum((m.scale(cst ** k) for k, m in data.images[op_name[label]].items()),
-                     SparseMat.zero(dim))
-        checks.append(_ok(f"op-map({op_name[label]}) matches lattice image with cst=c1*(g+1)",
+    for k, name in op_name.items():
+        expected = combination(dim, columns[k])
+        mapped = combination(dim, ((cst ** p, m) for p, m in data.images[name].items()))
+        checks.append(_ok(f"op-map({name}) matches lattice image with cst=c1*(g+1)",
                           mapped == expected))
     return checks
 
@@ -480,6 +480,7 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
                                  "c0": list(c0_values),
                                  "c1": list(c1_values)}
     triples: Dict[Tuple[int, int], TripleData] = {}
+    spaces: Dict[int, MukaiSpace] = {}
 
     def sweep(checks_of: Callable[[int, TripleData], List[Check]]) -> List[Check]:
         return [(f"{name} g={g} c0={c0} c1={c1}", holds, why)
@@ -498,7 +499,8 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
         return sweep(lambda g, data: found[data.c0, data.c1])
 
     def isometry() -> List[Check]:
-        spaces = {g: mukai_class_space(g) for g in genera}
+        # one class space per genus, kept for the compatibility report
+        spaces.update((g, mukai_class_space(g)) for g in genera)
         return [(f"isometry g={g} c0={c0}",
                  is_isometry(spaces[g], fourier_matrix(spaces[g], c0, 1)), "")
                 for g in genera for c0 in c0_values]
@@ -508,6 +510,6 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
         check_report("triple-fourier-conjugacy", conjugacy, params),
         check_report("triple-fourier-isometry", isometry, params),
         check_report("triple-fourier-compatibility",
-                     lambda: sweep(lambda g, data: verify_fourier_compatibility(data, g)),
+                     lambda: sweep(lambda g, data: _compatibility(data, spaces[g])),
                      params),
     ]

@@ -97,13 +97,10 @@ class MukaiSpace:
             raise KeyError(label)
         return {label: GaussianRational(1)}
 
+    @cached_property
     def gram_matrix(self) -> SparseMat:
-        entries = {}
-        for r in range(self.dim):
-            for c in range(self.dim):
-                if self.gram[r][c]:
-                    entries[(r, c)] = GaussianRational(self.gram[r][c])
-        return SparseMat(self.dim, entries)
+        return SparseMat(self.dim, {(r, c): x for r, row in enumerate(self.gram)
+                                    for c, x in enumerate(row) if x})
 
     # -- bilinear form ---------------------------------------------------------
 
@@ -167,38 +164,19 @@ def fourier_matrix(space: MukaiSpace, c0: int, c1: int) -> SparseMat:
         raise ValueError("fourier_matrix needs Theta and Hyp")
     if space.genus is None:
         raise ValueError("fourier_matrix needs a genus")
-    g = space.genus
-    half_gp1 = Fraction(g + 1, 2)
+    half_gp1 = Fraction(c0 * (space.genus + 1), 2)
     ia, ib = space.index(ALPHA), space.index(BETA)
     it, ih = space.index(THETA), space.index(HYP)
-    entries: Dict[Tuple[int, int], GaussianRational] = {}
-
-    def put(row: int, col: int, val) -> None:
-        v = GaussianRational.coerce(val)
-        if not v.is_zero():
-            entries[(row, col)] = v
-
-    put(it, ia, -c0)
-    put(ib, ia, Fraction(c0) * half_gp1)
-    put(ih, ib, c0)
-    put(ia, it, c0)
-    put(ih, it, -Fraction(c0) * half_gp1)
-    put(ib, ih, -c0)
-    for k, label in enumerate(space.labels):
-        if label not in (ALPHA, BETA, THETA, HYP):
-            put(k, k, c1)
+    entries = {(it, ia): -c0, (ib, ia): half_gp1, (ih, ib): c0,
+               (ia, it): c0, (ih, it): -half_gp1, (ib, ih): -c0}
+    entries.update(((k, k), c1) for k, label in enumerate(space.labels)
+                   if label not in (ALPHA, BETA, THETA, HYP))
     return SparseMat(space.dim, entries)
 
 
 def is_isometry(space: MukaiSpace, m: SparseMat) -> bool:
-    g = space.gram_matrix()
+    g = space.gram_matrix
     return m.transpose() @ g @ m == g
-
-
-def apply_matrix(space: MukaiSpace, m: SparseMat, v: Vector) -> Vector:
-    col = {space.index(l): c for l, c in v.items()}
-    out = m.apply(col)
-    return {space.labels[k]: c for k, c in out.items()}
 
 
 def theta_bar(space: MukaiSpace, c0: int) -> Vector:
@@ -225,6 +203,25 @@ def to_barred(space: MukaiSpace, v: Vector, c0: int) -> Dict[str, GaussianRation
         return linear(v, image)
     except KeyError as err:
         raise ValueError(f"{err.args[0]} is outside the span of (alpha, beta, Theta, Hyp)") from None
+
+
+def barred_fourier_matrix(space: MukaiSpace, c0: int, c1: int) -> SparseMat:
+    """The Fourier isometry in the barred basis, Binv @ F @ B: column j
+    holds the barred coordinates of F(v_j) for v = (alpha, beta, ThetaBar,
+    Hyp, the rest of the middle part).  ThetaBar takes Theta's index; B
+    holds theta_bar there and Binv holds to_barred(Theta), and both are
+    the identity in every other column."""
+    it = space.index(THETA)
+    position = {**space._positions, "ThetaBar": it}
+
+    def change(column: Vector) -> SparseMat:
+        entries = {(k, k): 1 for k in range(space.dim) if k != it}
+        entries.update(((position[label], it), c) for label, c in column.items())
+        return SparseMat(space.dim, entries)
+
+    B = change(theta_bar(space, c0))
+    Binv = change(to_barred(space, space.basis_vector(THETA), c0))
+    return Binv @ fourier_matrix(space, c0, c1) @ B
 
 
 # -- standard spaces ------------------------------------------------------------

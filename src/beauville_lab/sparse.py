@@ -3,9 +3,10 @@
 A matrix is stored as one positive integer denominator `den` and a dict
 `num` of Gaussian-integer numerators {(row, col): (re, im)}, with entry
 (re + im*i)/den at (row, col).  The denominator and the numerators are
-normalized to have no common factor, so == and hash are structural.  Sums,
-products, scalings and brackets work on ints only; `entries` reads the
-matrix back as {(row, col): GaussianRational}.
+normalized to have no common factor, so == and hash are structural.  Linear
+combinations (`combination`, which + and - use), products, scalings and
+brackets work on ints only; `entries` reads the matrix back as
+{(row, col): GaussianRational}.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Tuple
 
-from .lincomb import add_into
 from .scalars import GaussianRational
 from .scalars import _make as _gaussian
 
@@ -26,8 +26,11 @@ Numerators = Dict[Entry, Tuple[int, int]]
 def _parts(x) -> Tuple[int, int, int]:
     """(re, im, den) with x = (re + im*i)/den and den = lcm of the
     denominators of x's parts; TypeError for a non-scalar x."""
-    if type(x) is int:
+    kind = type(x)
+    if kind is int:
         return x, 0, 1
+    if kind is Fraction:
+        return x.numerator, 0, x.denominator
     z = GaussianRational.coerce(x)
     den = lcm(z.re.denominator, z.im.denominator)
     return (z.re.numerator * (den // z.re.denominator),
@@ -81,17 +84,8 @@ class SparseMat:
         return _Entries(self.den, self.num)
 
     @staticmethod
-    def zero(dim: int) -> "SparseMat":
-        return SparseMat(dim)
-
-    @staticmethod
     def identity(dim: int, scale=1) -> "SparseMat":
         return SparseMat(dim, {(k, k): scale for k in range(dim)})
-
-    @staticmethod
-    def diagonal(values) -> "SparseMat":
-        vals = list(values)
-        return SparseMat(len(vals), {(k, k): v for k, v in enumerate(vals)})
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -100,10 +94,10 @@ class SparseMat:
         return not self.num
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
-        return _sum(self, other, 1)
+        return combination(self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return _sum(self, other, -1)
+        return combination(self.dim, ((1, self), (-1, other)))
 
     def __neg__(self) -> "SparseMat":
         return _make(self.dim, self.den,
@@ -131,11 +125,6 @@ class SparseMat:
 
     def __hash__(self):
         return hash((self.dim, self.den, frozenset(self.num.items())))
-
-    def apply(self, vec: Dict[int, object]) -> Dict[int, object]:
-        """Matrix times sparse column vector {index: value}."""
-        return add_into({}, ((r, v * vec[c])
-                             for (r, c), v in self.entries.items() if c in vec))
 
     def transpose(self) -> "SparseMat":
         return _make(self.dim, self.den, {(c, r): v for (r, c), v in self.num.items()})
@@ -183,24 +172,32 @@ def _normal(dim: int, den: int, num: Numerators) -> SparseMat:
     return _make(dim, den // g, {pos: (re // g, im // g) for pos, (re, im) in num.items()})
 
 
-def _sum(a: SparseMat, b: SparseMat, sign: int) -> SparseMat:
-    """a + sign*b over the lcm of the two denominators."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    den = lcm(a.den, b.den)
-    ma, mb = den // a.den, sign * (den // b.den)
-    out = {pos: (re * ma, im * ma) for pos, (re, im) in a.num.items()}
-    get = out.get
-    for pos, (re, im) in b.num.items():
-        re, im = re * mb, im * mb
-        old = get(pos)
-        if old is not None:
-            re, im = re + old[0], im + old[1]
-            if not (re or im):
-                del out[pos]
-                continue
-        out[pos] = (re, im)
-    return _normal(a.dim, den, out)
+def combination(dim: int, terms) -> SparseMat:
+    """The sum of c * m over the (c, m) of terms, for int, Fraction or
+    GaussianRational coefficients c: every term is brought to one common
+    denominator and the sum is normalized once.  ValueError for a term of
+    another dimension."""
+    scaled = []
+    for c, m in terms:
+        if m.dim != dim:
+            raise ValueError("dimension mismatch")
+        p, q, s = _parts(c)
+        if p or q:
+            scaled.append((p, q, s * m.den, m.num))
+    den = lcm(*(d for _, _, d, _ in scaled))
+    acc: Dict[Entry, list] = {}   # mutable [re, im] sums
+    get = acc.get
+    for p, q, d, num in scaled:
+        k = den // d
+        p, q = p * k, q * k
+        for pos, (a, b) in num.items():
+            old = get(pos)
+            if old is None:
+                acc[pos] = [a * p - b * q, a * q + b * p]
+            else:
+                old[0] += a * p - b * q
+                old[1] += a * q + b * p
+    return _normal(dim, den, {pos: (re, im) for pos, (re, im) in acc.items() if re or im})
 
 
 def _products(dim: int, den: int, terms) -> SparseMat:

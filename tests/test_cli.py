@@ -21,6 +21,7 @@ GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
 THETA_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "theta_obstruction_g16.json"
 LLV_LARGEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "llv_hdim10_trials100.json"
+TRIPLE_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "triple_g16.json"
 
 def space_file(path, middle):
     """Write a space whose middle gram is `middle` in the documented format."""
@@ -243,6 +244,13 @@ def test_theta_obstruction_at_genus_16_matches_the_golden_output(capsys):
     # verify all reaches the high-genus pipeline only at g = 4, 5
     golden = THETA_G16_GOLDEN.read_bytes()
     assert main(["verify", "theta-obstruction", "--genus", "16", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_triple_at_genus_16_matches_the_golden_output(capsys):
+    # verify all sweeps the triple suite over g = 2..12 only
+    golden = TRIPLE_G16_GOLDEN.read_bytes()
+    assert main(["verify", "triple", "--genus", "16", "--format", "json"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 

@@ -373,7 +373,7 @@ def random_matrix_poly(rng):
 
 def at(matrix_poly, cst, dim=6):
     """The matrix a matrix polynomial takes at cst."""
-    return sum((m.scale(cst ** k) for k, m in matrix_poly.items()), SparseMat.zero(dim))
+    return sum((m.scale(cst ** k) for k, m in matrix_poly.items()), SparseMat(dim))
 
 
 def test_matrix_polynomial_bracket_commutes_with_evaluation():
@@ -449,6 +449,18 @@ def test_fourier_compatibility_with_lattice_matrix(genus, c0, c1):
     ops = OperatorTable(space, standard_quadruple(space))
     checks = verify_fourier_compatibility(build_triple(ops, c0, c1), genus)
     assert all_hold(checks) == 4
+
+
+@pytest.mark.parametrize("c0,c1", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_fourier_compatibility_refutes_the_other_c1(c0, c1):
+    # the triple read with the other c1 fails in every genus, so the
+    # per-genus check cannot hold vacuously
+    space = llv_model_space(6, t=2)
+    data = build_triple(OperatorTable(space, standard_quadruple(space)), c0, c1)
+    flipped = replace(data, c1=-c1)
+    for g in range(2, 17):
+        assert all_hold(verify_fourier_compatibility(data, g)) == 4
+        assert failed(verify_fourier_compatibility(flipped, g)), g
 
 
 def test_triple_H0_ladder_in_cst():

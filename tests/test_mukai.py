@@ -4,14 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from test_sparse import apply
+
 from beauville_lab.mukai import (ALPHA, BETA, HYP, THETA, MukaiSpace,
-                                 apply_matrix, fourier_matrix, is_isometry,
-                                 llv_model_space, mukai_class_space,
-                                 theta_bar, to_barred, vec_add)
+                                 barred_fourier_matrix, fourier_matrix,
+                                 is_isometry, llv_model_space,
+                                 mukai_class_space, theta_bar, to_barred,
+                                 vec_add)
 from beauville_lab.scalars import GaussianRational
 from beauville_lab.sparse import SparseMat
 
 GR = GaussianRational
+
+
+def apply_matrix(space, m, v):
+    """m times the vector v, with v's labels read as positions in space."""
+    image = apply(m, {space.index(label): c for label, c in v.items()})
+    return {space.labels[k]: c for k, c in image.items()}
 
 
 def hyperbolic_gram(pairs, n, diag=()):
@@ -169,6 +178,13 @@ def test_is_isometry_rejects_scaling():
     assert not is_isometry(space, SparseMat.identity(space.dim, 2))
 
 
+def test_gram_matrix_is_built_once_per_space():
+    space = mukai_class_space(3, extra=1, t=Fraction(2, 3))
+    assert space.gram_matrix is space.gram_matrix
+    assert space.gram_matrix == SparseMat(space.dim, {
+        (r, c): GR(x) for r, row in enumerate(space.gram) for c, x in enumerate(row) if x})
+
+
 # -- barred coordinates ---------------------------------------------------------
 
 
@@ -193,6 +209,34 @@ def test_to_barred_round_trip():
             assert to_barred(space, theta_bar(space, c0), c0) == {"ThetaBar": GR(1)}
             kept = {ALPHA: GR(2), HYP: GR(Fraction(-1, 3))}
             assert to_barred(space, kept, c0) == kept
+
+
+def test_barred_fourier_matrix_matches_the_vector_route():
+    # column j of Binv F B against the barred coordinates of F(v_j), read
+    # vector by vector as the triple suite once did
+    barred_index = {ALPHA: 0, BETA: 1, "ThetaBar": 2, HYP: 3}
+    for g in range(2, 17):
+        space = mukai_class_space(g)
+        for c0 in (1, -1):
+            vectors = (space.basis_vector(ALPHA), space.basis_vector(BETA),
+                       theta_bar(space, c0), space.basis_vector(HYP))
+            for c1 in (1, -1):
+                barred = barred_fourier_matrix(space, c0, c1)
+                F = fourier_matrix(space, c0, c1)
+                for j, v in enumerate(vectors):
+                    coords = to_barred(space, apply_matrix(space, F, v), c0)
+                    column = {barred_index[label]: c for label, c in coords.items()}
+                    assert column == {r: x for (r, c), x in barred.entries.items()
+                                      if c == j}, (g, c0, c1, j)
+
+
+def test_barred_fourier_matrix_keeps_extra_middles():
+    space = mukai_class_space(5, extra=2, t=3)
+    for c0 in (1, -1):
+        for c1 in (1, -1):
+            barred = barred_fourier_matrix(space, c0, c1)
+            assert {(r, c): x for (r, c), x in barred.entries.items() if r > 3 or c > 3} == {
+                (4, 4): GR(c1), (5, 5): GR(c1)}
 
 
 def test_to_barred_rejects_extra_middles():

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beauville_lab.lincomb import add_into
 from beauville_lab.llv import op_e, op_f, op_h, random_quadruple
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
-from beauville_lab.sparse import SparseMat, bracket
+from beauville_lab.sparse import SparseMat, bracket, combination
 
 
 def random_matrix(rng: random.Random, dim: int = 6, fill: int = 8) -> SparseMat:
@@ -49,6 +50,16 @@ def rank(m: SparseMat) -> int:
     return rnk
 
 
+def diagonal(values) -> SparseMat:
+    values = list(values)
+    return SparseMat(len(values), {(k, k): v for k, v in enumerate(values)})
+
+
+def apply(m: SparseMat, vec: dict) -> dict:
+    """m times the sparse column vector vec = {index: value}, entry by entry."""
+    return add_into({}, ((r, v * vec[c]) for (r, c), v in m.entries.items() if c in vec))
+
+
 def kernel_dimension(m: SparseMat) -> int:
     return m.dim - rank(m)
 
@@ -77,7 +88,7 @@ def weight_decompose(h: SparseMat, bound: int = 8) -> dict:
 
 def test_identity_and_diagonal():
     ident = SparseMat.identity(3)
-    d = SparseMat.diagonal([GaussianRational(k) for k in (-2, 0, 2)])
+    d = diagonal([GaussianRational(k) for k in (-2, 0, 2)])
     assert ident @ d == d
     assert d @ ident == d
     assert d.entries.get((1, 1)) is None
@@ -101,7 +112,7 @@ def test_add_scale_transpose():
 def test_apply():
     a = SparseMat(2, {(0, 1): 2, (1, 0): 1})
     v = {1: GaussianRational(3)}
-    assert a.apply(v) == {0: GaussianRational(6)}
+    assert apply(a, v) == {0: GaussianRational(6)}
 
 
 def test_jacobi_identity_on_100_random_triples():
@@ -111,7 +122,7 @@ def test_jacobi_identity_on_100_random_triples():
         total = (bracket(a, bracket(b, c))
                  + bracket(b, bracket(c, a))
                  + bracket(c, bracket(a, b)))
-        assert total == SparseMat.zero(6)
+        assert total == SparseMat(6)
 
 
 def test_bracket_antisymmetry():
@@ -125,7 +136,7 @@ def test_rank_and_kernel():
     m = SparseMat(3, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 2): 5})
     assert rank(m) == 2
     assert kernel_dimension(m) == 1
-    assert rank(SparseMat.zero(4)) == 0
+    assert rank(SparseMat(4)) == 0
     assert rank(SparseMat.identity(4)) == 4
 
 
@@ -136,11 +147,11 @@ def test_constructor_rejects_polynomial_entries():
     with pytest.raises(TypeError):
         SparseMat.identity(2).scale(Poly.var("b"))
     with pytest.raises(TypeError):
-        SparseMat.diagonal([1, Poly.const(1)])
+        diagonal([1, Poly.const(1)])
 
 
 def test_weight_decompose():
-    h = SparseMat.diagonal([GaussianRational(w) for w in (-2, 0, 0, 2)])
+    h = diagonal([GaussianRational(w) for w in (-2, 0, 0, 2)])
     assert weight_decompose(h) == {-2: 1, 0: 2, 2: 1}
 
 
@@ -227,6 +238,42 @@ def test_kernel_matches_the_reference(pair, factor):
     assert (A + B) - B == A and hash((A + B) - B) == hash(A)
 
 
+coefficients = st.one_of(st.integers(-3, 3), parts,
+                         st.builds(GaussianRational, parts, parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs(), st.lists(coefficients, min_size=3, max_size=3), st.booleans())
+def test_combination_is_the_fold_of_scale_and_add(pair, coeffs, cancel):
+    dim, a, b, ra, rb = pair
+    A, B = SparseMat(dim, a), SparseMat(dim, b)
+    terms = list(zip(coeffs, (A, B, A)))
+    if cancel:
+        # the last term takes back the first, so the terms can sum to zero
+        terms[2] = (-GaussianRational.coerce(coeffs[0]), A)
+    got = combination(dim, terms)
+    folded, reference = SparseMat(dim), {}
+    for c, m in terms:
+        folded = folded + m.scale(c)
+        reference = ref_add(reference, ref_scale(dict(m.entries), GaussianRational.coerce(c)))
+    assert got == folded and hash(got) == hash(folded)
+    assert dict(got.entries) == reference
+    assert got == SparseMat(dim, reference) and got.den == SparseMat(dim, reference).den
+
+
+def test_combination_edge_cases():
+    a = SparseMat(2, {(0, 1): Fraction(1, 2), (1, 0): GaussianRational(0, 3)})
+    assert combination(2, []) == SparseMat(2) and combination(2, []).den == 1
+    assert combination(2, [(0, a), (Fraction(0), a), (GaussianRational(0), a)]).is_zero()
+    assert combination(2, [(Fraction(2, 3), a), (Fraction(-2, 3), a)]) == SparseMat(2)
+    assert combination(2, [(1, a), (GaussianRational(0, 1), a)]) == a.scale(
+        GaussianRational(1, 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        combination(2, [(1, a), (1, SparseMat.identity(3))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        combination(3, [(1, a)])
+
+
 def test_entries_are_a_read_only_view():
     m = SparseMat(2, {(0, 1): Fraction(1, 2), (1, 0): GaussianRational(0, Fraction(2, 3))})
     assert (m.den, m.num) == (6, {(0, 1): (3, 0), (1, 0): (0, 4)})
@@ -236,7 +283,7 @@ def test_entries_are_a_read_only_view():
     with pytest.raises(TypeError):
         m.entries[(1, 1)] = GaussianRational(1)
     # normal form: the zero matrix has denominator 1 however it was reached
-    assert (m - m).den == 1 and m - m == SparseMat.zero(2)
+    assert (m - m).den == 1 and m - m == SparseMat(2)
 
 
 def test_verbitsky_brackets_match_sympy():
