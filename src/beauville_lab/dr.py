@@ -34,12 +34,6 @@ class AffineInt:
         """Positivity of p*g + q for every genus g >= 2."""
         return self.p >= 0 and 2 * self.p + self.q > 0
 
-    def __add__(self, other: "AffineInt") -> "AffineInt":
-        return AffineInt(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "AffineInt") -> "AffineInt":
-        return AffineInt(self.p - other.p, self.q - other.q)
-
     def __str__(self) -> str:
         return f"{self.p}*g + {self.q}"
 
@@ -60,7 +54,6 @@ class BoundaryRelation:
     plus pushforwards of terms of weight below 2(g-1)."""
 
     coefficient: Fraction
-    twist_quartic_coefficient: Fraction
     certificates: Tuple[ExclusionCertificate, ...]
 
     def all_exclusions_hold(self) -> bool:
@@ -75,8 +68,17 @@ def default_twist_polynomial() -> Poly:
             + Poly.const(Fraction(-1, 240)))
 
 
-def _exclusion_certificates() -> Tuple[ExclusionCertificate, ...]:
-    return (
+def _top_weight_boundary_relation() -> BoundaryRelation:
+    """Extract the top-weight part of the double ramification relation.
+
+    The twist polynomial f(d) of the undecorated boundary family enters
+    through its fourth-degree coefficient: summing over the two unit twists
+    with the half automorphism factor gives that coefficient itself, and
+    moving the boundary term across the relation flips its sign.
+    """
+    c4 = default_twist_polynomial().coefficient("d", 4).constant_value().rational()
+    total = sum(Fraction(1, 2) * c4 * d ** 4 for d in (1, -1))
+    return BoundaryRelation(coefficient=-total, certificates=(
         ExclusionCertificate(
             family="product-type",
             deficit=AffineInt(0, 2),
@@ -92,36 +94,11 @@ def _exclusion_certificates() -> Tuple[ExclusionCertificate, ...]:
             deficit=AffineInt(0, 1),
             note=("boundary terms with l+m >= 1 marked-point decorations "
                   "have weight 2(g-1)-(l+m) < 2(g-1)")),
-    )
+    ))
 
 
-def top_weight_boundary_relation(f: Optional[Poly] = None) -> BoundaryRelation:
-    """Extract the top-weight part of the double ramification relation.
-
-    The twist polynomial f(d) of the undecorated boundary family enters
-    through its fourth-degree coefficient: summing over the two unit twists
-    with the half automorphism factor gives that coefficient itself, and
-    moving the boundary term across the relation flips its sign.
-    """
-    if f is None:
-        f = default_twist_polynomial()
-    for name in ("N", "a", "b"):
-        if f.degree(name) > 0:
-            raise ValueError("twist polynomial must involve only d")
-    quartic = f.coefficient("d", 4)
-    if not quartic.is_constant():
-        raise ValueError("fourth-degree coefficient must be a scalar")
-    c4 = quartic.constant_value()
-    if not c4.is_rational():
-        raise ValueError("fourth-degree coefficient must be rational")
-    total = Fraction(0)
-    for d in (1, -1):
-        total += Fraction(1, 2) * c4.rational() * d ** 4
-    return BoundaryRelation(
-        coefficient=-total,
-        twist_quartic_coefficient=c4.rational(),
-        certificates=_exclusion_certificates(),
-    )
+# the relation of the default twist polynomial, built once
+TOP_WEIGHT_RELATION = _top_weight_boundary_relation()
 
 
 def alpha_terms(g: int) -> Optional[TautExpr]:
@@ -139,24 +116,15 @@ def alpha_terms(g: int) -> Optional[TautExpr]:
     return None
 
 
-def boundary_substitution(g: int, relation: Optional[BoundaryRelation] = None,
-                          include_alpha: bool = True) -> TautExpr:
-    """The boundary expression whose pushforward replaces theta^(g+1)/(g+1)!.
-
-    Returns coefficient * (theta + psi/2)^(g-1)/(g-1)! plus the recorded
-    decorated terms, on the boundary family.
-    """
+def boundary_substitution(g: int) -> TautExpr:
+    """The lead of the boundary expression whose pushforward replaces
+    theta^(g+1)/(g+1)!: coefficient * (theta + psi/2)^(g-1)/(g-1)! on the
+    boundary family.  In genus 2 and 3 the decorated terms alpha_terms(g)
+    add to it."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    if relation is None:
-        relation = top_weight_boundary_relation()
     lead = boundary_pull(gen("theta", g - 1))
-    expr = lead.scale(relation.coefficient / factorial(g - 1))
-    if include_alpha:
-        alpha = alpha_terms(g)
-        if alpha is not None:
-            expr = expr + alpha
-    return expr
+    return lead.scale(TOP_WEIGHT_RELATION.coefficient / factorial(g - 1))
 
 
 @dataclass(frozen=True)
@@ -168,23 +136,21 @@ class TauAdjoint:
     concrete_checks: Tuple[Tuple[int, bool], ...]
 
 
-def corollary_theta_push(concrete_genera: Tuple[int, ...] = (2, 3, 4, 5)) -> TauAdjoint:
+def corollary_theta_push() -> TauAdjoint:
     """pi_*(theta^(g+1)/(g+1)!) equals (1/48) times the boundary divisor.
 
     Symbolically in g: only the theta^(g-1) part of the substituted boundary
     expression reaches fiber weight 2(g-1); its push is the relation
     coefficient times the unit, and the remaining families are excluded by
-    the affine deficit certificates.  For the listed genera the pushforward
-    is also evaluated concretely.
+    the affine deficit certificates.  For genera 2 to 5 the pushforward is
+    also evaluated concretely.
     """
-    relation = top_weight_boundary_relation()
+    relation = TOP_WEIGHT_RELATION
     if not relation.all_exclusions_hold():
         raise AssertionError("weight-deficit certificate failed")
     expected = TautExpr.const(relation.coefficient, "boundary-base")
-    checks = tuple(
-        (g, abelian_push(boundary_substitution(g, relation, include_alpha=False),
-                         g - 1) == expected)
-        for g in concrete_genera)
+    checks = tuple((g, abelian_push(boundary_substitution(g), g - 1) == expected)
+                   for g in (2, 3, 4, 5))
     return TauAdjoint(
         coefficient=relation.coefficient,
         certificates=relation.certificates,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .k3 import (Corr, RelativeCycle, SurfaceClass, bv, bv_theta, diag_push,
-                 pair_to_rel, rel, rel_bracket, BV_LABELS)
+from .k3 import (BV_LABELS, DELTA, F, FINV, THETA, Fourier, RelativeCycle,
+                 SurfaceClass, bv, compose, diag_push, pair_to_rel, rel_bracket)
 from .lincomb import power
 from .llv import OperatorTable, standard_quadruple
 from .mukai import llv_model_space
@@ -350,7 +350,7 @@ _DIGIT_LIMIT = 10 ** MAX_DIGITS
 KINDS = {
     Fraction: "scalar", GaussianRational: "scalar", Poly: "scalar",
     SparseMat: "operator", SurfaceClass: SurfaceClass.kind,
-    RelativeCycle: RelativeCycle.kind, Corr: "correspondence",
+    RelativeCycle: RelativeCycle.kind, Fourier: Fourier.kind,
     TautExpr: "tautological-class",
 }
 
@@ -498,11 +498,8 @@ class K3Context(Context):
     """Fiber-square cycles and correspondences of an elliptic surface."""
 
     name = "k3"
-    CONSTANTS = {
-        **{label: SurfaceClass(bv(label)) for label in BV_LABELS},
-        "Theta": SurfaceClass(bv_theta()), "Delta": RelativeCycle(rel("delta")),
-        "F": Corr.fourier(), "Finv": Corr.fourier_inverse(),
-    }
+    CONSTANTS = {**{label: bv(label) for label in BV_LABELS},
+                 "Theta": THETA, "Delta": DELTA, "F": F, "Finv": FINV}
     # the pushes of a surface class to a relative cycle
     PUSHES = {
         "p1": lambda x: pair_to_rel(x, bv("one")),
@@ -518,7 +515,7 @@ class K3Context(Context):
                 raise EvalError(f"{name} takes one surface-class argument")
             if kind(args[0]) != SurfaceClass.kind:
                 raise EvalError(f"{name} needs a surface class")
-            return RelativeCycle(self.PUSHES[name](args[0].terms))
+            return self.PUSHES[name](args[0])
         if name in self.CONSTANTS:
             raise EvalError(f"{name} takes no arguments")
         raise EvalError(f"unknown symbol {name!r} in the k3 context")
@@ -529,21 +526,19 @@ class K3Context(Context):
         return value.re
 
     def unit(self, x):
-        if kind(x) == "correspondence":
+        if kind(x) == Fourier.kind:
             raise EvalError("powers of correspondences are not supported")
-        return type(x)({"one": Fraction(1)})
+        return type(x)({"one": 1})
 
     def compose(self, x, y):
-        x, y = (Corr("cycle", v) if kind(v) == RelativeCycle.kind else v for v in (x, y))
-        if kind(x) != "correspondence" or kind(y) != "correspondence":
+        if not {kind(x), kind(y)} <= {RelativeCycle.kind, Fourier.kind}:
             raise EvalError("composition needs relative cycles or correspondences")
-        out = x.compose(y)
-        return out.cycle if out.kind == "cycle" else out
+        return compose(x, y)
 
     def commutator(self, x, y):
         if kind(x) != RelativeCycle.kind or kind(y) != RelativeCycle.kind:
             raise EvalError("commutator needs relative cycles")
-        return RelativeCycle(rel_bracket(x.terms, y.terms))
+        return rel_bracket(x, y)
 
 
 class TautContext(Context):

@@ -14,30 +14,46 @@ forms c_i s_j and s_i c_j are identified (z-identification, flagged).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
 from .errors import OutsideModelError
-from .k3 import (REP, RelCycle, _bv_mul_labels, _diag_push_internal, bv,
-                 bv_theta, pair_to_rel, rel, rel_mul, sl2_cycles,
+from .k3 import (_DIAG_PUSH, DELTA, ONE, REP, THETA, RelativeCycle,
+                 _bv_mul_labels, bv, pair_to_rel, rel, sl2_cycles,
                  verify_fourier_stability, verify_projectors,
                  verify_sl2_action, verify_weight_operator)
-from .lincomb import add_into, add_term, bilinear, linear, tensor
+from .lincomb import Labelled, add_term, bilinear, linear, tensor
 from .report import Check, Report, check_report
 
-TriKey = Tuple
-TriCycle = Dict[TriKey, Fraction]
-AbsKey = Tuple
-AbsCycle = Dict[AbsKey, Fraction]
-
 PAIRS = ((1, 2), (1, 3), (2, 3))
+_SM = ("sm",)
+
+
+class TripleCycle(Labelled):
+    """A triple cycle as a value: a combination of normal-form keys, such as
+    ('pt', (x1, x2, x3), fdeg), ('dg', (j, k), dec) and ('sm',).  Its
+    product records identifications, so it is tri_mul, not '*'."""
+
+    __slots__ = ()
+    kind = "triple-cycle"
+
+
+class AbsoluteCycle(Labelled):
+    """A cycle on the absolute triple (or pair) product as a value: tensor
+    monomials ('t', slots), absolute diagonals ('D', ...) and ('SM',)."""
+
+    __slots__ = ()
+    kind = "absolute-cycle"
+
+
+TRI_SM = TripleCycle({_SM: 1})
 
 
 def _other_slot(j: int, k: int) -> int:
     return 6 - j - k
 
 
-def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> TriKey | None:
+def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Dict[Tuple, int]:
+    """The normal form of a point monomial as {key: 1}, or {} if it vanishes."""
     out = []
     for x in slots:
         if x == "f":
@@ -46,10 +62,10 @@ def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> TriKey | None:
         else:
             out.append(x)
     if fdeg >= 2:
-        return None
+        return {}
     if fdeg == 1:
         if "c" in out:
-            return None
+            return {}
         s_slots = [i for i, x in enumerate(out) if x == "s"]
         if s_slots:
             if len(s_slots) > 1:
@@ -57,63 +73,52 @@ def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> TriKey | None:
             out[s_slots[0]] = "c"
             fdeg = 0
     if sum(1 for x in out if x == "c") >= 2:
-        return None
+        return {}
     # z-identification canonical form: c before s among mixed slots
     cs = [i for i, x in enumerate(out) if x in ("s", "c")]
     if len(cs) == 2 and out[cs[0]] == "s" and out[cs[1]] == "c":
         flags.add("z-identification")
         out[cs[0]], out[cs[1]] = "c", "s"
-    return ("pt", tuple(out), fdeg)
+    return {("pt", tuple(out), fdeg): 1}
 
 
 def tri_pt(x1: str = "one", x2: str = "one", x3: str = "one",
-           fdeg: int = 0, coeff=1, flags: Set[str] | None = None) -> TriCycle:
-    flags = set() if flags is None else flags
-    key = _norm_pt([x1, x2, x3], fdeg, flags)
-    return {} if key is None else {key: Fraction(coeff)}
+           fdeg: int = 0, flags: Set[str] | None = None) -> TripleCycle:
+    return TripleCycle(_norm_pt([x1, x2, x3], fdeg, set() if flags is None else flags))
 
 
-def tri_dg(j: int, k: int, dec: str = "one", coeff=1) -> TriCycle:
+def tri_dg(j: int, k: int, dec: str = "one") -> TripleCycle:
     if (j, k) not in PAIRS:
         raise ValueError("slots must be one of (1,2), (1,3), (2,3)")
     if dec not in ("one", "s", "c"):
         raise ValueError(f"unsupported diagonal decoration {dec}")
-    return {("dg", (j, k), dec): Fraction(coeff)}
+    return TripleCycle({("dg", (j, k), dec): 1})
 
 
-def tri_sm(coeff=1) -> TriCycle:
-    return {("sm",): Fraction(coeff)}
-
-
-def tri_add(x: TriCycle, y: TriCycle, scale=1) -> TriCycle:
-    scale = Fraction(scale)
-    return add_into(dict(x), ((key, scale * c) for key, c in y.items()))
-
-
-def tri_from_pair(pair: RelCycle, slots: Tuple[int, int],
-                  flags: Set[str]) -> TriCycle:
+def tri_from_pair(pair: RelativeCycle, slots: Tuple[int, int],
+                  flags: Set[str]) -> TripleCycle:
     """Pullback of a pair cycle through the projection onto two slots."""
     j, k = slots
     if (j, k) not in PAIRS:
         raise ValueError("slots must be increasing and within 1..3")
 
-    def pulled(label: str) -> TriCycle:
+    def pulled(label: str) -> Dict:
         if label == "delta":
-            return tri_dg(j, k)
+            return {("dg", (j, k), "one"): 1}
         assign = dict.fromkeys((1, 2, 3), "one")
         assign[j], assign[k] = REP[label]
-        return tri_pt(assign[1], assign[2], assign[3], flags=flags)
+        return _norm_pt([assign[1], assign[2], assign[3]], 0, flags)
 
-    return linear(pair, pulled)
+    return TripleCycle(linear(pair.terms, pulled))
 
 
-def _mul_pt_pt(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
+def _mul_pt_pt(k1: Tuple, k2: Tuple, flags: Set[str]) -> Dict:
     (_, s1, f1), (_, s2, f2) = k1, k2
     return linear(tensor(map(_bv_mul_labels, s1, s2)),
-                  lambda slots: tri_pt(*slots, fdeg=f1 + f2, flags=flags))
+                  lambda slots: _norm_pt(list(slots), f1 + f2, flags))
 
 
-def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
+def _mul_pt_dg(pt_key: Tuple, dg_key: Tuple, flags: Set[str]) -> Dict:
     _, slots, fdeg = pt_key
     _, (j, k), dec = dg_key
     i = _other_slot(j, k)
@@ -122,12 +127,12 @@ def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
     if not dec_prod:
         return {}
     # slots j, k (and the common fiber power) pull through the pair diagonal
-    pair_part = rel_mul(rel("delta"), pair_to_rel(bv(slots[j - 1]), bv(slots[k - 1])))
+    pair_part = DELTA * pair_to_rel(bv(slots[j - 1]), bv(slots[k - 1]))
     for _ in range(fdeg):
-        pair_part = rel_mul(pair_part, rel("F"))
+        pair_part = pair_part * rel("F")
     base = tri_from_pair(pair_part, (j, k), flags)
 
-    def decorate(dec_lab: str, key: TriKey) -> TriCycle:
+    def decorate(dec_lab: str, key: Tuple) -> Dict:
         """A term of base times the class dec_lab in slot i."""
         if key[0] == "dg":
             prod = _bv_mul_labels(key[2], dec_lab)
@@ -136,12 +141,12 @@ def _mul_pt_dg(pt_key: TriKey, dg_key: TriKey, flags: Set[str]) -> TriCycle:
             return {("dg", key[1], lab): c for lab, c in prod.items()}
         _, pslots, pf = key
         return linear(_bv_mul_labels(pslots[i - 1], dec_lab),
-                      lambda lab: tri_pt(*pslots[:i - 1], lab, *pslots[i:], fdeg=pf, flags=flags))
+                      lambda lab: _norm_pt([*pslots[:i - 1], lab, *pslots[i:]], pf, flags))
 
-    return bilinear(dec_prod, base, decorate)
+    return bilinear(dec_prod, base.terms, decorate)
 
 
-def _mul_keys(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
+def _mul_keys(k1: Tuple, k2: Tuple, flags: Set[str]) -> Dict:
     kinds = (k1[0], k2[0])
     if kinds == ("pt", "pt"):
         return _mul_pt_pt(k1, k2, flags)
@@ -154,52 +159,52 @@ def _mul_keys(k1: TriKey, k2: TriKey, flags: Set[str]) -> TriCycle:
             raise OutsideModelError("square of a partial diagonal leaves the model")
         if k1[2] != "one" or k2[2] != "one":
             raise OutsideModelError("product of decorated partial diagonals")
-        return tri_sm()
+        return {_SM: 1}
     raise OutsideModelError(f"product {kinds} leaves the model")
 
 
-def tri_mul(x: TriCycle, y: TriCycle, flags: Set[str]) -> TriCycle:
-    return bilinear(x, y, lambda k1, k2: _mul_keys(k1, k2, flags))
+def tri_mul(x: TripleCycle, y: TripleCycle, flags: Set[str]) -> TripleCycle:
+    """The product of two triple cycles; the identifications it uses are
+    added to flags."""
+    return TripleCycle(bilinear(x.terms, y.terms, lambda k1, k2: _mul_keys(k1, k2, flags)))
 
 
 # -- the multiplicativity identity -------------------------------------------------------
 
 
-def small_diagonal_compose_product(u: RelCycle, v: RelCycle,
-                                   flags: Set[str]) -> TriCycle:
+def small_diagonal_compose_product(u: RelativeCycle, v: RelativeCycle,
+                                   flags: Set[str]) -> TripleCycle:
     """[small diagonal] o (u x v) = q13-pull of u times q23-pull of v."""
     return tri_mul(tri_from_pair(u, (1, 3), flags), tri_from_pair(v, (2, 3), flags), flags)
 
 
-def weight_compose_small_diagonal(h_pair: RelCycle, flags: Set[str]) -> TriCycle:
+def weight_compose_small_diagonal(h_pair: RelativeCycle, flags: Set[str]) -> TripleCycle:
     """h o [small diagonal]: a tensor term a (x) b becomes
     q12-pull of the pair-diagonal pushforward of a, times b in slot 3."""
 
-    def image(label: str) -> TriCycle:
+    def image(label: str) -> Dict:
         if label == "delta":
-            return tri_sm()
+            return {_SM: 1}
         a, b = REP[label]
-        diag = tri_from_pair(_diag_push_internal(bv(a)), (1, 2), flags)
-        return tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags)
+        diag = tri_from_pair(RelativeCycle(_DIAG_PUSH[a]), (1, 2), flags)
+        return tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags).terms
 
-    return linear(h_pair, image)
+    return TripleCycle(linear(h_pair.terms, image))
 
 
-def relbv_expression(flags: Set[str] | None = None) -> TriCycle:
+def relbv_expression(flags: Set[str] | None = None) -> TripleCycle:
     """[sm] - sum_i q_i(s).q_jk(diag) + sum_{i<j} q_i(s).q_j(s)."""
     flags = set() if flags is None else flags
-    out = tri_sm()
+    out = TRI_SM
     for (j, k) in PAIRS:
         i = _other_slot(j, k)
-        dec = tri_mul(tri_pt(**{f"x{i}": "s"}, flags=flags), tri_dg(j, k), flags)
-        out = tri_add(out, dec, -1)
+        out = out - tri_mul(tri_pt(**{f"x{i}": "s"}, flags=flags), tri_dg(j, k), flags)
     for (i, j) in PAIRS:
-        slots = {f"x{i}": "s", f"x{j}": "s"}
-        out = tri_add(out, tri_pt(**slots, flags=flags))
+        out = out + tri_pt(**{f"x{i}": "s", f"x{j}": "s"}, flags=flags)
     return out
 
 
-def multiplicativity_difference() -> Tuple[TriCycle, Fraction, TriCycle, List[str]]:
+def multiplicativity_difference() -> Tuple[TripleCycle, int, TripleCycle, List[str]]:
     """LHS - RHS of the multiplicativity identity for the weight operator.
 
     Returns (difference, lam, residual, flags): the difference of
@@ -209,54 +214,49 @@ def multiplicativity_difference() -> Tuple[TriCycle, Fraction, TriCycle, List[st
     """
     flags: Set[str] = set()
     _, _, h0 = sl2_cycles()
-    delta = rel("delta")
-    lhs = small_diagonal_compose_product(h0, delta, flags)
-    lhs = tri_add(lhs, small_diagonal_compose_product(delta, h0, flags))
-    lhs = tri_add(lhs, small_diagonal_compose_product(delta, delta, flags))
+    lhs = (small_diagonal_compose_product(h0, DELTA, flags)
+           + small_diagonal_compose_product(DELTA, h0, flags)
+           + small_diagonal_compose_product(DELTA, DELTA, flags))
 
     # h0 as difference of slot pullbacks of Theta; also check the s-only route
-    theta = bv_theta()
-    h_theta = add_into(pair_to_rel(bv("one"), theta),
-                       ((lab, -c) for lab, c in pair_to_rel(theta, bv("one")).items()))
+    h_theta = pair_to_rel(ONE, THETA) - pair_to_rel(THETA, ONE)
     rhs = weight_compose_small_diagonal(h_theta, flags)
-    rhs_plain = weight_compose_small_diagonal(h0, flags)
-    if rhs != rhs_plain:
+    if rhs != weight_compose_small_diagonal(h0, flags):
         raise AssertionError("weight-operator route dependence in h o [sm]")
 
-    diff = tri_add(lhs, rhs, -1)
-    relbv = relbv_expression(flags)
-    lam = diff.get(("sm",), Fraction(0))
-    residual = tri_add(diff, relbv, -lam)
+    diff = lhs - rhs
+    lam = diff.terms.get(_SM, 0)
+    residual = diff - relbv_expression(flags).scale(lam)
     return diff, lam, residual, sorted(flags)
 
 
 # -- absolute pushforward -----------------------------------------------------------------
 
 
-def _fiber_push(slots: Tuple[str, ...], places: Tuple[Tuple[int, ...], ...]) -> AbsCycle:
+def _fiber_push(slots: Tuple[str, ...], places: Tuple[Tuple[int, ...], ...]) -> Dict:
     """The sum over the slot sets in places of the point monomial slots with
     f multiplied into each slot of the set."""
 
-    def push(where: Tuple[int, ...]) -> AbsCycle:
-        factors = (_bv_mul_labels(x, "f") if pos in where else {x: Fraction(1)}
+    def push(where: Tuple[int, ...]) -> Dict:
+        factors = (_bv_mul_labels(x, "f") if pos in where else {x: 1}
                    for pos, x in enumerate(slots, start=1))
         return {("t", built): c for built, c in tensor(factors).items()}
 
-    return linear(dict.fromkeys(places, Fraction(1)), push)
+    return linear(dict.fromkeys(places, 1), push)
 
 
-def abs_pair_push(pair: RelCycle) -> AbsCycle:
+def abs_pair_push(pair: RelativeCycle) -> AbsoluteCycle:
     """Pushforward of a pair cycle to the absolute product.
 
     The fundamental class pushes to f (x) one + one (x) f; a point monomial
     with presentation (a, b) pushes to (a.f) (x) b + a (x) (b.f); the relative
     diagonal pushes to the absolute diagonal symbol.
     """
-    return linear(pair, lambda label: {("D",): Fraction(1)} if label == "delta"
-                  else _fiber_push(REP[label], ((1,), (2,))))
+    return AbsoluteCycle(linear(pair.terms, lambda label: {("D",): 1} if label == "delta"
+                                else _fiber_push(REP[label], ((1,), (2,)))))
 
 
-def abs_tri_push(tri: TriCycle) -> AbsCycle:
+def abs_tri_push(tri: TripleCycle) -> AbsoluteCycle:
     """Pushforward of a triple cycle to the absolute triple product.
 
     The fundamental class pushes to the sum of the three fiber-square
@@ -266,12 +266,12 @@ def abs_tri_push(tri: TriCycle) -> AbsCycle:
     symbol.
     """
 
-    def push(key: TriKey) -> AbsCycle:
+    def push(key: Tuple) -> Dict:
         if key[0] == "pt":
             # f lands on two slots, or with the common fiber class on all three
             return _fiber_push(key[1], PAIRS if key[2] == 0 else ((1, 2, 3),))
         if key[0] == "sm":
-            return {("SM",): Fraction(1)}
+            return {("SM",): 1}
         if key[0] != "dg":
             raise OutsideModelError(f"cannot push {key}")
         _, (j, k), dec = key
@@ -280,22 +280,22 @@ def abs_tri_push(tri: TriCycle) -> AbsCycle:
         for cpos, fpos in ((j, k), (k, j)):
             slots = dict.fromkeys((1, 2, 3), "one")
             slots[cpos], slots[fpos], slots[i] = "c", "f", dec
-            add_term(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
+            add_term(out, ("t", (slots[1], slots[2], slots[3])), 1)
         return out
 
-    return linear(tri, push)
+    return AbsoluteCycle(linear(tri.terms, push))
 
 
-def bv_absolute_expression() -> AbsCycle:
+def bv_absolute_expression() -> AbsoluteCycle:
     """[absolute small diagonal] - sum_i c_i . D_jk + sum_{i<j} c_i c_j."""
-    out: AbsCycle = {("SM",): Fraction(1)}
+    out = {("SM",): 1}
     for (j, k) in PAIRS:
-        add_term(out, ("D", (j, k), "c"), Fraction(-1))
+        add_term(out, ("D", (j, k), "c"), -1)
     for (i, j) in PAIRS:
         slots = dict.fromkeys((1, 2, 3), "one")
         slots[i] = slots[j] = "c"
-        add_term(out, ("t", (slots[1], slots[2], slots[3])), Fraction(1))
-    return out
+        add_term(out, ("t", (slots[1], slots[2], slots[3])), 1)
+    return AbsoluteCycle(out)
 
 
 def verify_multiplicativity(flags: Set[str]) -> List[Check]:
@@ -305,18 +305,18 @@ def verify_multiplicativity(flags: Set[str]) -> List[Check]:
     flags.update(used)
     return [
         ("difference is a multiple of the relative expression", not residual, f"lambda={lam}"),
-        ("lambda = 1", lam == Fraction(1), f"lambda={lam}"),
+        ("lambda = 1", lam == 1, f"lambda={lam}"),
     ]
 
 
 def verify_absolute_push() -> List[Check]:
     """The relative expression pushes to the absolute one, coherently."""
     pushed = abs_tri_push(relbv_expression())
-    pair_push = abs_pair_push(rel_mul(rel("delta"), rel("F")))
+    pair_push = abs_pair_push(DELTA * rel("F"))
     return [
         ("pushforward matches the absolute expression", pushed == bv_absolute_expression(), ""),
         ("diagonal-fiber pushforward coherence",
-         pair_push == {("t", ("c", "f")): Fraction(1), ("t", ("f", "c")): Fraction(1)}, ""),
+         pair_push == AbsoluteCycle({("t", ("c", "f")): 1, ("t", ("f", "c")): 1}), ""),
     ]
 
 

@@ -7,7 +7,7 @@ Fraction.  The product of two such dicts keyed by exponent tuples
 (polynomials, tautological expressions) is mul_terms.  A map given on
 labels extends to such dicts by linear and bilinear, and tensor multiplies
 dicts slot by slot.  Labelled is such a dict as an immutable value with its
-own sums, scalings and products.
+own sums, scalings and bilinear products.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def power(base, n: int, one, product=mul):
 
 class Labelled:
     """An immutable linear combination of labels.  A subclass fixes its kind
-    (the name eval prints), the order in which its labels print, and its
-    product, a bilinear function on the {label: coefficient} dicts of two
-    combinations."""
+    (the name eval prints), the order in which its labels print, and, if its
+    values multiply, its product on labels: a function that sends two labels
+    to a {label: coefficient} dict, which '*' extends bilinearly."""
 
     __slots__ = ("terms",)
     kind: str
-    labels: Tuple[str, ...] = ()
+    labels: Tuple = ()
 
     def __init__(self, terms: Dict | None = None):
         object.__setattr__(self, "terms", {k: v for k, v in (terms or {}).items() if v})
@@ -114,19 +114,23 @@ class Labelled:
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.product(self.terms, other.terms))
+        return type(self)(bilinear(self.terms, other.terms, self.product))
+
+    def __bool__(self):
+        """Nonzero, as for Fraction."""
+        return bool(self.terms)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
     def __str__(self):
-        """The terms in label order, such as 'p1s - 2*F' (a coefficient 1 or
-        -1 is left out), or '0'."""
+        """The terms in label order (by repr for a kind without one), such
+        as 'p1s - 2*F' (a coefficient 1 or -1 is left out), or '0'."""
         parts = []
-        for label in self.labels:
+        for label in self.labels or sorted(self.terms, key=repr):
             if label in self.terms:
                 c = self.terms[label]
-                parts.append(label if c == 1 else f"-{label}" if c == -1 else f"{c}*{label}")
+                parts.append(f"{label}" if c == 1 else f"-{label}" if c == -1 else f"{c}*{label}")
         return " + ".join(parts).replace(" + -", " - ") or "0"
 
     def __repr__(self):

@@ -80,10 +80,6 @@ def _lowering(space: MukaiSpace, e: SparseMat) -> SparseMat:
                                           Fraction(-two_den2 * qi, norm)))
 
 
-def op_f(space: MukaiSpace, eta: Vector) -> SparseMat:
-    return _lowering(space, op_e(space, eta))
-
-
 class OperatorTable:
     """The named operators of one quadruple: h, e_i, f_i, K_ij = [e_i, f_j]
     and the sigma and sigma-bar combinations of a pair (i, j), with the

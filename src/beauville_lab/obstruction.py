@@ -16,7 +16,7 @@ from functools import partial
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dr import alpha_terms, corollary_theta_push, top_weight_boundary_relation
+from .dr import TOP_WEIGHT_RELATION, alpha_terms, corollary_theta_push
 from .errors import OutsideModelError
 from .poly import Poly, discriminant_is_square, rational_roots
 from .report import Check, Report, check_report
@@ -144,9 +144,8 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger) -> TautEx
         ledger.use("theta-power-vanishing")
         return TautExpr.zero("base")
     e, top = k - g - 1, 2 * (g - 1)
-    relation = top_weight_boundary_relation()
     expr = boundary_pull(gen("theta", g - 1 + e) * gen("delta", j), top).scale(
-        relation.coefficient / factorial(g - 1))
+        TOP_WEIGHT_RELATION.coefficient / factorial(g - 1))
     alpha = alpha_terms(g)
     if alpha is not None:
         ledger.use("alpha2-input" if g == 3 else "alpha0-input")

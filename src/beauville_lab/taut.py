@@ -113,13 +113,6 @@ class TautExpr:
     def __hash__(self) -> int:
         return hash((self.locus, frozenset(self.terms.items())))
 
-    def coefficient_of(self, **powers: int) -> Poly:
-        mono = tuple(powers.get(name, 0) for name in GENS)
-        unknown = set(powers) - set(GENS)
-        if unknown:
-            raise ValueError(f"unknown generators {sorted(unknown)}")
-        return self.terms.get(mono, Poly.const(0))
-
     def __str__(self) -> str:
         if not self.terms:
             return f"0 [{self.locus}]"

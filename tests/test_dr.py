@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_taut import coefficient_of
 
-from beauville_lab.dr import (AffineInt, ExclusionCertificate,
-                              alpha_terms, boundary_substitution,
-                              corollary_theta_push, default_twist_polynomial,
-                              top_weight_boundary_relation)
+from beauville_lab.dr import (TOP_WEIGHT_RELATION, AffineInt,
+                              ExclusionCertificate, alpha_terms,
+                              boundary_substitution, corollary_theta_push,
+                              default_twist_polynomial)
 from beauville_lab.poly import Poly
-from beauville_lab.scalars import GaussianRational
-from beauville_lab.taut import abelian_push, gen
+from beauville_lab.taut import TautExpr, abelian_push, gen
 
 
 small_fractions = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
@@ -22,8 +22,7 @@ small_fractions = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
 def test_affine_int_basics():
     aff = AffineInt(Fraction(1, 2), -1)
     assert aff.p * 4 + aff.q == Fraction(1)
-    assert (aff + AffineInt(0, 1)).q == Fraction(0)
-    assert (aff - AffineInt(Fraction(1, 2), 0)).p == Fraction(0)
+    assert (aff.p, aff.q) == (Fraction(1, 2), Fraction(-1))
     assert str(aff) == "1/2*g + -1"
 
 
@@ -51,27 +50,13 @@ def test_default_twist_polynomial_frozen():
 
 
 def test_top_weight_relation_default():
-    relation = top_weight_boundary_relation()
+    relation = TOP_WEIGHT_RELATION
     assert relation.coefficient == Fraction(1, 48)
-    assert relation.twist_quartic_coefficient == Fraction(-1, 48)
+    # minus the quartic coefficient of the twist polynomial
+    assert default_twist_polynomial().coefficient("d", 4) == Poly.const(-relation.coefficient)
     assert relation.all_exclusions_hold()
     assert tuple(cert.family for cert in relation.certificates) == (
         "product-type", "binomial-subleading", "psi-decorated-boundary")
-
-
-def test_top_weight_relation_custom_twist():
-    d = Poly.var("d")
-    relation = top_weight_boundary_relation(d ** 4)
-    assert relation.coefficient == Fraction(-1)
-    assert relation.twist_quartic_coefficient == Fraction(1)
-
-
-def test_top_weight_relation_rejects_bad_twists():
-    d, b = Poly.var("d"), Poly.var("b")
-    with pytest.raises(ValueError, match="only d"):
-        top_weight_boundary_relation(b * d ** 4)
-    with pytest.raises(ValueError, match="rational"):
-        top_weight_boundary_relation(d ** 4 * Poly.const(GaussianRational(0, 1)))
 
 
 def test_alpha_terms():
@@ -85,13 +70,13 @@ def test_alpha_terms():
 
 
 def test_boundary_substitution_genus2_frozen():
-    expr = boundary_substitution(2)
+    lead = boundary_substitution(2)
+    expr = lead + alpha_terms(2)
     assert expr.locus == "boundary"
-    assert expr.coefficient_of(theta=1) == Poly.const(Fraction(1, 48))
+    assert coefficient_of(expr, theta=1) == Poly.const(Fraction(1, 48))
     # psi coefficient: (1/48)*(1/2) from the shift plus 1/480 recorded
-    assert expr.coefficient_of(psi1=1) == Poly.const(Fraction(1, 80))
-    lead_only = boundary_substitution(2, include_alpha=False)
-    assert lead_only.coefficient_of(psi1=1) == Poly.const(Fraction(1, 96))
+    assert coefficient_of(expr, psi1=1) == Poly.const(Fraction(1, 80))
+    assert coefficient_of(lead, psi1=1) == Poly.const(Fraction(1, 96))
     with pytest.raises(ValueError, match="at least 2"):
         boundary_substitution(1)
 
@@ -118,12 +103,14 @@ def test_the_one_forty_eighth_push_matches_sympy():
                             / sympy.factorial(g - 1))
         top = sympy.factorial(g - 1) * sympy.Poly(lead, theta, psi1, psi2).coeff_monomial(
             theta**(g - 1))
-        pushed = abelian_push(boundary_substitution(g, include_alpha=False), g - 1)
+        pushed = abelian_push(boundary_substitution(g), g - 1)
         assert set(pushed.terms) == {unit}, g
         assert pushed.terms[unit] == Poly.const(Fraction(int(top.p), int(top.q))), g
     assert corollary_theta_push().coefficient == Fraction(int(coefficient.p), int(coefficient.q))
 
 
 def test_corollary_theta_push_custom_genera():
-    cor = corollary_theta_push(concrete_genera=(2, 7, 9))
-    assert [g for g, ok in cor.concrete_checks if ok] == [2, 7, 9]
+    # the concrete check of the corollary at genera beyond its own 2..5
+    expected = TautExpr.const(corollary_theta_push().coefficient, "boundary-base")
+    for g in (7, 9):
+        assert abelian_push(boundary_substitution(g), g - 1) == expected, g

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from test_llv import op_K
+from test_taut import coefficient_of
 
 from beauville_lab.cli import main
 from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
@@ -13,7 +14,7 @@ from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
                                Pow, Sym, evaluate, kind, make_context, parse,
                                print_expr, tokenize)
 from beauville_lab.errors import OutsideModelError
-from beauville_lab.k3 import Corr, RelativeCycle, SurfaceClass
+from beauville_lab.k3 import FINV, RelativeCycle, SurfaceClass
 from beauville_lab.llv import op_h
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
@@ -216,8 +217,7 @@ def test_k3_eval_products_and_powers():
     assert evaluate(parse("s*s"), ctx) == SurfaceClass({"c": Fraction(-2)})
     assert evaluate(parse("p1(s)*p2(s)"), ctx) == RelativeCycle({"s12": Fraction(1)})
     assert evaluate(parse("Delta o Delta"), ctx) == RelativeCycle({"delta": Fraction(1)})
-    corr = evaluate(parse("Finv o Delta"), ctx)
-    assert isinstance(corr, Corr) and corr.kind == "Finv"
+    assert evaluate(parse("Finv o Delta"), ctx) is FINV
     assert evaluate(parse("[Delta(s), Delta]"), ctx) == RelativeCycle({})
     value = evaluate(parse("s*s"), ctx)
     assert (kind(value), str(value)) == ("surface-class", "-2*c")
@@ -310,7 +310,7 @@ def test_taut_eval():
     assert isinstance(poly, Poly)
     assert poly == Poly.var("b") ** 2 - Poly.const(Fraction(1, 48))
     promoted = evaluate(parse("2 + theta"), ctx)
-    assert isinstance(promoted, TautExpr) and promoted.coefficient_of() == Poly.const(2)
+    assert isinstance(promoted, TautExpr) and coefficient_of(promoted) == Poly.const(2)
 
 
 def test_taut_locus_and_errors():

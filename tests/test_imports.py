@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name it defines is read there."""
+"""Every name a module of the package imports is used in that module, every
+private module-level name it defines is read there, and every public
+function or class is read by the engine or the acceptance tests."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beauville_lab"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str):
@@ -67,3 +69,37 @@ def test_no_unread_private_names_in_the_package():
     found = {path.name: unread_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def read_names(source: str):
+    """The names source reads, as a name or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def public_definitions(source: str):
+    """The public module-level functions and classes of source, with their
+    lines."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_detector_finds_public_definitions_and_reads():
+    source = ("import m\nclass A:\n    pass\ndef b():\n    return m.c(A)\n"
+              "def _d():\n    pass\nE = 1\n")
+    assert public_definitions(source) == [(2, "A"), (4, "b")]
+    assert read_names(source) == {"m", "c", "A"}
+
+
+def test_every_public_name_is_read_by_the_engine_or_the_acceptance_tests():
+    # __init__.py re-exports names, so its imports do not count as reads
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    read = set().union(*map(read_names, modules.values()),
+                       read_names(ACCEPTANCE.read_text(encoding="utf-8")))
+    unread = {name: [d for d in public_definitions(source) if d[1] not in read]
+              for name, source in modules.items()}
+    assert {name: defs for name, defs in unread.items() if defs} == {}

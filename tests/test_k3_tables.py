@@ -3,7 +3,8 @@ basis labels and normal-form triple keys, against tests/golden/k3_tables.json.
 
 Each entry records the call, its result (or the text of the
 OutsideModelError it raises) and, for tri_mul, the identification flags it
-sets.  The golden file records what the engine computed when it was written.
+sets.  The recorded names bv_mul and rel_mul stand for the '*' of
+SurfaceClass and RelativeCycle.  The golden file records what the engine computed when it was written.
 To rewrite it after an intended change of the model, run from the root of
 the repository
 
@@ -12,20 +13,27 @@ the repository
 
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 from beauville_lab.errors import OutsideModelError
-from beauville_lab.k3 import (BV_LABELS, REL_LABELS, bv_mul, fourier_conjugate,
-                              rel_compose, rel_mul)
-from beauville_lab.k3_mult import (PAIRS, abs_pair_push, abs_tri_push, tri_dg,
-                                   tri_mul, tri_pt, tri_sm)
+from beauville_lab.k3 import (BV_LABELS, REL_LABELS, RelativeCycle,
+                              SurfaceClass, fourier_conjugate, rel_compose)
+from beauville_lab.k3_mult import (PAIRS, TRI_SM, TripleCycle, abs_pair_push,
+                                   abs_tri_push, tri_dg, tri_mul, tri_pt)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "k3_tables.json"
 
-FUNCTIONS = {f.__name__: f for f in (bv_mul, rel_mul, rel_compose, tri_mul,
-                                      abs_pair_push, abs_tri_push, fourier_conjugate)}
+# each recorded name: the call and the type of its basis arguments
+FUNCTIONS = {
+    "bv_mul": (lambda x, y: x * y, SurfaceClass),
+    "rel_mul": (lambda x, y: x * y, RelativeCycle),
+    "rel_compose": (rel_compose, RelativeCycle),
+    "tri_mul": (tri_mul, TripleCycle),
+    "abs_pair_push": (abs_pair_push, RelativeCycle),
+    "abs_tri_push": (abs_tri_push, TripleCycle),
+    "fourier_conjugate": (fourier_conjugate, RelativeCycle),
+}
 TAKES_FLAGS = ("tri_mul",)
 
 
@@ -43,9 +51,10 @@ def triple_keys():
     """The 28 normal-form keys of a triple cycle: 18 point monomials, nine
     decorated partial diagonals and the small diagonal."""
     keys = {key for slots in product(("one", "s", "c"), repeat=3) for fdeg in (0, 1)
-            for key in tri_pt(*slots, fdeg=fdeg)}
-    keys |= {key for pair in PAIRS for dec in ("one", "s", "c") for key in tri_dg(*pair, dec)}
-    keys |= set(tri_sm())
+            for key in tri_pt(*slots, fdeg=fdeg).terms}
+    keys |= {key for pair in PAIRS for dec in ("one", "s", "c")
+             for key in tri_dg(*pair, dec).terms}
+    keys |= set(TRI_SM.terms)
     return sorted(keys, key=json.dumps)
 
 
@@ -66,12 +75,13 @@ def run(name, args):
     """The entry of one call, each argument taken as that basis element."""
     extra = (set(),) if name in TAKES_FLAGS else ()
     entry = {"fn": name, "args": _plain(args)}
+    function, kind = FUNCTIONS[name]
     try:
-        result = FUNCTIONS[name](*({a: Fraction(1)} for a in args), *extra)
+        result = function(*(kind({a: 1}) for a in args), *extra)
     except OutsideModelError as err:
         entry["error"] = str(err)
     else:
-        entry["result"] = sorted(([_plain(k), str(c)] for k, c in result.items()),
+        entry["result"] = sorted(([_plain(k), str(c)] for k, c in result.terms.items()),
                                  key=json.dumps)
     if extra:
         entry["flags"] = sorted(extra[0])

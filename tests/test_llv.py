@@ -11,7 +11,7 @@ from test_sparse import random_matrix, weight_decompose
 
 from beauville_lab import llv
 from beauville_lab.llv import (OperatorTable, TripleData, build_triple,
-                               op_e, op_f, op_h,
+                               op_e, op_h,
                                primed_operators, random_quadruple,
                                standard_quadruple,
                                verify_cross_triple,
@@ -26,6 +26,11 @@ from beauville_lab.sparse import SparseMat, bracket
 
 GR = GaussianRational
 HALF = GR(Fraction(1, 2))
+
+
+def op_f(space, eta):
+    """f_eta as the engine builds it: the lowering of the kept e_eta."""
+    return OperatorTable(space, (eta,)).f(1)
 
 
 # -- the free-function route, an oracle for the operator table ------------------------

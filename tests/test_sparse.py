@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beauville_lab.lincomb import add_into
-from beauville_lab.llv import op_e, op_f, op_h, random_quadruple
+from beauville_lab.llv import OperatorTable, op_e, op_h, random_quadruple
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
@@ -298,8 +298,9 @@ def test_verbitsky_brackets_match_sympy():
 
     space = llv_model_space(10, Fraction(3, 2))
     quad = random_quadruple(space, seed=5)
+    table = OperatorTable(space, quad)
     e = [to_sympy(op_e(space, v)) for v in quad]
-    f = [to_sympy(op_f(space, v)) for v in quad]
+    f = [to_sympy(table.f(i)) for i in range(1, 5)]
     h = to_sympy(op_h(space))
 
     def br(x, y):
@@ -313,6 +314,6 @@ def test_verbitsky_brackets_match_sympy():
         assert br(K[(i, j)], e[j]) == 2 * e[i]
         assert br(K[(i, j)], f[k]) == sympy.zeros(10, 10)
     # the engine's brackets are the same matrices
-    ops = ([op_e(space, v) for v in quad], [op_f(space, v) for v in quad])
+    ops = ([op_e(space, v) for v in quad], [table.f(i) for i in range(1, 5)])
     for (i, j), k_ij in K.items():
         assert to_sympy(bracket(ops[0][i], ops[1][j])) == k_ij
