@@ -114,12 +114,7 @@ def tokenize(src: str) -> List[Token]:
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Imag:
-    pass
+    value: GaussianRational
 
 
 @dataclass(frozen=True)
@@ -241,11 +236,11 @@ class _Parser:
             num, _, den = tok.text.partition("/")
             if den and not int(den):
                 raise EvalError(f"division by zero in {tok.text}")
-            return Num(Fraction(int(num), int(den or 1)))
+            return Num(GaussianRational(Fraction(int(num), int(den or 1))))
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return Imag()
+                return Num(I)
             if tok.text == "o":
                 raise DslError("'o' is the composition operator", tok.line, tok.col)
             if self.peek().kind == "(":
@@ -287,7 +282,7 @@ def parse(src: str) -> Expr:
 
 def _print_atomlike(expr: Expr) -> str:
     text = print_expr(expr)
-    if isinstance(expr, (Num, Imag, Sym, CommBracket)):
+    if isinstance(expr, (Num, Sym, CommBracket)):
         return text
     return f"({text})"
 
@@ -295,8 +290,6 @@ def _print_atomlike(expr: Expr) -> str:
 def print_expr(expr: Expr) -> str:
     if isinstance(expr, Num):
         return str(expr.value)
-    if isinstance(expr, Imag):
-        return "i"
     if isinstance(expr, Sym):
         if expr.args is None:
             return expr.name
@@ -570,9 +563,7 @@ class TautContext(Context):
 
 def evaluate(expr: Expr, context: Context):
     if isinstance(expr, Num):
-        return context.scalar(GaussianRational(expr.value))
-    if isinstance(expr, Imag):
-        return context.scalar(I)
+        return context.scalar(expr.value)
     if isinstance(expr, Sym):
         args = None
         if expr.args is not None:

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .lincomb import add_into
-from .mukai import ALPHA, BETA, HYP, THETA, MukaiSpace, Vector, barred_fourier_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space, vec_add
+from .mukai import ALPHA, BETA, HYP, THETA, MukaiSpace, Vector, barred_fourier_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space
 from .report import Check, Report, check_report
 from .scalars import GaussianRational, I
 from .sparse import SparseMat, bracket, combination
@@ -136,7 +136,7 @@ def _half_sum(x: SparseMat, y: SparseMat, unit: GaussianRational) -> SparseMat:
 # -- random orthogonal quadruples ----------------------------------------------------
 
 
-def random_quadruple(space: MukaiSpace, seed: int, steps: int = 3) -> List[Vector]:
+def random_quadruple(space: MukaiSpace, seed: int) -> List[Vector]:
     """Four pairwise-orthogonal equal-norm middle vectors from seeded rotations.
 
     The middle gram must be t * identity; rational Givens rotations
@@ -158,7 +158,7 @@ def random_quadruple(space: MukaiSpace, seed: int, steps: int = 3) -> List[Vecto
     rng = random.Random(seed)
     rows = [[int(r == c) for c in range(4)] for r in range(k)]
     dens = [1] * k
-    for _ in range(steps):
+    for _ in range(3):
         p, q = rng.sample(range(k), 2)
         a, b = rng.randint(1, 4), rng.randint(2, 5)
         a *= rng.choice((1, -1))
@@ -219,13 +219,12 @@ def verify_verbitsky(ops: OperatorTable) -> List[Check]:
     return checks
 
 
-def verify_isotropic_sl2_pairs(ops: OperatorTable,
-                               pair: Tuple[int, int] = (1, 2)) -> List[Check]:
-    """sl2 closure of the sigma and sigma-bar triples and mixed-bracket vanishing."""
-    i, j = pair
-    h, K = ops.h(), ops.K(i, j)
-    es, fs = ops.e_sigma(i, j), ops.f_sigma(i, j)
-    eb, fb = ops.e_sigmabar(i, j), ops.f_sigmabar(i, j)
+def verify_isotropic_sl2_pairs(ops: OperatorTable) -> List[Check]:
+    """sl2 closure of the sigma and sigma-bar triples of the pair (1, 2) and
+    mixed-bracket vanishing."""
+    h, K = ops.h(), ops.K(1, 2)
+    es, fs = ops.e_sigma(1, 2), ops.f_sigma(1, 2)
+    eb, fb = ops.e_sigmabar(1, 2), ops.f_sigmabar(1, 2)
     hs, hb = bracket(es, fs), bracket(eb, fb)
     half_minus = combination(h.dim, ((HALF, h), (-HALF_I, K)))
     half_plus = combination(h.dim, ((HALF, h), (HALF_I, K)))
@@ -268,20 +267,15 @@ def verify_cross_triple(ops: OperatorTable) -> List[Check]:
     ]
 
 
-def verify_double_bracket_recovery(ops: OperatorTable,
-                                   extra_eta: Vector | None = None) -> List[Check]:
-    """e_eta = [e_sigma, [f_sigma, e_eta]] for eta orthogonal to the sigma pair."""
-    space = ops.space
-    v1, v2, v3, v4 = ops.quad
-    if extra_eta is None:
-        extra_eta = vec_add(v1, v4)
-    if not (space.pairing(extra_eta, v2).is_zero() and space.pairing(extra_eta, v3).is_zero()):
-        raise ValueError("extra_eta must be orthogonal to the sigma pair")
+def verify_double_bracket_recovery(ops: OperatorTable) -> List[Check]:
+    """e_eta = [e_sigma, [f_sigma, e_eta]] for eta = v1 + v4, which is
+    orthogonal to the sigma pair (v2, v3)."""
     es, fs = ops.e_sigma(2, 3), ops.f_sigma(2, 3)
     e1 = ops.e(1)
     inner = bracket(fs, e1)
     inner_expected = combination(e1.dim, ((-HALF, ops.K(1, 2)), (HALF_I, ops.K(1, 3))))
-    e_x = op_e(space, extra_eta)
+    v1, _, _, v4 = ops.quad
+    e_x = op_e(ops.space, add_into(dict(v1), v4.items()))
     return [
         _ok("[f_sigma23,e_1]=(-K12+iK13)/2", inner == inner_expected),
         _ok("e_1=[e_sigma23,[f_sigma23,e_1]]", bracket(es, inner) == e1),

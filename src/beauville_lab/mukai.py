@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .lincomb import add_into, linear
+from .lincomb import linear
 from .scalars import GaussianRational, Rational
 from .sparse import SparseMat
 
@@ -111,17 +111,6 @@ class MukaiSpace:
         except KeyError as err:
             raise ValueError(f"{err.args[0]!r} is not a basis label") from None
 
-    def pairing(self, u: Vector, v: Vector) -> GaussianRational:
-        paired = self.covector(u)
-        total = GaussianRational(0)
-        for label, c in v.items():
-            g = paired.get(label)
-            if g is not None:
-                total = total + c * g
-            elif label not in self._positions:
-                raise ValueError(f"{label!r} is not a basis label")
-        return total
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:
@@ -140,10 +129,6 @@ class MukaiSpace:
         labels = tuple(doc["labels"])
         gram = tuple(tuple(Fraction(x) for x in row) for row in doc["gram"])
         return MukaiSpace(labels=labels, gram=gram, genus=doc.get("genus"))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return add_into(dict(u), v.items())
 
 
 def _require_sign(name: str, value: int) -> None:
@@ -250,7 +235,7 @@ def mukai_class_space(genus: int, extra: int = 0, t: Rational = Fraction(1)) -> 
     return MukaiSpace(tuple(labels), tuple(tuple(r) for r in gram), genus)
 
 
-def llv_model_space(hdim: int, t: Rational = Fraction(1), genus: int | None = None) -> MukaiSpace:
+def llv_model_space(hdim: int, t: Rational = Fraction(1)) -> MukaiSpace:
     """(alpha, m1..m_{hdim-2}, beta) with the middle form t * identity."""
     if hdim < 3:
         raise ValueError("need at least one middle vector")
@@ -261,4 +246,4 @@ def llv_model_space(hdim: int, t: Rational = Fraction(1), genus: int | None = No
         [(0, n - 1, Fraction(-1))],
         [(k, Fraction(t)) for k in range(1, n - 1)],
     )
-    return MukaiSpace(tuple(labels), tuple(tuple(r) for r in gram), genus)
+    return MukaiSpace(tuple(labels), tuple(tuple(r) for r in gram))

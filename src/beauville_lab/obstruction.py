@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .dr import TOP_WEIGHT_RELATION, alpha_terms, corollary_theta_push
 from .errors import OutsideModelError
@@ -91,18 +91,15 @@ class AssumptionLedger:
     """Records which named geometric inputs a pipeline consumed."""
 
     def __init__(self):
-        self._used: Dict[str, str] = {}
+        self._used: Set[str] = set()
 
     def use(self, name: str) -> None:
         if name not in AXIOMS:
             raise KeyError(f"unknown assumption {name!r}")
-        self._used[name] = AXIOMS[name]
+        self._used.add(name)
 
     def names(self) -> List[str]:
         return sorted(self._used)
-
-    def items(self) -> List[Tuple[str, str]]:
-        return sorted(self._used.items())
 
 
 @dataclass
@@ -158,9 +155,9 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger) -> TautEx
     return pushed.scale(factorial(g + 1))
 
 
-def _theta_candidate(b: Poly | None = None) -> TautExpr:
-    coeff = Poly.var("b") if b is None else b
-    return gen("theta") + gen("delta").scale(coeff)
+def _theta_candidate() -> TautExpr:
+    """theta + b delta, with the extension coefficient b a variable."""
+    return gen("theta") + gen("delta").scale(Poly.var("b"))
 
 
 # the classes each pipeline reads its push as a multiple of, built once

@@ -61,9 +61,9 @@ class Poly:
         return _make({_ZERO_EXP: c} if c else {})
 
     @staticmethod
-    def var(name: str, power: int = 1) -> "Poly":
+    def var(name: str) -> "Poly":
         exp = [0] * _NVARS
-        exp[_VAR_INDEX[name]] = power
+        exp[_VAR_INDEX[name]] = 1
         return Poly({tuple(exp): GaussianRational(1)})
 
     # -- predicates ----------------------------------------------------------
@@ -84,12 +84,10 @@ class Poly:
             raise ValueError(f"{self} is not constant")
         return self.terms[_ZERO_EXP]
 
-    def degree(self, name: str | None = None) -> int:
+    def degree(self, name: str) -> int:
         # degree -1 for the zero polynomial
         if not self.terms:
             return -1
-        if name is None:
-            return max(sum(exp) for exp in self.terms)
         idx = _VAR_INDEX[name]
         return max(exp[idx] for exp in self.terms)
 
@@ -152,27 +150,6 @@ class Poly:
                 reduced[idx] = 0
                 terms[tuple(reduced)] = coeff
         return Poly(terms)
-
-    def substitute(self, name: str, value: "Poly") -> "Poly":
-        """Replace a variable by a polynomial value."""
-        idx = _VAR_INDEX[name]
-        value = Poly.coerce(value)
-        out = Poly()
-        for exp, coeff in self.terms.items():
-            reduced = list(exp)
-            power = reduced[idx]
-            reduced[idx] = 0
-            term = Poly({tuple(reduced): coeff})
-            if power:
-                term = term * value**power
-            out = out + term
-        return out
-
-    def evaluate(self, assignment: Dict[str, object]) -> "Poly":
-        out = self
-        for name, value in assignment.items():
-            out = out.substitute(name, Poly.coerce(value))
-        return out
 
     # -- printing ---------------------------------------------------------------
 

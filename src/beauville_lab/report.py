@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
@@ -58,23 +57,11 @@ def check_report(check: str, work: Callable[[], object],
                   elapsed_ms=elapsed_ms, **fields)
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    return str(value)
-
-
 def report_to_dict(report: Report, timings: bool = False) -> Dict[str, object]:
     out = {
         "check": report.check,
         "status": report.status,
-        "params": _jsonable(report.params),
+        "params": report.params,
         "assumptions": sorted(report.assumptions),
         "witness": report.witness,
     }
@@ -89,7 +76,8 @@ def render_json(reports: Iterable[Report], timings: bool = False) -> str:
         "reports": [report_to_dict(r, timings)
                     for r in sorted(reports, key=lambda r: r.check)],
     }
-    return json.dumps(body, sort_keys=True, indent=2)
+    # params hold Fractions, which print as their text
+    return json.dumps(body, sort_keys=True, indent=2, default=str)
 
 
 def render_text(reports: Iterable[Report], timings: bool = False) -> str:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lincomb import power
-
 Rational = Fraction
 
 
@@ -102,9 +100,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return _make(self.re, -self.im)
-
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -116,16 +111,6 @@ class GaussianRational:
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, ONE)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):

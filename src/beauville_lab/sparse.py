@@ -84,8 +84,8 @@ class SparseMat:
         return _Entries(self.den, self.num)
 
     @staticmethod
-    def identity(dim: int, scale=1) -> "SparseMat":
-        return SparseMat(dim, {(k, k): scale for k in range(dim)})
+    def identity(dim: int) -> "SparseMat":
+        return SparseMat(dim, {(k, k): 1 for k in range(dim)})
 
     def __bool__(self) -> bool:
         return bool(self.num)

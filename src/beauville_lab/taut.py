@@ -55,14 +55,6 @@ class TautExpr:
         raise AttributeError("TautExpr is immutable")
 
     @staticmethod
-    def generator(name: str, power: int = 1, locus: str = "total") -> "TautExpr":
-        if name not in GENS:
-            raise ValueError(f"unknown generator {name!r}")
-        mono = [0] * len(GENS)
-        mono[GENS.index(name)] = power
-        return TautExpr({tuple(mono): Poly.const(1)}, locus)
-
-    @staticmethod
     def const(value, locus: str = "total") -> "TautExpr":
         return TautExpr({(0,) * len(GENS): Poly.coerce(value)}, locus)
 
@@ -70,8 +62,12 @@ class TautExpr:
     def zero(locus: str = "total") -> "TautExpr":
         return TautExpr({}, locus)
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for Fraction."""
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def _check_locus(self, other: "TautExpr") -> None:
         if self.locus != other.locus:
@@ -133,7 +129,12 @@ class TautExpr:
 
 
 def gen(name: str, power: int = 1, locus: str = "total") -> TautExpr:
-    return TautExpr.generator(name, power, locus)
+    """The generator name to the given power, on the given locus."""
+    if name not in GENS:
+        raise ValueError(f"unknown generator {name!r}")
+    mono = [0] * len(GENS)
+    mono[GENS.index(name)] = power
+    return TautExpr({tuple(mono): Poly.const(1)}, locus)
 
 
 def multiple(expr: TautExpr, of: TautExpr) -> Poly:

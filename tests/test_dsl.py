@@ -10,7 +10,7 @@ from test_taut import coefficient_of
 
 from beauville_lab.cli import main
 from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
-                               Imag, K3Context, LlvContext, Mul, Neg, Num,
+                               K3Context, LlvContext, Mul, Neg, Num,
                                Pow, Sym, evaluate, kind, make_context, parse,
                                print_expr, tokenize)
 from beauville_lab.errors import OutsideModelError
@@ -157,7 +157,7 @@ def test_ast_shapes_and_precedence():
         (Num(Fraction(1)), Mul((Num(Fraction(2)), Num(Fraction(3))), ("*",))),
         ("+",))
     assert parse("-h^2") == Neg(Pow(Sym("h"), 2))
-    assert parse("[i, h]") == CommBracket(Imag(), Sym("h"))
+    assert parse("[i, h]") == CommBracket(Num(I), Sym("h"))
     assert parse("K(1,2)") == Sym("K", (Num(Fraction(1)), Num(Fraction(2))))
 
 

@@ -1,12 +1,16 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name it defines is read there, and every public
-function or class is read by the engine or the acceptance tests."""
+private module-level name it defines is read there, every public function
+or class is read by the engine or the acceptance tests, and every method is
+read by the engine, the acceptance tests or the benchmarks."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "beauville_lab"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "beauville_lab"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def unused_imports(source: str):
@@ -52,9 +56,8 @@ def test_detector_finds_unused_names():
 
 
 def test_no_unused_imports_in_the_package():
-    # __init__.py imports names to re-export them
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+             for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -71,12 +74,17 @@ def test_no_unread_private_names_in_the_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def reads(tree: ast.AST) -> Counter:
+    """How often tree reads each name, as a name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                   or isinstance(node, ast.Attribute))
+
+
 def read_names(source: str):
     """The names source reads, as a name or as an attribute."""
-    tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return set(reads(ast.parse(source)))
 
 
 def public_definitions(source: str):
@@ -95,11 +103,47 @@ def test_detector_finds_public_definitions_and_reads():
 
 
 def test_every_public_name_is_read_by_the_engine_or_the_acceptance_tests():
-    # __init__.py re-exports names, so its imports do not count as reads
     modules = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+               for path in sorted(SRC.glob("*.py"))}
     read = set().union(*map(read_names, modules.values()),
                        read_names(ACCEPTANCE.read_text(encoding="utf-8")))
     unread = {name: [d for d in public_definitions(source) if d[1] not in read]
               for name, source in modules.items()}
     assert {name: defs for name, defs in unread.items() if defs} == {}
+
+
+def unread_methods(engine, outside=frozenset()):
+    """The non-dunder methods of the classes of engine, a {file name:
+    source} dict, that no source of engine reads outside the method's own
+    body and that outside, a set of names, does not hold, as (file name,
+    line, Class.method)."""
+    trees = {name: ast.parse(source) for name, source in engine.items()}
+    total = sum(map(reads, trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and not (method.name.startswith("__") and method.name.endswith("__"))
+                        and method.name not in outside
+                        and total[method.name] == reads(method)[method.name]):
+                    found.append((name, method.lineno, f"{cls.name}.{method.name}"))
+    return found
+
+
+def test_detector_finds_unread_methods():
+    engine = {"a.py": ("class A:\n    def used(self):\n        return 0\n"
+                       "    def rec(self):\n        return self.rec()\n"
+                       "    def __len__(self):\n        return 0\n"
+                       "    def bench(self):\n        pass\n"),
+              "b.py": "def f(x):\n    return x.used()\n"}
+    assert unread_methods(engine, {"bench"}) == [("a.py", 4, "A.rec")]
+
+
+def test_every_method_is_read_by_the_engine_the_acceptance_tests_or_the_benchmarks():
+    engine = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    outside = set().union(*(read_names(path.read_text(encoding="utf-8"))
+                            for path in [ACCEPTANCE, *sorted(BENCHMARKS.glob("*.py"))]))
+    assert unread_methods(engine, outside) == []

@@ -5,7 +5,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.k3 import RelativeCycle, SurfaceClass, _bv_mul_labels
@@ -13,6 +13,7 @@ from beauville_lab.lincomb import (Labelled, add_into, add_term, bilinear,
                                    linear, power, tensor)
 from beauville_lab.poly import VARS, Poly
 from beauville_lab.scalars import GaussianRational
+from beauville_lab.taut import GENS, LOCI, TautExpr
 
 fractions = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                          max_denominator=4)
@@ -55,10 +56,24 @@ def test_add_term_x_plus_minus_x(key, x):
     assert acc == {}
 
 
-@given(st.one_of(gaussians, polys))
+tauts = st.builds(TautExpr, st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(GENS)),
+                                             polys, max_size=2),
+                  st.sampled_from(LOCI))
+
+
+def on_every_taut_zero(test):
+    """test, also run on the zero of every locus."""
+    for locus in LOCI:
+        test = example(TautExpr.zero(locus))(test)
+    return test
+
+
+@given(st.one_of(gaussians, polys, tauts))
+@on_every_taut_zero
 def test_bool_means_nonzero(x):
     assert bool(x) == (not x.is_zero())
-    assert bool(x) == (x != 0)
+    zero = TautExpr.zero(x.locus) if isinstance(x, TautExpr) else 0
+    assert bool(x) == (x != zero)
 
 
 class Counted:

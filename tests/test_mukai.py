@@ -6,15 +6,25 @@ import pytest
 
 from test_sparse import apply
 
+from beauville_lab.lincomb import add_into
 from beauville_lab.mukai import (ALPHA, BETA, HYP, THETA, MukaiSpace,
                                  barred_fourier_matrix, fourier_matrix,
                                  is_isometry, llv_model_space,
-                                 mukai_class_space, theta_bar, to_barred,
-                                 vec_add)
+                                 mukai_class_space, theta_bar, to_barred)
 from beauville_lab.scalars import GaussianRational
 from beauville_lab.sparse import SparseMat
 
 GR = GaussianRational
+
+
+def pairing(space, u, v):
+    """(u, v) straight from the Gram matrix: the tests' orthogonality oracle."""
+    return sum((c * d * space.gram[space.index(l)][space.index(m)]
+                for l, c in u.items() for m, d in v.items()), GR(0))
+
+
+def vec_add(u, v):
+    return add_into(dict(u), v.items())
 
 
 def apply_matrix(space, m, v):
@@ -41,15 +51,15 @@ def test_builders_shapes():
     assert space.dim == 6
     assert space.genus is None
     m2 = space.basis_vector("m2")
-    assert space.pairing(m2, m2) == GR(2)
-    assert space.pairing(space.basis_vector(ALPHA), space.basis_vector(BETA)) == GR(-1)
+    assert pairing(space, m2, m2) == GR(2)
+    assert pairing(space, space.basis_vector(ALPHA), space.basis_vector(BETA)) == GR(-1)
 
     mk = mukai_class_space(5, extra=2, t=Fraction(-3))
     assert mk.labels == (ALPHA, BETA, THETA, HYP, "m1", "m2")
     assert mk.genus == 5
     m1 = mk.basis_vector("m1")
-    assert mk.pairing(m1, m1) == GR(-3)
-    assert mk.pairing(mk.basis_vector(THETA), mk.basis_vector(HYP)) == GR(1)
+    assert pairing(mk, m1, m1) == GR(-3)
+    assert pairing(mk, mk.basis_vector(THETA), mk.basis_vector(HYP)) == GR(1)
 
 
 def test_llv_model_space_needs_a_middle():
@@ -109,6 +119,12 @@ def test_vec_helpers():
     u = {ALPHA: GR(1), BETA: GR(Fraction(1, 2))}
     v = {BETA: GR(Fraction(-1, 2)), THETA: GR(3)}
     assert vec_add(u, v) == {ALPHA: GR(1), THETA: GR(3)}
+    # the engine's covector against the Gram-matrix oracle
+    space = mukai_class_space(4, extra=1, t=Fraction(2, 3))
+    w = {ALPHA: GR(2), THETA: GR(0, 1), "m1": GR(Fraction(-1, 2))}
+    covector = space.covector(w)
+    for label in space.labels:
+        assert covector.get(label, GR(0)) == pairing(space, w, space.basis_vector(label))
 
 
 # -- Fourier isometry ------------------------------------------------------------
@@ -158,13 +174,13 @@ def test_fourier_preserves_pairing_on_vectors():
     u = {ALPHA: GR(2), THETA: GR(Fraction(1, 3)), "m1": GR(-1)}
     v = {BETA: GR(1), HYP: GR(5), "m1": GR(Fraction(1, 2))}
     fu, fv = apply_matrix(space, mat, u), apply_matrix(space, mat, v)
-    assert space.pairing(fu, fv) == space.pairing(u, v)
+    assert pairing(space, fu, fv) == pairing(space, u, v)
 
 
 def test_fourier_matrix_requirements():
     with pytest.raises(ValueError, match="c0 must be"):
         fourier_matrix(mukai_class_space(2), 2, 1)
-    space = llv_model_space(6, genus=2)
+    space = llv_model_space(6)
     with pytest.raises(ValueError, match="needs Theta"):
         fourier_matrix(space, 1, 1)
     no_genus = mukai_class_space(2)
@@ -175,7 +191,7 @@ def test_fourier_matrix_requirements():
 
 def test_is_isometry_rejects_scaling():
     space = mukai_class_space(2)
-    assert not is_isometry(space, SparseMat.identity(space.dim, 2))
+    assert not is_isometry(space, SparseMat.identity(space.dim).scale(2))
 
 
 def test_gram_matrix_is_built_once_per_space():

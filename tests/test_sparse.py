@@ -72,7 +72,7 @@ def weight_decompose(h: SparseMat, bound: int = 8) -> dict:
     """
     spectrum = {}
     for w in range(-bound, bound + 1):
-        dim = kernel_dimension(h - SparseMat.identity(h.dim, w))
+        dim = kernel_dimension(h - SparseMat.identity(h.dim).scale(w))
         if dim:
             spectrum[w] = dim
     total = sum(spectrum.values())

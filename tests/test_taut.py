@@ -346,7 +346,7 @@ nonzero_scalars = st.one_of(
 # polynomials in a and b, the zero polynomial among them
 ab_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero_scalars, max_size=3
-).map(lambda terms: sum((Poly.var("a", i) * Poly.var("b", j) * c
+).map(lambda terms: sum((Poly.var("a") ** i * Poly.var("b") ** j * c
                          for (i, j), c in terms.items()), Poly()))
 
 
