@@ -155,6 +155,15 @@ class Add:
 Expr = object
 
 
+def _integer(tok: Token, digits: str) -> int:
+    """The value of the digits of a number token, refused past MAX_DIGITS
+    digits, where int() would raise with its own advice."""
+    if len(digits) > MAX_DIGITS:
+        raise EvalError(f"number at line {tok.line}, column {tok.col} has more "
+                        f"than {MAX_DIGITS} digits")
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -226,7 +235,7 @@ class _Parser:
             num = self.expect("number")
             if "/" in num.text:
                 raise DslError("exponent must be an integer", num.line, num.col)
-            return Pow(atom, int(num.text))
+            return Pow(atom, _integer(num, num.text))
         return atom
 
     def parse_atom(self) -> Expr:
@@ -234,9 +243,10 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             num, _, den = tok.text.partition("/")
-            if den and not int(den):
+            numerator, denominator = _integer(tok, num), _integer(tok, den or "1")
+            if not denominator:
                 raise EvalError(f"division by zero in {tok.text}")
-            return Num(GaussianRational(Fraction(int(num), int(den or 1))))
+            return Num(GaussianRational(Fraction(numerator, denominator)))
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":

@@ -9,12 +9,12 @@ Triple cycles on S x_P1 S x_P1 S are spanned by
 
 Normal-form identifications: F3^2 = 0; c and F3 in one slot vanish; s_i * F3
 folds to c_i; two c slots vanish (pulled back from the pair model); the mixed
-forms c_i s_j and s_i c_j are identified (z-identification, flagged).
+forms c_i s_j and s_i c_j are identified (the assumed z-identification).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import OutsideModelError
 from .k3 import (_DIAG_PUSH, DELTA, ONE, REP, THETA, RelativeCycle,
@@ -22,7 +22,7 @@ from .k3 import (_DIAG_PUSH, DELTA, ONE, REP, THETA, RelativeCycle,
                  verify_fourier_stability, verify_projectors,
                  verify_sl2_action, verify_weight_operator)
 from .lincomb import Labelled, add_term, bilinear, linear, tensor
-from .report import Check, Report, check_report
+from .report import Check, Report, assume, assumptions, check_report
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 _SM = ("sm",)
@@ -52,7 +52,7 @@ def _other_slot(j: int, k: int) -> int:
     return 6 - j - k
 
 
-def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Dict[Tuple, int]:
+def _norm_pt(slots: List[str], fdeg: int) -> Dict[Tuple, int]:
     """The normal form of a point monomial as {key: 1}, or {} if it vanishes."""
     out = []
     for x in slots:
@@ -69,7 +69,7 @@ def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Dict[Tuple, int]:
         s_slots = [i for i, x in enumerate(out) if x == "s"]
         if s_slots:
             if len(s_slots) > 1:
-                flags.add("z-identification")
+                assume("z-identification")
             out[s_slots[0]] = "c"
             fdeg = 0
     if sum(1 for x in out if x == "c") >= 2:
@@ -77,14 +77,13 @@ def _norm_pt(slots: List[str], fdeg: int, flags: Set[str]) -> Dict[Tuple, int]:
     # z-identification canonical form: c before s among mixed slots
     cs = [i for i, x in enumerate(out) if x in ("s", "c")]
     if len(cs) == 2 and out[cs[0]] == "s" and out[cs[1]] == "c":
-        flags.add("z-identification")
+        assume("z-identification")
         out[cs[0]], out[cs[1]] = "c", "s"
     return {("pt", tuple(out), fdeg): 1}
 
 
-def tri_pt(x1: str = "one", x2: str = "one", x3: str = "one",
-           fdeg: int = 0, flags: Set[str] | None = None) -> TripleCycle:
-    return TripleCycle(_norm_pt([x1, x2, x3], fdeg, set() if flags is None else flags))
+def tri_pt(x1: str = "one", x2: str = "one", x3: str = "one", fdeg: int = 0) -> TripleCycle:
+    return TripleCycle(_norm_pt([x1, x2, x3], fdeg))
 
 
 def tri_dg(j: int, k: int, dec: str = "one") -> TripleCycle:
@@ -95,8 +94,7 @@ def tri_dg(j: int, k: int, dec: str = "one") -> TripleCycle:
     return TripleCycle({("dg", (j, k), dec): 1})
 
 
-def tri_from_pair(pair: RelativeCycle, slots: Tuple[int, int],
-                  flags: Set[str]) -> TripleCycle:
+def tri_from_pair(pair: RelativeCycle, slots: Tuple[int, int]) -> TripleCycle:
     """Pullback of a pair cycle through the projection onto two slots."""
     j, k = slots
     if (j, k) not in PAIRS:
@@ -107,18 +105,18 @@ def tri_from_pair(pair: RelativeCycle, slots: Tuple[int, int],
             return {("dg", (j, k), "one"): 1}
         assign = dict.fromkeys((1, 2, 3), "one")
         assign[j], assign[k] = REP[label]
-        return _norm_pt([assign[1], assign[2], assign[3]], 0, flags)
+        return _norm_pt([assign[1], assign[2], assign[3]], 0)
 
     return TripleCycle(linear(pair.terms, pulled))
 
 
-def _mul_pt_pt(k1: Tuple, k2: Tuple, flags: Set[str]) -> Dict:
+def _mul_pt_pt(k1: Tuple, k2: Tuple) -> Dict:
     (_, s1, f1), (_, s2, f2) = k1, k2
     return linear(tensor(map(_bv_mul_labels, s1, s2)),
-                  lambda slots: _norm_pt(list(slots), f1 + f2, flags))
+                  lambda slots: _norm_pt(list(slots), f1 + f2))
 
 
-def _mul_pt_dg(pt_key: Tuple, dg_key: Tuple, flags: Set[str]) -> Dict:
+def _mul_pt_dg(pt_key: Tuple, dg_key: Tuple) -> Dict:
     _, slots, fdeg = pt_key
     _, (j, k), dec = dg_key
     i = _other_slot(j, k)
@@ -130,7 +128,7 @@ def _mul_pt_dg(pt_key: Tuple, dg_key: Tuple, flags: Set[str]) -> Dict:
     pair_part = DELTA * pair_to_rel(bv(slots[j - 1]), bv(slots[k - 1]))
     for _ in range(fdeg):
         pair_part = pair_part * rel("F")
-    base = tri_from_pair(pair_part, (j, k), flags)
+    base = tri_from_pair(pair_part, (j, k))
 
     def decorate(dec_lab: str, key: Tuple) -> Dict:
         """A term of base times the class dec_lab in slot i."""
@@ -141,19 +139,19 @@ def _mul_pt_dg(pt_key: Tuple, dg_key: Tuple, flags: Set[str]) -> Dict:
             return {("dg", key[1], lab): c for lab, c in prod.items()}
         _, pslots, pf = key
         return linear(_bv_mul_labels(pslots[i - 1], dec_lab),
-                      lambda lab: _norm_pt([*pslots[:i - 1], lab, *pslots[i:]], pf, flags))
+                      lambda lab: _norm_pt([*pslots[:i - 1], lab, *pslots[i:]], pf))
 
     return bilinear(dec_prod, base.terms, decorate)
 
 
-def _mul_keys(k1: Tuple, k2: Tuple, flags: Set[str]) -> Dict:
+def _mul_keys(k1: Tuple, k2: Tuple) -> Dict:
     kinds = (k1[0], k2[0])
     if kinds == ("pt", "pt"):
-        return _mul_pt_pt(k1, k2, flags)
+        return _mul_pt_pt(k1, k2)
     if kinds == ("pt", "dg"):
-        return _mul_pt_dg(k1, k2, flags)
+        return _mul_pt_dg(k1, k2)
     if kinds == ("dg", "pt"):
-        return _mul_pt_dg(k2, k1, flags)
+        return _mul_pt_dg(k2, k1)
     if kinds == ("dg", "dg"):
         if k1[1] == k2[1]:
             raise OutsideModelError("square of a partial diagonal leaves the model")
@@ -163,22 +161,20 @@ def _mul_keys(k1: Tuple, k2: Tuple, flags: Set[str]) -> Dict:
     raise OutsideModelError(f"product {kinds} leaves the model")
 
 
-def tri_mul(x: TripleCycle, y: TripleCycle, flags: Set[str]) -> TripleCycle:
-    """The product of two triple cycles; the identifications it uses are
-    added to flags."""
-    return TripleCycle(bilinear(x.terms, y.terms, lambda k1, k2: _mul_keys(k1, k2, flags)))
+def tri_mul(x: TripleCycle, y: TripleCycle) -> TripleCycle:
+    """The product of two triple cycles; it assumes the identifications it uses."""
+    return TripleCycle(bilinear(x.terms, y.terms, _mul_keys))
 
 
 # -- the multiplicativity identity -------------------------------------------------------
 
 
-def small_diagonal_compose_product(u: RelativeCycle, v: RelativeCycle,
-                                   flags: Set[str]) -> TripleCycle:
+def small_diagonal_compose_product(u: RelativeCycle, v: RelativeCycle) -> TripleCycle:
     """[small diagonal] o (u x v) = q13-pull of u times q23-pull of v."""
-    return tri_mul(tri_from_pair(u, (1, 3), flags), tri_from_pair(v, (2, 3), flags), flags)
+    return tri_mul(tri_from_pair(u, (1, 3)), tri_from_pair(v, (2, 3)))
 
 
-def weight_compose_small_diagonal(h_pair: RelativeCycle, flags: Set[str]) -> TripleCycle:
+def weight_compose_small_diagonal(h_pair: RelativeCycle) -> TripleCycle:
     """h o [small diagonal]: a tensor term a (x) b becomes
     q12-pull of the pair-diagonal pushforward of a, times b in slot 3."""
 
@@ -186,48 +182,48 @@ def weight_compose_small_diagonal(h_pair: RelativeCycle, flags: Set[str]) -> Tri
         if label == "delta":
             return {_SM: 1}
         a, b = REP[label]
-        diag = tri_from_pair(RelativeCycle(_DIAG_PUSH[a]), (1, 2), flags)
-        return tri_mul(diag, tri_pt("one", "one", b, flags=flags), flags).terms
+        diag = tri_from_pair(RelativeCycle(_DIAG_PUSH[a]), (1, 2))
+        return tri_mul(diag, tri_pt("one", "one", b)).terms
 
     return TripleCycle(linear(h_pair.terms, image))
 
 
-def relbv_expression(flags: Set[str] | None = None) -> TripleCycle:
+def relbv_expression() -> TripleCycle:
     """[sm] - sum_i q_i(s).q_jk(diag) + sum_{i<j} q_i(s).q_j(s)."""
-    flags = set() if flags is None else flags
     out = TRI_SM
     for (j, k) in PAIRS:
         i = _other_slot(j, k)
-        out = out - tri_mul(tri_pt(**{f"x{i}": "s"}, flags=flags), tri_dg(j, k), flags)
+        out = out - tri_mul(tri_pt(**{f"x{i}": "s"}), tri_dg(j, k))
     for (i, j) in PAIRS:
-        out = out + tri_pt(**{f"x{i}": "s", f"x{j}": "s"}, flags=flags)
+        out = out + tri_pt(**{f"x{i}": "s", f"x{j}": "s"})
     return out
 
 
 def multiplicativity_difference() -> Tuple[TripleCycle, int, TripleCycle, List[str]]:
     """LHS - RHS of the multiplicativity identity for the weight operator.
 
-    Returns (difference, lam, residual, flags): the difference of
+    Returns (difference, lam, residual, used): the difference of
     [sm] o (h x delta + delta x h + delta x delta) and h o [sm], the multiple
-    lam of the relative Beauville-Voisin expression it equals, and the
-    residual after subtracting lam times that expression (zero on success).
+    lam of the relative Beauville-Voisin expression it equals, the residual
+    after subtracting lam times that expression (zero on success), and the
+    sorted names of the identifications it assumed.
     """
-    flags: Set[str] = set()
-    _, _, h0 = sl2_cycles()
-    lhs = (small_diagonal_compose_product(h0, DELTA, flags)
-           + small_diagonal_compose_product(DELTA, h0, flags)
-           + small_diagonal_compose_product(DELTA, DELTA, flags))
+    with assumptions() as used:
+        _, _, h0 = sl2_cycles()
+        lhs = (small_diagonal_compose_product(h0, DELTA)
+               + small_diagonal_compose_product(DELTA, h0)
+               + small_diagonal_compose_product(DELTA, DELTA))
 
-    # h0 as difference of slot pullbacks of Theta; also check the s-only route
-    h_theta = pair_to_rel(ONE, THETA) - pair_to_rel(THETA, ONE)
-    rhs = weight_compose_small_diagonal(h_theta, flags)
-    if rhs != weight_compose_small_diagonal(h0, flags):
-        raise AssertionError("weight-operator route dependence in h o [sm]")
+        # h0 as difference of slot pullbacks of Theta; also check the s-only route
+        h_theta = pair_to_rel(ONE, THETA) - pair_to_rel(THETA, ONE)
+        rhs = weight_compose_small_diagonal(h_theta)
+        if rhs != weight_compose_small_diagonal(h0):
+            raise AssertionError("weight-operator route dependence in h o [sm]")
 
-    diff = lhs - rhs
-    lam = diff.terms.get(_SM, 0)
-    residual = diff - relbv_expression(flags).scale(lam)
-    return diff, lam, residual, sorted(flags)
+        diff = lhs - rhs
+        lam = diff.terms.get(_SM, 0)
+        residual = diff - relbv_expression().scale(lam)
+    return diff, lam, residual, sorted(used)
 
 
 # -- absolute pushforward -----------------------------------------------------------------
@@ -298,11 +294,11 @@ def bv_absolute_expression() -> AbsoluteCycle:
     return AbsoluteCycle(out)
 
 
-def verify_multiplicativity(flags: Set[str]) -> List[Check]:
+def verify_multiplicativity() -> List[Check]:
     """The multiplicativity difference is the relative Beauville-Voisin
-    expression; the identifications it used are added to flags."""
-    _, lam, residual, used = multiplicativity_difference()
-    flags.update(used)
+    expression, which vanishes by assumption."""
+    assume("relbv-axiom")
+    _, lam, residual, _ = multiplicativity_difference()
     return [
         ("difference is a multiple of the relative expression", not residual, f"lambda={lam}"),
         ("lambda = 1", lam == 1, f"lambda={lam}"),
@@ -310,7 +306,9 @@ def verify_multiplicativity(flags: Set[str]) -> List[Check]:
 
 
 def verify_absolute_push() -> List[Check]:
-    """The relative expression pushes to the absolute one, coherently."""
+    """The relative expression pushes to the absolute one, coherently; that
+    one vanishes by the assumed absolute Beauville-Voisin relation."""
+    assume("bv-absolute-relation")
     pushed = abs_tri_push(relbv_expression())
     pair_push = abs_pair_push(DELTA * rel("F"))
     return [
@@ -322,17 +320,11 @@ def verify_absolute_push() -> List[Check]:
 
 def run_k3_suite() -> List[Report]:
     """The motivic decomposition of the elliptic K3 and its multiplicativity."""
-
-    def multiplicativity():
-        flags = {"relbv-axiom"}
-        return verify_multiplicativity(flags), {"assumptions": sorted(flags)}
-
     return [
         check_report("k3-projectors", verify_projectors),
         check_report("k3-sl2", verify_sl2_action),
         check_report("k3-weight-operator", verify_weight_operator),
         check_report("k3-fourier-stability", verify_fourier_stability),
-        check_report("k3-multiplicativity", multiplicativity),
-        check_report("k3-absolute-push", verify_absolute_push,
-                     assumptions=["bv-absolute-relation"]),
+        check_report("k3-multiplicativity", verify_multiplicativity),
+        check_report("k3-absolute-push", verify_absolute_push),
     ]

@@ -5,7 +5,7 @@ the boundary is fed through exact pushforward pipelines.  Powers theta^k
 with k <= g push directly along the g-dimensional fibration; powers with
 k >= g+1 are first rewritten through the top-weight boundary relation and
 pushed along the (g-1)-dimensional boundary fibration.  Each pipeline
-reports the named geometric inputs it consumed.
+assumes the named geometric inputs (report.AXIOMS) where it uses them.
 """
 
 from __future__ import annotations
@@ -14,99 +14,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .dr import TOP_WEIGHT_RELATION, alpha_terms, corollary_theta_push
 from .errors import OutsideModelError
 from .poly import Poly, discriminant_is_square, rational_roots
-from .report import Check, Report, check_report
+from .report import Check, Report, assume, check_report
 from .taut import GENS, TautExpr, abelian_push, boundary_pull, gen, multiple, \
     open_restrict, weight_part
-
-AXIOMS: Dict[str, str] = {
-    "unit-relation": (
-        "the g-fold self-intersection of theta pushes forward to g! times "
-        "the fundamental class of the base"),
-    "theta-power-vanishing": (
-        "powers theta^k with k < g push forward to zero along the "
-        "g-dimensional fibration"),
-    "theta-xi-relation": (
-        "a pair of xi2 factors trades against theta for -1/2 times the sum "
-        "of the two marked-point psi classes"),
-    "alpha2-input": (
-        "the decorated boundary contribution in genus 3 is "
-        "theta*(psi1+psi2)/480 - xi2^2/8960 in its surviving weight"),
-    "alpha0-input": (
-        "the decorated boundary contribution in genus 2 is (psi1+psi2)/480 "
-        "in its surviving weight"),
-    "boundary-self-intersection": (
-        "on a family with at most one node the boundary divisor restricts "
-        "to itself as minus the sum of the two branch psi classes"),
-    "delta3-vanishing-g3": (
-        "the third power of the boundary divisor class vanishes on the "
-        "genus-3 base"),
-    "delta2-mumford-g2": (
-        "on the integral genus-2 base the square of the boundary divisor "
-        "is -1/6 times the pushed stratum class R"),
-    "psi-boundary-descent-g2": (
-        "on the integral genus-2 base the boundary pushforward of psi1+psi2 "
-        "is 1/12 times the pushed stratum class R"),
-    "psi-sum-nonvanishing-M22": (
-        "the boundary pushforward of psi1+psi2 is nonzero on the genus-3 "
-        "base"),
-    "bsz-psi-square-nonvanishing": (
-        "the boundary pushforward of (psi1+psi2)^2 is nonzero on the base "
-        "for genus at least 4"),
-    "h3-M3-vanishing": (
-        "the genus-3 base has no odd cohomology in degree 3, so the "
-        "obstruction class is controlled by its boundary part"),
-    "h2-span-theta-kappa": (
-        "over smooth curves every divisor class on the family is a "
-        "combination of theta, kappa1 and classes pulled back from the "
-        "base"),
-    "boundary-irreducibility": (
-        "the boundary of the moduli of curves with at most one node is "
-        "irreducible, so a single coefficient b governs the extension"),
-    "kappa1-nonzero": (
-        "kappa1 is nonzero on the base of the smooth-curve family"),
-    "delta-nonzero": (
-        "the boundary divisor class is nonzero on the base"),
-    "r-int-nonzero": (
-        "the pushed stratum class R is nonzero on the integral genus-2 "
-        "base"),
-    "z-identification": (
-        "the two mixed point-times-section cycles on the fiber square are "
-        "identified"),
-    "relbv-axiom": (
-        "the relative Beauville-Voisin expression on the fiber triple "
-        "product vanishes"),
-    "bv-absolute-relation": (
-        "the absolute Beauville-Voisin relation: the small diagonal equals "
-        "the sum of its distinguished-point corrections on the triple "
-        "product"),
-}
-
-
-class AssumptionLedger:
-    """Records which named geometric inputs a pipeline consumed."""
-
-    def __init__(self):
-        self._used: Set[str] = set()
-
-    def use(self, name: str) -> None:
-        if name not in AXIOMS:
-            raise KeyError(f"unknown assumption {name!r}")
-        self._used.add(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._used)
-
 
 @dataclass
 class ObstructionResult:
     name: str
     conclusion: str
-    assumptions: List[str]
     constant: Optional[Poly] = None
     base_class: Optional[str] = None
     discriminant: Optional[Fraction] = None
@@ -117,7 +37,7 @@ class ObstructionResult:
     checks: List[Check] = field(default_factory=list)
 
 
-def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger) -> TautExpr:
+def theta_delta_push(g: int, k: int, j: int) -> TautExpr:
     """Pushforward of theta^k delta^j along the g-dimensional fibration.
 
     For k <= g the power pushes directly: g! delta^j at k = g and zero
@@ -136,21 +56,21 @@ def theta_delta_push(g: int, k: int, j: int, ledger: AssumptionLedger) -> TautEx
         raise ValueError("need g >= 2 and nonnegative exponents")
     if k <= g:
         if k == g:
-            ledger.use("unit-relation")
+            assume("unit-relation")
             return gen("delta", j, locus="base").scale(factorial(g))
-        ledger.use("theta-power-vanishing")
+        assume("theta-power-vanishing")
         return TautExpr.zero("base")
     e, top = k - g - 1, 2 * (g - 1)
     expr = boundary_pull(gen("theta", g - 1 + e) * gen("delta", j), top).scale(
         TOP_WEIGHT_RELATION.coefficient / factorial(g - 1))
     alpha = alpha_terms(g)
     if alpha is not None:
-        ledger.use("alpha2-input" if g == 3 else "alpha0-input")
+        assume("alpha2-input" if g == 3 else "alpha0-input")
         pulled = boundary_pull(gen("theta", e) * gen("delta", j))
         expr = expr + weight_part(alpha * pulled, top)
     xi_idx = GENS.index("xi2")
     if any(m[xi_idx] >= 2 for m in expr.terms):
-        ledger.use("theta-xi-relation")
+        assume("theta-xi-relation")
     pushed = abelian_push(expr, g - 1)
     return pushed.scale(factorial(g + 1))
 
@@ -168,8 +88,7 @@ _DELTA, _DELTA_SQUARE = gen("delta", locus="base"), gen("delta", 2, locus="base"
 _KAPPA1 = gen("kappa1", locus="base")
 
 
-def _push_theta_mixed_power(g: int, power: int, extra_theta: int,
-                            ledger: AssumptionLedger) -> Tuple[TautExpr, TautExpr]:
+def _push_theta_mixed_power(g: int, power: int, extra_theta: int) -> Tuple[TautExpr, TautExpr]:
     """Push theta^extra * (theta + b delta)^power, split by target locus.
 
     Returns (base part, boundary-base part); the boundary-base part still
@@ -184,7 +103,7 @@ def _push_theta_mixed_power(g: int, power: int, extra_theta: int,
     i_delta = GENS.index("delta")
     for mono, coeff in sorted(integrand.terms.items()):
         k, j = mono[i_theta], mono[i_delta]
-        pushed = theta_delta_push(g, k, j, ledger)
+        pushed = theta_delta_push(g, k, j)
         if pushed.locus == "base":
             base_total = base_total + pushed.scale(coeff)
         else:
@@ -192,25 +111,25 @@ def _push_theta_mixed_power(g: int, power: int, extra_theta: int,
     return base_total, boundary_total
 
 
-def _pushed_delta_coefficient(g: int, ledger: AssumptionLedger) -> Poly:
+def _pushed_delta_coefficient(g: int) -> Poly:
     """The multiple of the boundary divisor that (theta + b delta)^(g+1)
     pushes to; iota_* of the boundary-base unit is that divisor."""
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0, ledger)
+    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 0)
     coeff = multiple(boundary_part, _UNIT) + multiple(base_part, _DELTA)
-    ledger.use("delta-nonzero")
-    ledger.use("boundary-irreducibility")
+    assume("delta-nonzero")
+    assume("boundary-irreducibility")
     return coeff
 
 
-def _push_theta_times_candidate(g: int, ledger: AssumptionLedger) -> Tuple[Poly, Poly]:
+def _push_theta_times_candidate(g: int) -> Tuple[Poly, Poly]:
     """Push theta * (theta + b delta)^(g+1) and read it as (the multiple of
     the boundary-base psi sum, the multiple of delta^2 on the base)."""
-    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 1, ledger)
+    base_part, boundary_part = _push_theta_mixed_power(g, g + 1, 1)
     return multiple(boundary_part, _PSI_SUM), multiple(base_part, _DELTA_SQUARE)
 
 
 def _no_root_result(name: str, conclusion: str, base_class: str, constant: Poly,
-                    expected: Poly, ledger: AssumptionLedger) -> ObstructionResult:
+                    expected: Poly) -> ObstructionResult:
     """The certificate of a quadratic obstruction constant in b: it is the
     expected one, and its discriminant is no rational square."""
     disc, is_sq = discriminant_is_square(constant, "b")
@@ -220,9 +139,8 @@ def _no_root_result(name: str, conclusion: str, base_class: str, constant: Poly,
         ("no-rational-root", not roots and not is_sq, f"disc={disc}"),
     ]
     return ObstructionResult(
-        name=name, conclusion=conclusion, assumptions=ledger.names(),
-        constant=constant, base_class=base_class, discriminant=disc,
-        discriminant_is_square=is_sq, rational_roots=roots, checks=checks)
+        name=name, conclusion=conclusion, constant=constant, base_class=base_class,
+        discriminant=disc, discriminant_is_square=is_sq, rational_roots=roots, checks=checks)
 
 
 def genus3_obstruction() -> ObstructionResult:
@@ -232,19 +150,18 @@ def genus3_obstruction() -> ObstructionResult:
     the result is a multiple of the pushed psi sum, and the multiple has no
     rational root in b.
     """
-    ledger = AssumptionLedger()
-    psi_mult, delta2 = _push_theta_times_candidate(3, ledger)
+    psi_mult, delta2 = _push_theta_times_candidate(3)
     # base part: delta^2 restricts through the boundary as -(psi1 + psi2)
     if delta2:
-        ledger.use("boundary-self-intersection")
-    ledger.use("psi-sum-nonvanishing-M22")
-    ledger.use("h3-M3-vanishing")
-    ledger.use("boundary-irreducibility")
+        assume("boundary-self-intersection")
+    assume("psi-sum-nonvanishing-M22")
+    assume("h3-M3-vanishing")
+    assume("boundary-irreducibility")
     return _no_root_result(
         "genus3-obstruction",
         "no rational b extends the theta divisor: the pushed obstruction "
         "class is a nonzero multiple of the psi sum for every rational b",
-        "iota_*(psi1 + psi2)", psi_mult - delta2, _expected_genus3_constant(), ledger)
+        "iota_*(psi1 + psi2)", psi_mult - delta2, _expected_genus3_constant())
 
 
 def _expected_genus3_constant() -> Poly:
@@ -266,20 +183,19 @@ def genus2_obstruction() -> ObstructionResult:
     the stratum class R with factor 1/12 and the base delta^2 converts by
     the Mumford relation; the resulting multiple of R has no rational root.
     """
-    ledger = AssumptionLedger()
-    psi_mult, delta2 = _push_theta_times_candidate(2, ledger)
-    ledger.use("psi-boundary-descent-g2")
+    psi_mult, delta2 = _push_theta_times_candidate(2)
+    assume("psi-boundary-descent-g2")
     if delta2:
-        ledger.use("delta2-mumford-g2")
-    ledger.use("r-int-nonzero")
-    ledger.use("boundary-irreducibility")
+        assume("delta2-mumford-g2")
+    assume("r-int-nonzero")
+    assume("boundary-irreducibility")
     r_coeff = psi_mult.scale(Fraction(1, 12)) + delta2.scale(Fraction(-1, 6))
     return _no_root_result(
         "genus2-obstruction",
         "no rational b extends the theta divisor over integral curves: the "
         "pushed obstruction class is a nonzero multiple of the stratum class "
         "R for every rational b",
-        "R", r_coeff, _expected_genus2_constant(), ledger)
+        "R", r_coeff, _expected_genus2_constant())
 
 
 def single_node_theta() -> ObstructionResult:
@@ -288,8 +204,7 @@ def single_node_theta() -> ObstructionResult:
     Pushing (theta + b delta)^3 gives (1/8 + 6b) times the boundary
     divisor, forcing b = -1/48.
     """
-    ledger = AssumptionLedger()
-    delta_coeff = _pushed_delta_coefficient(2, ledger)
+    delta_coeff = _pushed_delta_coefficient(2)
     roots = rational_roots(delta_coeff, "b")
     solved = roots[0] if len(roots) == 1 else None
     checks = [
@@ -303,7 +218,6 @@ def single_node_theta() -> ObstructionResult:
         name="single-node-theta",
         conclusion=("a unique extension exists over curves with at most one "
                     "node"),
-        assumptions=ledger.names(),
         constant=delta_coeff,
         base_class="delta",
         rational_roots=roots,
@@ -321,17 +235,16 @@ def high_genus_obstruction(g: int) -> ObstructionResult:
     """
     if g < 4:
         raise ValueError("this obstruction needs genus at least 4")
-    ledger = AssumptionLedger()
 
     # boundary constraint: weight-2(g-1) part of the pulled-back power
     pulled = boundary_pull(_theta_candidate() ** (g + 1), 2 * (g - 1))
     square_coeff = multiple(abelian_push(pulled, g - 1), _PSI_SUM_SQUARE)
-    ledger.use("bsz-psi-square-nonvanishing")
+    assume("bsz-psi-square-nonvanishing")
     boundary_roots = rational_roots(square_coeff, "b")
     b_boundary = boundary_roots[0] if len(boundary_roots) == 1 else None
 
     # direct constraint: push (theta + b delta)^(g+1)/(g+1)!
-    delta_coeff = _pushed_delta_coefficient(g, ledger).scale(Fraction(1, factorial(g + 1)))
+    delta_coeff = _pushed_delta_coefficient(g).scale(Fraction(1, factorial(g + 1)))
     direct_roots = rational_roots(delta_coeff, "b")
     b_direct = direct_roots[0] if len(direct_roots) == 1 else None
 
@@ -348,7 +261,6 @@ def high_genus_obstruction(g: int) -> ObstructionResult:
         name=f"high-genus-obstruction-g{g}",
         conclusion=("no extension exists: the boundary constraint and the "
                     "direct pushforward pin incompatible values of b"),
-        assumptions=ledger.names(),
         constant=delta_coeff,
         base_class="delta",
         contradiction=contradiction,
@@ -364,15 +276,14 @@ def kappa_exclusion_check(g: int) -> ObstructionResult:
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
-    ledger = AssumptionLedger()
     candidate = gen("theta") + gen("kappa1").scale(Poly.var("a"))
     expr = open_restrict(candidate ** (g + 1))
     part = weight_part(expr, 2 * g)
     coeff = multiple(abelian_push(part, g), _KAPPA1)
-    ledger.use("unit-relation")
-    ledger.use("h2-span-theta-kappa")
-    ledger.use("kappa1-nonzero")
-    ledger.use("boundary-irreducibility")
+    assume("unit-relation")
+    assume("h2-span-theta-kappa")
+    assume("kappa1-nonzero")
+    assume("boundary-irreducibility")
     roots = rational_roots(coeff, "a")
     solved = roots[0] if len(roots) == 1 else None
     checks = [
@@ -384,7 +295,6 @@ def kappa_exclusion_check(g: int) -> ObstructionResult:
         name=f"kappa-exclusion-g{g}",
         conclusion="over smooth curves the candidate divisor carries no "
                    "kappa1 correction",
-        assumptions=ledger.names(),
         constant=coeff,
         base_class="kappa1",
         rational_roots=roots,
@@ -397,14 +307,13 @@ def kappa_exclusion_check(g: int) -> ObstructionResult:
 
 def _result_checks(result: ObstructionResult) -> Tuple[List[Check], Dict[str, object]]:
     """The checks of an obstruction result, with the report fields it sets:
-    its name, the assumptions it consumed and its headline value."""
+    its name and its headline value."""
     witness = str(result.constant) if result.constant is not None else ""
     if result.theta_class:
         witness = result.theta_class
     if result.contradiction:
         witness = f"b = {result.contradiction[0]} vs b = {result.contradiction[1]}"
-    return result.checks, {"params": {"name": result.name},
-                           "assumptions": result.assumptions, "witness": witness}
+    return result.checks, {"params": {"name": result.name}, "witness": witness}
 
 
 def _power_push_checks() -> Tuple[List[Check], Dict[str, object]]:

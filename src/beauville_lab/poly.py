@@ -204,6 +204,13 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _quadratic(poly: Poly, name: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(c0, c1, c2, c1^2 - 4 c2 c0) of poly read as c0 + c1 name + c2 name^2;
+    a coefficient that is not rational raises ValueError."""
+    c0, c1, c2 = (poly.coefficient(name, k).constant_value().rational() for k in range(3))
+    return c0, c1, c2, c1 * c1 - 4 * c2 * c0
+
+
 def rational_roots(poly: Poly, name: str = "b") -> list[Rational]:
     """Exact rational roots of a univariate polynomial of degree <= 2.
 
@@ -214,22 +221,15 @@ def rational_roots(poly: Poly, name: str = "b") -> list[Rational]:
     for var in VARS:
         if var != name and poly.degree(var) > 0:
             raise ValueError(f"polynomial involves {var}, not univariate in {name}")
-    coeffs = []
-    for k in range(3):
-        c = poly.coefficient(name, k).constant_value()
-        if not c.is_rational():
-            raise ValueError("coefficients must be rational")
-        coeffs.append(c.rational())
     if poly.degree(name) > 2:
         raise ValueError("degree > 2 not supported")
-    c0, c1, c2 = coeffs
+    c0, c1, c2, disc = _quadratic(poly, name)
     if c2 == 0:
         if c1 == 0:
             if c0 == 0:
                 raise ValueError("zero polynomial has every rational as a root")
             return []
         return [-c0 / c1]
-    disc = c1 * c1 - 4 * c2 * c0
     root = _fraction_sqrt(disc)
     if root is None:
         return []
@@ -240,10 +240,7 @@ def rational_roots(poly: Poly, name: str = "b") -> list[Rational]:
 
 def discriminant_is_square(poly: Poly, name: str = "b") -> tuple[Fraction, bool]:
     """(discriminant, has rational square root) for a quadratic in name."""
-    c0 = poly.coefficient(name, 0).constant_value().rational()
-    c1 = poly.coefficient(name, 1).constant_value().rational()
-    c2 = poly.coefficient(name, 2).constant_value().rational()
+    _, _, c2, disc = _quadratic(poly, name)
     if c2 == 0:
         raise ValueError("not a quadratic")
-    disc = c1 * c1 - 4 * c2 * c0
     return disc, _fraction_sqrt(disc) is not None

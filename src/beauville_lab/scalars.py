@@ -48,9 +48,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def rational(self) -> Fraction:
         if self.im:
             raise ValueError(f"{self} has a nonzero imaginary part")

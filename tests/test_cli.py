@@ -1,5 +1,6 @@
 """Command-line interface: suites, eval, exit codes, canonical output."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from beauville_lab import cli, llv
+from beauville_lab import cli, llv, obstruction, report
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
 from beauville_lab.mukai import MukaiSpace, llv_model_space
-from beauville_lab.obstruction import AXIOMS
-from beauville_lab.report import (Report, exit_code, render_json, render_text,
-                                  report_to_dict)
+from beauville_lab.errors import OutsideModelError
+from beauville_lab.report import (AXIOMS, Report, assume, assumptions,
+                                  check_report, exit_code, render_json,
+                                  render_text, report_to_dict)
 
 GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
@@ -24,6 +26,7 @@ THETA_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "theta_obstructi
 LLV_LARGEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "llv_hdim10_trials100.json"
 TRIPLE_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "triple_g16.json"
 TEXT_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.txt"
+SRC = Path(__file__).resolve().parent.parent / "src" / "beauville_lab"
 
 def space_file(path, middle):
     """Write a space whose middle gram is `middle` in the documented format."""
@@ -94,6 +97,83 @@ def test_render_json_sorts_reports():
     body = json.loads(render_json(reports))
     assert body["schema_version"] == 1
     assert [r["check"] for r in body["reports"]] == ["a", "z"]
+
+
+def assuming(*names):
+    """A work() that assumes names and returns one identity that holds."""
+    def work():
+        for name in names:
+            assume(name)
+        return [("holds", True, "")]
+    return work
+
+
+def test_inner_assumption_scopes_reach_the_outer_ones():
+    with assumptions() as outer:
+        assume("unit-relation")
+        with assumptions() as inner:
+            assume("delta-nonzero")
+        assume("kappa1-nonzero")
+    assert inner == {"delta-nonzero"}
+    assert outer == {"unit-relation", "delta-nonzero", "kappa1-nonzero"}
+    # a report's scope nests in an open one the same way
+    with assumptions() as outer:
+        rep = check_report("x", assuming("relbv-axiom"))
+    assert rep.assumptions == ["relbv-axiom"] and outer == {"relbv-axiom"}
+
+
+def test_sibling_reports_do_not_share_assumptions():
+    first = check_report("a", assuming("unit-relation"))
+    second = check_report("b", assuming())
+    assert first.assumptions == ["unit-relation"]
+    assert second.assumptions == []
+
+
+def test_a_work_that_raises_leaves_no_scope_open(monkeypatch):
+    def leaves_the_model():
+        assume("unit-relation")
+        raise OutsideModelError("stub pipeline")
+
+    monkeypatch.setattr(obstruction, "genus3_obstruction", leaves_the_model)
+    reports = run_theta_suite()
+    assert reports[-1].status == "unsupported" and reports[-1].assumptions == []
+    assert report._SCOPES.get() == ()
+    assert check_report("b", assuming()).assumptions == []
+
+
+def test_unknown_assumptions_raise_inside_and_outside_a_scope():
+    with pytest.raises(KeyError, match="unknown assumption"):
+        assume("unknown")
+    with assumptions() as used:
+        with pytest.raises(KeyError, match="unknown assumption"):
+            assume("unknown")
+    assert used == set()
+
+
+def assumed_literals(source: str):
+    """The string literals that source passes to assume(...), and the lines
+    of the calls whose argument holds none, which a scan cannot check."""
+    literals, opaque = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "assume":
+            found = {leaf.value for arg in node.args for leaf in ast.walk(arg)
+                     if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)}
+            literals |= found
+            if not found:
+                opaque.append(node.lineno)
+    return literals, opaque
+
+
+def test_the_engine_assumes_exactly_the_named_axioms():
+    assert assumed_literals('assume("a" if g else "b")\nassume(name)\n') == ({"a", "b"}, [2])
+    literals, opaque = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        found, lines = assumed_literals(path.read_text(encoding="utf-8"))
+        literals |= found
+        if lines:
+            opaque[path.name] = lines
+    assert opaque == {}
+    assert literals == set(AXIOMS)
 
 
 # -- suite runners ----------------------------------------------------------------------
@@ -253,8 +333,7 @@ def test_every_assumption_of_verify_all_is_a_named_axiom(capsys):
     assert main(["verify", "all", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     named = {name for report in reports for name in report["assumptions"]}
-    # the k3 suite writes its names as literals, the theta suite checks
-    # each in its ledger; verify all does not reach z-identification
+    # verify all does not reach z-identification
     assert {"relbv-axiom", "bv-absolute-relation"} <= named
     assert named | {"z-identification"} <= set(AXIOMS)
 
@@ -401,6 +480,15 @@ def test_eval_model_errors_exit_one(capsys):
         code, _, err = run_cli(capsys, "eval", expr, "--context", context)
         assert code == 1, (expr, context)
         assert "evaluation error" in err
+    # a literal past Python's digit limit for int() is refused by its place
+    many = "7" * 5000
+    for expr, where in ((many, "line 1, column 1"), (f"2^{many}", "line 1, column 3"),
+                        (f"1/{many}", "line 1, column 1"), (f"h +\n {many}/3", "line 2, column 2")):
+        code, _, err = run_cli(capsys, "eval", expr, "--context", "llv")
+        assert (code, err) == (1, f"evaluation error: number at {where} has more than "
+                                  "4300 digits\n"), expr
+    code, out, _ = run_cli(capsys, "eval", "7" * 4300, "--context", "llv")
+    assert (code, out.strip()) == (0, "7" * 4300)
 
 
 def test_eval_division_by_zero_exits_one(capsys):

@@ -14,6 +14,7 @@ from beauville_lab.k3_mult import (TRI_SM, AbsoluteCycle, TripleCycle,
                                    small_diagonal_compose_product, tri_dg,
                                    tri_from_pair, tri_mul, tri_pt,
                                    weight_compose_small_diagonal)
+from beauville_lab.report import assumptions
 
 F1 = 1  # the tables hold integers
 
@@ -40,12 +41,12 @@ def test_fiber_times_point_class_vanishes():
 
 
 def test_fiber_absorbs_into_a_section_slot():
-    flags = set()
-    assert tri_pt("s", fdeg=1, flags=flags) == T({pt("c"): F1})
-    assert flags == set()
-    flags = set()
-    assert tri_pt("s", "s", fdeg=1, flags=flags) == T({pt("c", "s"): F1})
-    assert flags == {"z-identification"}
+    with assumptions() as used:
+        assert tri_pt("s", fdeg=1) == T({pt("c"): F1})
+    assert used == set()
+    with assumptions() as used:
+        assert tri_pt("s", "s", fdeg=1) == T({pt("c", "s"): F1})
+    assert used == {"z-identification"}
 
 
 def test_two_point_slots_vanish():
@@ -54,12 +55,12 @@ def test_two_point_slots_vanish():
 
 
 def test_mixed_slots_canonicalize_with_flag():
-    flags = set()
-    assert tri_pt("s", "c", flags=flags) == T({pt("c", "s"): F1})
-    assert flags == {"z-identification"}
-    flags = set()
-    assert tri_pt("c", "s", flags=flags) == T({pt("c", "s"): F1})
-    assert flags == set()
+    with assumptions() as used:
+        assert tri_pt("s", "c") == T({pt("c", "s"): F1})
+    assert used == {"z-identification"}
+    with assumptions() as used:
+        assert tri_pt("c", "s") == T({pt("c", "s"): F1})
+    assert used == set()
 
 
 def test_tri_builders_validate():
@@ -73,73 +74,70 @@ def test_tri_builders_validate():
 
 
 def test_tri_from_pair():
-    flags = set()
-    assert tri_from_pair(rel("delta"), (1, 3), flags) == tri_dg(1, 3)
-    assert tri_from_pair(rel("s12"), (2, 3), flags) == T({pt("one", "s", "s"): F1})
-    assert tri_from_pair(rel("F"), (1, 2), flags) == T({pt(fdeg=1): F1})
+    assert tri_from_pair(rel("delta"), (1, 3)) == tri_dg(1, 3)
+    assert tri_from_pair(rel("s12"), (2, 3)) == T({pt("one", "s", "s"): F1})
+    assert tri_from_pair(rel("F"), (1, 2)) == T({pt(fdeg=1): F1})
     with pytest.raises(ValueError, match="slots"):
-        tri_from_pair(rel("one"), (3, 1), flags)
+        tri_from_pair(rel("one"), (3, 1))
 
 
 # -- products ----------------------------------------------------------------------
 
 
 def test_tri_mul_point_monomials():
-    flags = set()
-    s1 = tri_pt("s", flags=flags)
-    assert tri_mul(s1, s1, flags) == T({pt("c"): Fraction(-2)})
-    s2 = tri_pt("one", "s", flags=flags)
-    assert tri_mul(s1, s2, flags) == T({pt("s", "s"): F1})
-    assert flags == set()
+    with assumptions() as used:
+        s1 = tri_pt("s")
+        assert tri_mul(s1, s1) == T({pt("c"): Fraction(-2)})
+        s2 = tri_pt("one", "s")
+        assert tri_mul(s1, s2) == T({pt("s", "s"): F1})
+    assert used == set()
 
 
 def test_tri_mul_diagonal_cases():
-    flags = set()
     # decoration lands on the complementary slot
-    assert tri_mul(tri_pt("one", "one", "s"), tri_dg(1, 2), flags) == \
+    assert tri_mul(tri_pt("one", "one", "s"), tri_dg(1, 2)) == \
         T({("dg", (1, 2), "s"): F1})
     # a section slot on the diagonal pair restricts to the diagonal
-    assert tri_mul(tri_pt("s"), tri_dg(1, 2), flags) == T({pt("s", "s"): F1})
+    assert tri_mul(tri_pt("s"), tri_dg(1, 2)) == T({pt("s", "s"): F1})
     # distinct partial diagonals cut out the small diagonal
-    assert tri_mul(tri_dg(1, 2), tri_dg(2, 3), flags) == TRI_SM
+    assert tri_mul(tri_dg(1, 2), tri_dg(2, 3)) == TRI_SM
 
 
 def test_tri_mul_outside_model():
-    flags = set()
     with pytest.raises(OutsideModelError, match="square of a partial diagonal"):
-        tri_mul(tri_dg(1, 2), tri_dg(1, 2), flags)
+        tri_mul(tri_dg(1, 2), tri_dg(1, 2))
     with pytest.raises(OutsideModelError, match="decorated"):
-        tri_mul(tri_dg(1, 2, dec="s"), tri_dg(2, 3), flags)
+        tri_mul(tri_dg(1, 2, dec="s"), tri_dg(2, 3))
     with pytest.raises(OutsideModelError):
-        tri_mul(TRI_SM, tri_pt("s"), flags)
+        tri_mul(TRI_SM, tri_pt("s"))
 
 
 # -- multiplicativity of the weight operator -----------------------------------------
 
 
 def test_left_side_frozen_components():
-    flags = set()
     _, _, h0 = sl2_cycles()
-    assert small_diagonal_compose_product(h0, DELTA, flags) == T({
-        pt("one", "s", "s"): F1,
-        ("dg", (2, 3), "s"): -F1,
-    })
-    assert small_diagonal_compose_product(DELTA, h0, flags) == T({
-        pt("s", "one", "s"): F1,
-        ("dg", (1, 3), "s"): -F1,
-    })
-    assert small_diagonal_compose_product(DELTA, DELTA, flags) == TRI_SM
-    assert flags == set()
+    with assumptions() as used:
+        assert small_diagonal_compose_product(h0, DELTA) == T({
+            pt("one", "s", "s"): F1,
+            ("dg", (2, 3), "s"): -F1,
+        })
+        assert small_diagonal_compose_product(DELTA, h0) == T({
+            pt("s", "one", "s"): F1,
+            ("dg", (1, 3), "s"): -F1,
+        })
+        assert small_diagonal_compose_product(DELTA, DELTA) == TRI_SM
+    assert used == set()
 
 
 def test_right_side_frozen():
-    flags = set()
     _, _, h0 = sl2_cycles()
-    assert weight_compose_small_diagonal(h0, flags) == T({
-        ("dg", (1, 2), "s"): F1,
-        pt("s", "s", "one"): -F1,
-    })
-    assert flags == set()
+    with assumptions() as used:
+        assert weight_compose_small_diagonal(h0) == T({
+            ("dg", (1, 2), "s"): F1,
+            pt("s", "s", "one"): -F1,
+        })
+    assert used == set()
 
 
 def test_relbv_expression_frozen():
@@ -155,10 +153,10 @@ def test_relbv_expression_frozen():
 
 
 def test_multiplicativity_difference_is_the_relative_expression():
-    diff, lam, residual, flags = multiplicativity_difference()
+    diff, lam, residual, used = multiplicativity_difference()
     assert lam == F1
     assert residual == TripleCycle() and not residual
-    assert flags == []
+    assert used == []
     assert diff == relbv_expression()
 
 

@@ -2,8 +2,8 @@
 basis labels and normal-form triple keys, against tests/golden/k3_tables.json.
 
 Each entry records the call, its result (or the text of the
-OutsideModelError it raises) and, for tri_mul, the identification flags it
-sets.  The recorded names bv_mul and rel_mul stand for the '*' of
+OutsideModelError it raises) and, for tri_mul, the identifications it
+assumes, under "flags".  The recorded names bv_mul and rel_mul stand for the '*' of
 SurfaceClass and RelativeCycle.  The golden file records what the engine computed when it was written.
 To rewrite it after an intended change of the model, run from the root of
 the repository
@@ -21,6 +21,7 @@ from beauville_lab.k3 import (BV_LABELS, REL_LABELS, RelativeCycle,
                               SurfaceClass, fourier_conjugate, rel_compose)
 from beauville_lab.k3_mult import (PAIRS, TRI_SM, TripleCycle, abs_pair_push,
                                    abs_tri_push, tri_dg, tri_mul, tri_pt)
+from beauville_lab.report import assumptions
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "k3_tables.json"
 
@@ -34,7 +35,7 @@ FUNCTIONS = {
     "abs_tri_push": (abs_tri_push, TripleCycle),
     "fourier_conjugate": (fourier_conjugate, RelativeCycle),
 }
-TAKES_FLAGS = ("tri_mul",)
+ASSUMES = ("tri_mul",)
 
 
 def _plain(x):
@@ -73,18 +74,18 @@ def cases():
 
 def run(name, args):
     """The entry of one call, each argument taken as that basis element."""
-    extra = (set(),) if name in TAKES_FLAGS else ()
     entry = {"fn": name, "args": _plain(args)}
     function, kind = FUNCTIONS[name]
-    try:
-        result = function(*(kind({a: 1}) for a in args), *extra)
-    except OutsideModelError as err:
-        entry["error"] = str(err)
-    else:
-        entry["result"] = sorted(([_plain(k), str(c)] for k, c in result.terms.items()),
-                                 key=json.dumps)
-    if extra:
-        entry["flags"] = sorted(extra[0])
+    with assumptions() as used:
+        try:
+            result = function(*(kind({a: 1}) for a in args))
+        except OutsideModelError as err:
+            entry["error"] = str(err)
+        else:
+            entry["result"] = sorted(([_plain(k), str(c)] for k, c in result.terms.items()),
+                                     key=json.dumps)
+    if name in ASSUMES:
+        entry["flags"] = sorted(used)
     return entry
 
 

@@ -6,12 +6,12 @@ from math import factorial
 import pytest
 from test_taut import coefficient_of
 
-from beauville_lab.obstruction import (AXIOMS, AssumptionLedger,
-                                       genus2_obstruction, genus3_obstruction,
+from beauville_lab.obstruction import (genus2_obstruction, genus3_obstruction,
                                        high_genus_obstruction,
                                        kappa_exclusion_check,
                                        single_node_theta, theta_delta_push)
 from beauville_lab.poly import Poly
+from beauville_lab.report import AXIOMS, assume, assumptions
 from beauville_lab.taut import TautExpr, gen
 
 
@@ -21,18 +21,24 @@ def expected_poly(*, const=0, b1=0, b2=0, var="b"):
         + (x * x).scale(Fraction(b2))
 
 
+def assumed(pipeline, *args):
+    """What pipeline(*args) returns, with the sorted names it assumed."""
+    with assumptions() as used:
+        out = pipeline(*args)
+    return out, sorted(used)
+
+
 def test_assumption_ledger():
-    ledger = AssumptionLedger()
-    ledger.use("unit-relation")
-    ledger.use("delta-nonzero")
-    ledger.use("unit-relation")
-    assert ledger.names() == ["delta-nonzero", "unit-relation"]
+    with assumptions() as used:
+        assume("unit-relation")
+        assume("delta-nonzero")
+        assume("unit-relation")
+    assert sorted(used) == ["delta-nonzero", "unit-relation"]
     with pytest.raises(KeyError, match="unknown assumption"):
-        ledger.use("riemann-hypothesis")
+        assume("riemann-hypothesis")
 
 
 def test_axioms_catalog_is_non_trivial():
-    assert len(AXIOMS) == 20
     assert all(isinstance(text, str) and text for text in AXIOMS.values())
 
 
@@ -40,63 +46,54 @@ def test_axioms_catalog_is_non_trivial():
 
 
 def test_push_below_top_power_vanishes():
-    ledger = AssumptionLedger()
-    pushed = theta_delta_push(3, 2, 1, ledger)
+    pushed, used = assumed(theta_delta_push, 3, 2, 1)
     assert pushed.is_zero() and pushed.locus == "base"
-    assert ledger.names() == ["theta-power-vanishing"]
+    assert used == ["theta-power-vanishing"]
 
 
 def test_push_at_top_power_gives_factorial():
-    ledger = AssumptionLedger()
-    pushed = theta_delta_push(3, 3, 1, ledger)
+    pushed, used = assumed(theta_delta_push, 3, 3, 1)
     assert pushed == gen("delta", locus="base").scale(6)
-    assert ledger.names() == ["unit-relation"]
+    assert used == ["unit-relation"]
 
 
 def test_push_above_top_power_routes_through_the_boundary():
-    ledger = AssumptionLedger()
-    pushed = theta_delta_push(2, 3, 0, ledger)
+    pushed, used = assumed(theta_delta_push, 2, 3, 0)
     assert pushed == TautExpr.const(Fraction(1, 8), "boundary-base")
-    assert ledger.names() == ["alpha0-input"]
+    assert used == ["alpha0-input"]
 
 
 def test_push_second_power_above_top_keeps_psi_symmetry():
-    ledger = AssumptionLedger()
-    pushed = theta_delta_push(2, 4, 0, ledger)
+    pushed = theta_delta_push(2, 4, 0)
     assert pushed.locus == "boundary-base"
     assert coefficient_of(pushed, psi1=1) == coefficient_of(pushed, psi2=1)
     assert not coefficient_of(pushed, psi1=1).is_zero()
 
 
 def test_push_consumes_the_xi_trade_only_when_needed():
-    ledger = AssumptionLedger()
-    theta_delta_push(3, 5, 0, ledger)
-    assert "theta-xi-relation" in ledger.names()
-    ledger = AssumptionLedger()
-    theta_delta_push(2, 4, 0, ledger)
-    assert "theta-xi-relation" not in ledger.names()
+    assert "theta-xi-relation" in assumed(theta_delta_push, 3, 5, 0)[1]
+    assert "theta-xi-relation" not in assumed(theta_delta_push, 2, 4, 0)[1]
 
 
 def test_push_validates_inputs():
-    ledger = AssumptionLedger()
     with pytest.raises(ValueError):
-        theta_delta_push(1, 2, 0, ledger)
+        theta_delta_push(1, 2, 0)
     with pytest.raises(ValueError):
-        theta_delta_push(2, -1, 0, ledger)
+        theta_delta_push(2, -1, 0)
 
 
 # -- genus 3 ------------------------------------------------------------------------
 
 
 def test_genus3_obstruction():
-    result = genus3_obstruction()
+    result, used = assumed(genus3_obstruction)
     assert result.constant == expected_poly(const=Fraction(191, 224), b1=-2, b2=-36)
     assert result.discriminant == Fraction(1775, 14)
     assert result.discriminant_is_square is False
     assert result.rational_roots == []
     assert result.base_class == "iota_*(psi1 + psi2)"
     assert all(ok for _, ok, _ in result.checks)
-    assert result.assumptions == [
+    assert used == [
         "alpha2-input",
         "boundary-irreducibility",
         "boundary-self-intersection",
@@ -108,17 +105,11 @@ def test_genus3_obstruction():
     ]
 
 
-def test_genus3_never_needs_the_delta_cube():
-    # delta^3 and delta^4 terms die at k < g, so that input stays catalog-only
-    result = genus3_obstruction()
-    assert "delta3-vanishing-g3" not in result.assumptions
-
-
 # -- genus 2, integral locus -----------------------------------------------------------
 
 
 def test_genus2_obstruction():
-    result = genus2_obstruction()
+    result, used = assumed(genus2_obstruction)
     assert result.constant == expected_poly(
         const=Fraction(11, 960), b1=Fraction(-1, 32), b2=-1)
     assert result.discriminant == Fraction(719, 15360)
@@ -126,7 +117,7 @@ def test_genus2_obstruction():
     assert result.rational_roots == []
     assert result.base_class == "R"
     assert all(ok for _, ok, _ in result.checks)
-    assert result.assumptions == [
+    assert used == [
         "alpha0-input",
         "boundary-irreducibility",
         "delta2-mumford-g2",
@@ -141,12 +132,12 @@ def test_genus2_obstruction():
 
 
 def test_single_node_theta():
-    result = single_node_theta()
+    result, used = assumed(single_node_theta)
     assert result.constant == expected_poly(const=Fraction(1, 8), b1=6)
     assert result.rational_roots == [Fraction(-1, 48)]
     assert result.theta_class == "theta - (1/48)*delta"
     assert all(ok for _, ok, _ in result.checks)
-    assert result.assumptions == [
+    assert used == [
         "alpha0-input",
         "boundary-irreducibility",
         "delta-nonzero",
@@ -160,10 +151,10 @@ def test_single_node_theta():
 
 @pytest.mark.parametrize("g", range(4, 25))
 def test_high_genus_contradiction(g):
-    result = high_genus_obstruction(g)
+    result, used = assumed(high_genus_obstruction, g)
     assert result.contradiction == (Fraction(1, 2), Fraction(-1, 48))
     assert all(ok for _, ok, _ in result.checks)
-    assert result.assumptions == [
+    assert used == [
         "boundary-irreducibility",
         "bsz-psi-square-nonvanishing",
         "delta-nonzero",
@@ -182,11 +173,11 @@ def test_high_genus_needs_genus_four():
 
 @pytest.mark.parametrize("g,factor", [(g, factorial(g + 1)) for g in range(2, 17)])
 def test_kappa_exclusion(g, factor):
-    result = kappa_exclusion_check(g)
+    result, used = assumed(kappa_exclusion_check, g)
     assert result.constant == Poly.var("a").scale(factor)
     assert result.rational_roots == [Fraction(0)]
     assert all(ok for _, ok, _ in result.checks)
-    assert result.assumptions == [
+    assert used == [
         "boundary-irreducibility",
         "h2-span-theta-kappa",
         "kappa1-nonzero",

@@ -95,6 +95,12 @@ def test_rational_roots_errors_and_empty():
         rational_roots(b ** 3)
     with pytest.raises(ValueError):
         rational_roots(b + Poly.var("a"))
+    # both readers refuse a coefficient that is not rational
+    for reader in (rational_roots, discriminant_is_square):
+        with pytest.raises(ValueError, match="imaginary"):
+            reader(b * b + Poly.const(GaussianRational(0, 1)))
+    with pytest.raises(ValueError, match="not a quadratic"):
+        discriminant_is_square(b + 1)
 
 
 def test_frozen_obstruction_discriminants():

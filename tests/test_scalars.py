@@ -50,9 +50,9 @@ def test_division_and_inverse():
 def test_norm_and_rationality():
     a = GaussianRational(3, 4)
     assert a.norm() == Fraction(25)
-    assert not a.is_rational()
+    assert a.im
     b = GaussianRational(Fraction(-7, 2))
-    assert b.is_rational()
+    assert not b.im
     assert b.rational() == Fraction(-7, 2)
     with pytest.raises(ValueError):
         a.rational()
