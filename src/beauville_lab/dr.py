@@ -56,15 +56,11 @@ class BoundaryRelation:
     coefficient: Fraction
     certificates: Tuple[ExclusionCertificate, ...]
 
-    def all_exclusions_hold(self) -> bool:
-        return all(cert.holds() for cert in self.certificates)
-
 
 def default_twist_polynomial() -> Poly:
     """The twist polynomial of the undecorated one-nodal boundary term."""
     d = Poly.var("d")
-    return (d ** 4 * Poly.coerce(Fraction(-1, 48))
-            + d ** 2 * Poly.coerce(Fraction(1, 24))
+    return (d ** 4 * Fraction(-1, 48) + d ** 2 * Fraction(1, 24)
             + Poly.const(Fraction(-1, 240)))
 
 
@@ -146,8 +142,6 @@ def corollary_theta_push() -> TauAdjoint:
     also evaluated concretely.
     """
     relation = TOP_WEIGHT_RELATION
-    if not relation.all_exclusions_hold():
-        raise AssertionError("weight-deficit certificate failed")
     expected = TautExpr.const(relation.coefficient, "boundary-base")
     checks = tuple((g, abelian_push(boundary_substitution(g), g - 1) == expected)
                    for g in (2, 3, 4, 5))

@@ -351,10 +351,10 @@ _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 # the kind eval prints for each type of value, in every context
 KINDS = {
-    Fraction: "scalar", GaussianRational: "scalar", Poly: "scalar",
+    Fraction: "scalar", GaussianRational: "scalar", Poly: Poly.kind,
     SparseMat: "operator", SurfaceClass: SurfaceClass.kind,
     RelativeCycle: RelativeCycle.kind, Fourier: Fourier.kind,
-    TautExpr: "tautological-class",
+    TautExpr: TautExpr.kind,
 }
 
 

@@ -6,8 +6,10 @@ Values only need +, * and bool(), where bool() means "nonzero", as for
 Fraction.  The product of two such dicts keyed by exponent tuples
 (polynomials, tautological expressions) is mul_terms.  A map given on
 labels extends to such dicts by linear and bilinear, and tensor multiplies
-dicts slot by slot.  Labelled is such a dict as an immutable value with its
-own sums, scalings and bilinear products.
+dicts slot by slot.  Labelled is the one sparse value: such a dict as an
+immutable value with its sums, scalings, powers, equality and hash, whose
+kinds are the polynomials, the tautological classes and the k3 cycles, and
+whose _like is the one unchecked constructor of them all.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ def power(base, n: int, one, product=mul):
 
 
 class Labelled:
-    """An immutable linear combination of labels.  A subclass fixes its kind
-    (the name eval prints), the order in which its labels print, and, if its
-    values multiply, its product on labels: a function that sends two labels
-    to a {label: coefficient} dict, which '*' extends bilinearly."""
+    """An immutable linear combination of labels, the one sparse value of
+    the engine.  A subclass fixes its kind (the name eval prints), the order
+    in which its labels print, what else adds to it (_operand), its unit
+    (one(), from which '**' starts) and, if '*' is the bilinear extension of
+    a product on labels, that product (two labels to a {label: coefficient}
+    dict)."""
 
     __slots__ = ("terms",)
     kind: str
@@ -94,34 +98,64 @@ class Labelled:
     def __init__(self, terms: Dict | None = None):
         object.__setattr__(self, "terms", {k: v for k, v in (terms or {}).items() if v})
 
+    def _like(self, terms: Dict):
+        """A value like self with terms, nonzero coefficients that no other
+        value holds (as add_into builds them): it checks and copies nothing."""
+        out = _new(type(self))
+        _set_terms(out, terms)
+        return out
+
+    def _operand(self, other):
+        """other as a value that adds to self, or NotImplemented."""
+        return other if type(other) is type(self) else NotImplemented
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(add_into(dict(self.terms), other.terms.items()))
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self._like(add_into(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def scale(self, factor):
-        return type(self)({k: v * factor for k, v in self.terms.items()})
+        # coefficients form a domain: only a zero factor empties the result
+        return self._like({k: v * factor for k, v in self.terms.items()} if factor else {})
 
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(bilinear(self.terms, other.terms, self.product))
+        return self._like(bilinear(self.terms, other.terms, self.product))
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        return power(self, n, self.one())
 
     def __bool__(self):
         """Nonzero, as for Fraction."""
         return bool(self.terms)
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
+        other = self._operand(other)
+        return other if other is NotImplemented else self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         """The terms in label order (by repr for a kind without one), such
@@ -135,3 +169,7 @@ class Labelled:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+_new = object.__new__
+_set_terms = Labelled.terms.__set__

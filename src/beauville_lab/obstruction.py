@@ -318,9 +318,10 @@ def _result_checks(result: ObstructionResult) -> Tuple[List[Check], Dict[str, ob
 
 def _power_push_checks() -> Tuple[List[Check], Dict[str, object]]:
     cor = corollary_theta_push()
+    failing = [cert.family for cert in cor.certificates if not cert.holds()]
     checks = [
         ("coefficient = 1/48", cor.coefficient == Fraction(1, 48), str(cor.coefficient)),
-        ("weight-deficit certificates", all(cert.holds() for cert in cor.certificates), ""),
+        ("weight-deficit certificates", not failing, ", ".join(failing)),
         ("concrete genera", all(ok for _, ok in cor.concrete_checks), str(cor.concrete_checks)),
     ]
     return checks, {"params": {"genera": [g for g, _ in cor.concrete_checks]}}

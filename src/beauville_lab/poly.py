@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .lincomb import add_into, mul_terms, power
+from .lincomb import Labelled, mul_terms
 from .scalars import GaussianRational, Rational
 
 VARS: Tuple[str, ...] = ("N", "d", "a", "b")
@@ -28,10 +28,12 @@ _ZERO_EXP = (0,) * _NVARS
 Monomial = Tuple[int, ...]
 
 
-class Poly:
-    """Polynomial in VARS with GaussianRational coefficients."""
+class Poly(Labelled):
+    """Polynomial in VARS with GaussianRational coefficients; a scalar adds
+    as a constant and multiplies coefficient by coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    kind = "scalar"
 
     def __init__(self, terms: Dict[Monomial, GaussianRational] | None = None):
         clean: Dict[Monomial, GaussianRational] = {}
@@ -44,9 +46,6 @@ class Poly:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -58,7 +57,7 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = GaussianRational.coerce(c)
-        return _make({_ZERO_EXP: c} if c else {})
+        return _ZERO._like({_ZERO_EXP: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -66,13 +65,17 @@ class Poly:
         exp[_VAR_INDEX[name]] = 1
         return Poly({tuple(exp): GaussianRational(1)})
 
-    # -- predicates ----------------------------------------------------------
+    def one(self) -> "Poly":
+        return Poly.const(1)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _operand(self, other):
+        if type(other) is Poly:
+            return other
+        if isinstance(other, _SCALARS):
+            return Poly.const(other)
+        return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self
+    # -- coefficient access ----------------------------------------------------
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
@@ -91,55 +94,6 @@ class Poly:
         idx = _VAR_INDEX[name]
         return max(exp[idx] for exp in self.terms)
 
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        o = Poly.coerce(other)
-        return _make(add_into(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _make({exp: -c for exp, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-Poly.coerce(other))
-
-    def __rsub__(self, other):
-        return Poly.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        # a scalar scales each coefficient; over a field the product of two
-        # nonzero values is nonzero, so only a zero scalar empties the result
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            if not other:
-                return _make({})
-            return _make({exp: c * other for exp, c in self.terms.items()})
-        o = Poly.coerce(other)
-        return _make(mul_terms(self.terms, o.terms))
-
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "Poly":
-        return self * factor
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return power(self, n, Poly.const(1))
-
-    def __eq__(self, other):
-        try:
-            o = Poly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- coefficient access ----------------------------------------------------
-
     def coefficient(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, a polynomial in the other variables."""
         idx = _VAR_INDEX[name]
@@ -150,6 +104,18 @@ class Poly:
                 reduced[idx] = 0
                 terms[tuple(reduced)] = coeff
         return Poly(terms)
+
+    # -- ring operations -----------------------------------------------------
+
+    def __mul__(self, other):
+        if type(other) is Poly:
+            return self._like(mul_terms(self.terms, other.terms))
+        if isinstance(other, _SCALARS):
+            # scale, without its call on this hot path
+            return self._like({exp: c * other for exp, c in self.terms.items()} if other else {})
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # -- printing ---------------------------------------------------------------
 
@@ -175,22 +141,10 @@ class Poly:
             out += ("+" + p) if not p.startswith("-") else p
         return out
 
-    def __repr__(self):
-        return f"Poly({self})"
 
-
-_new = object.__new__
-_set_terms = Poly.terms.__set__
-
-
-def _make(terms: Dict[Monomial, GaussianRational]) -> Poly:
-    """The engine's own constructor for a dict of exponent tuples and
-    nonzero GaussianRational coefficients, such as one add_into builds from
-    other polynomials' terms; unlike Poly(terms) it checks and copies
-    nothing."""
-    p = _new(Poly)
-    _set_terms(p, terms)
-    return p
+_SCALARS = (int, Fraction, GaussianRational)
+# the prototype from which Poly.const takes its kind
+_ZERO = Poly()
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, Tuple
 
 from .errors import OutsideModelError
-from .lincomb import add_into, add_term, mul_terms, power
+from .lincomb import Labelled, add_into, add_term, mul_terms
 from .poly import Poly
 
 GENS = ("theta", "psi1", "psi2", "xi2", "kappa1", "delta")
@@ -32,10 +32,12 @@ LOCI = ("total", "open", "boundary", "base", "boundary-base")
 Monomial = Tuple[int, int, int, int, int, int]
 
 
-class TautExpr:
-    """Sparse polynomial in the tautological generators with a locus tag."""
+class TautExpr(Labelled):
+    """Sparse polynomial in the tautological generators with a locus tag;
+    only expressions on one locus add or multiply."""
 
-    __slots__ = ("terms", "locus")
+    __slots__ = ("locus",)
+    kind = "tautological-class"
 
     def __init__(self, terms: Dict[Monomial, Poly] | None = None,
                  locus: str = "total"):
@@ -51,8 +53,19 @@ class TautExpr:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "locus", locus)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TautExpr is immutable")
+    def _like(self, terms: Dict[Monomial, Poly], locus: str | None = None) -> "TautExpr":
+        """As Labelled._like, on self's locus unless another is given."""
+        out = object.__new__(TautExpr)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "locus", locus or self.locus)
+        return out
+
+    def _operand(self, other):
+        if type(other) is not TautExpr:
+            return NotImplemented
+        if other.locus != self.locus:
+            raise ValueError(f"locus mismatch: {self.locus} vs {other.locus}")
+        return other
 
     @staticmethod
     def const(value, locus: str = "total") -> "TautExpr":
@@ -62,45 +75,17 @@ class TautExpr:
     def zero(locus: str = "total") -> "TautExpr":
         return TautExpr({}, locus)
 
-    def __bool__(self) -> bool:
-        """Nonzero, as for Fraction."""
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def _check_locus(self, other: "TautExpr") -> None:
-        if self.locus != other.locus:
-            raise ValueError(
-                f"locus mismatch: {self.locus} vs {other.locus}")
-
-    def __add__(self, other: "TautExpr") -> "TautExpr":
-        self._check_locus(other)
-        return _make(add_into(dict(self.terms), other.terms.items()), self.locus)
-
-    def __neg__(self) -> "TautExpr":
-        return _make({m: -c for m, c in self.terms.items()}, self.locus)
-
-    def __sub__(self, other: "TautExpr") -> "TautExpr":
-        return self + (-other)
+    def one(self) -> "TautExpr":
+        return TautExpr.const(1, self.locus)
 
     def __mul__(self, other) -> "TautExpr":
-        if not isinstance(other, TautExpr):
-            other = TautExpr.const(other, self.locus)
-        self._check_locus(other)
-        return _make(mul_terms(self.terms, other.terms), self.locus)
+        # a scalar or polynomial multiplies as that multiple of 1
+        factor = self._operand(other)
+        if factor is NotImplemented:
+            factor = TautExpr.const(other, self.locus)
+        return self._like(mul_terms(self.terms, factor.terms))
 
-    def __rmul__(self, other) -> "TautExpr":
-        return self * other
-
-    def __pow__(self, exponent: int) -> "TautExpr":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return power(self, exponent, TautExpr.const(1, self.locus))
-
-    def scale(self, value) -> "TautExpr":
-        terms = {m: c * value for m, c in self.terms.items()}
-        return _make(terms if value else {}, self.locus)
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TautExpr) and self.locus == other.locus
@@ -123,9 +108,6 @@ class TautExpr:
             body = "*".join(factors) if factors else "1"
             parts.append(f"({self.terms[mono]})*{body}")
         return " + ".join(parts) + f" [{self.locus}]"
-
-    def __repr__(self) -> str:
-        return f"TautExpr({self})"
 
 
 def gen(name: str, power: int = 1, locus: str = "total") -> TautExpr:
@@ -216,7 +198,7 @@ def boundary_pull(expr: TautExpr, weight: int | None = None) -> TautExpr:
             scale = (-1) ** j * comb(k, i) << i
             add_into(out, ((tuple(map(add, m, fixed)), coeff * (scale * c))
                            for m, c in ladder[k - i + j].items()))
-    return _make(out, "boundary")
+    return expr._like(out, "boundary")
 
 
 def abelian_push(expr: TautExpr, n: int) -> TautExpr:
@@ -265,19 +247,5 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
         new = list(mono)
         new[i_theta] = 0
         add_term(out, tuple(new), coeff * factorial(n))
-    return _make(out, target)
+    return expr._like(out, target)
 
-
-_new = object.__new__
-_set_terms = TautExpr.terms.__set__
-_set_locus = TautExpr.locus.__set__
-
-
-def _make(terms: Dict[Monomial, Poly], locus: str) -> TautExpr:
-    """The engine's own constructor for monomial tuples with nonzero Poly
-    coefficients, such as add_into builds from other expressions' terms;
-    unlike TautExpr(terms, locus) it checks and copies nothing."""
-    expr = _new(TautExpr)
-    _set_terms(expr, terms)
-    _set_locus(expr, locus)
-    return expr

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from beauville_lab import cli, llv, obstruction, report
+from beauville_lab import cli, dr, llv, obstruction, report
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
 from beauville_lab.mukai import MukaiSpace, llv_model_space
@@ -200,7 +201,8 @@ def test_suite_runners_all_verify():
 
 
 def test_triple_suite_builds_one_triple_per_sign_pair(monkeypatch):
-    calls = {"build_triple": 0, "primed_operators": 0}
+    # and one barred Fourier matrix per genus and c0
+    calls = {"build_triple": 0, "primed_operators": 0, "barred_fourier_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(llv, name), **kwargs):
             calls[_name] += 1
@@ -208,7 +210,7 @@ def test_triple_suite_builds_one_triple_per_sign_pair(monkeypatch):
         monkeypatch.setattr(llv, name, counted)
     reports = run_triple_suite(genera=[2, 3])
     assert all(r.status == "verified" for r in reports)
-    assert calls == {"build_triple": 4, "primed_operators": 4}
+    assert calls == {"build_triple": 4, "primed_operators": 4, "barred_fourier_matrix": 4}
 
 
 def test_byte_stable_json_across_runs():
@@ -315,6 +317,20 @@ def test_refuted_witness_names_each_failing_check_once(tmp_path, capsys):
         for failure in report["witness"].split("; "):
             name, _, why = failure.partition(": ")
             assert why != name, failure
+
+
+def test_a_failed_weight_deficit_certificate_refutes_the_power_push(capsys, monkeypatch):
+    relation = dr.TOP_WEIGHT_RELATION
+    broken = dr.ExclusionCertificate("never-short", dr.AffineInt(0, 0), "no deficit")
+    monkeypatch.setattr(dr, "TOP_WEIGHT_RELATION", replace(
+        relation, certificates=relation.certificates + (broken,)))
+    code, out, _ = run_cli(capsys, "verify", "theta-obstruction", "--format", "json")
+    assert code == 1
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    push = reports.pop("theta-power-push")
+    assert push["status"] == "refuted"
+    assert push["witness"] == "weight-deficit certificates: never-short"
+    assert all(r["status"] == "verified" for r in reports.values())
 
 
 def test_verify_all_matches_the_golden_output(capsys):

@@ -55,7 +55,7 @@ def test_top_weight_relation_default():
     assert relation.coefficient == Fraction(1, 48)
     # minus the quartic coefficient of the twist polynomial
     assert default_twist_polynomial().coefficient("d", 4) == Poly.const(-relation.coefficient)
-    assert relation.all_exclusions_hold()
+    assert all(cert.holds() for cert in relation.certificates)
     assert tuple(cert.family for cert in relation.certificates) == (
         "product-type", "binomial-subleading", "psi-decorated-boundary")
 

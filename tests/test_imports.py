@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module, every
 private module-level name it defines is read there, every public function
-or class is read by the engine or the acceptance tests, and every method is
-read by the engine, the acceptance tests or the benchmarks."""
+or class is read by the engine or the acceptance tests, every method is
+read by the engine, the acceptance tests or the benchmarks, and the sparse
+value type and its unchecked constructors are written once."""
 
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -147,3 +150,62 @@ def test_every_method_is_read_by_the_engine_the_acceptance_tests_or_the_benchmar
     outside = set().union(*(read_names(path.read_text(encoding="utf-8"))
                             for path in [ACCEPTANCE, *sorted(BENCHMARKS.glob("*.py"))]))
     assert unread_methods(engine, outside) == []
+
+
+# -- one sparse value type ------------------------------------------------------------
+
+# the modules whose values have an unchecked constructor of their own:
+# Labelled._like, and the scalar and matrix _make
+UNCHECKED_MAKERS = {"lincomb.py", "scalars.py", "sparse.py"}
+
+
+def unchecked_constructors(source: str):
+    """The module-level unchecked constructors of source, with their lines:
+    a function _make, or a binding of a terms slot's setter."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_make":
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "__set__" \
+                and isinstance(node.value.value, ast.Attribute) \
+                and node.value.value.attr == "terms":
+            found.append((node.lineno, ast.unparse(node.value)))
+    return found
+
+
+def terms_slot_classes(module):
+    """The names of the classes module defines whose values hold a terms slot."""
+    return [name for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and isinstance(getattr(obj, "terms", None), types.MemberDescriptorType)]
+
+
+def test_detector_finds_unchecked_constructors_and_terms_slots():
+    source = ("_new = object.__new__\n_set_terms = Poly.terms.__set__\n"
+              "_set_num = SparseMat.num.__set__\ndef _make(terms):\n    pass\n"
+              "class A:\n    def _make(self):\n        pass\n")
+    assert unchecked_constructors(source) == [(2, "Poly.terms.__set__"), (4, "_make")]
+    module = types.ModuleType("fake")
+    exec("class Copy:\n    __slots__ = ('terms',)\n"
+         "class Plain:\n    terms = {}\n", vars(module))
+    assert terms_slot_classes(module) == ["Copy"]
+
+
+def test_no_module_but_the_value_modules_has_an_unchecked_constructor():
+    found = {path.name: unchecked_constructors(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name not in UNCHECKED_MAKERS}
+    assert {name: makers for name, makers in found.items() if makers} == {}
+
+
+def test_every_class_with_a_terms_slot_is_a_labelled_kind():
+    from beauville_lab.lincomb import Labelled
+
+    copies = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"beauville_lab.{path.stem}")
+        copies[path.name] = [name for name in terms_slot_classes(module)
+                             if not issubclass(getattr(module, name), Labelled)]
+    assert {name: classes for name, classes in copies.items() if classes} == {}
+    # the check sees the kinds it should
+    assert {"Poly", "TautExpr"} <= {cls.__name__ for cls in Labelled.__subclasses__()}

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from beauville_lab.errors import OutsideModelError
 from beauville_lab.k3 import RelativeCycle, SurfaceClass, _bv_mul_labels
+from beauville_lab.k3_mult import TripleCycle
 from beauville_lab.lincomb import (Labelled, add_into, add_term, bilinear,
                                    linear, power, tensor)
 from beauville_lab.poly import VARS, Poly
@@ -251,3 +252,40 @@ def test_labelled_arithmetic_agrees_with_the_dict_route(case):
     assert outcome(lambda: (X * Y).terms) == outcome(lambda: bilinear(xs, ys, cls.product))
     assert (X == Y) == (xs == ys) and X == cls(xs)
     assert bool(X) == bool(xs)
+
+
+# -- every sparse value kind -------------------------------------------------------------
+
+TRIPLE_KEYS = (("pt", ("one", "s", "one"), 0), ("pt", ("c", "one", "s"), 0),
+               ("pt", ("one", "one", "one"), 1), ("dg", (1, 2), "one"),
+               ("dg", (2, 3), "s"), ("sm",))
+
+
+def combinations_of(cls, labels):
+    return st.dictionaries(st.sampled_from(labels), mixed, max_size=len(labels)).map(cls)
+
+
+def taut_on(locus):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(GENS)), polys,
+                           max_size=2).map(lambda terms: TautExpr(terms, locus))
+
+
+# two values of one kind, and for a tautological class one locus
+same_kind_pairs = st.one_of(*(st.tuples(v, v) for v in (
+    polys, *map(taut_on, LOCI), combinations_of(SurfaceClass, SurfaceClass.labels),
+    combinations_of(RelativeCycle, RelativeCycle.labels),
+    combinations_of(TripleCycle, TRIPLE_KEYS))))
+
+
+@given(same_kind_pairs)
+def test_every_kind_is_an_immutable_hashable_group(pair):
+    x, y = pair
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)
+    assert not x - x and (x - x).is_zero()
+    assert -(-x) == x
+    assert x.scale(0).is_zero() and not x.scale(0)
+    assert hash(type(x)(dict(x.terms), *([x.locus] if isinstance(x, TautExpr) else []))) == hash(x)
+    for name in ("terms", "locus", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)

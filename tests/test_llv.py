@@ -22,7 +22,8 @@ from beauville_lab.llv import (OperatorTable, TripleData, build_triple,
                                verify_fourier_conjugacy,
                                verify_isotropic_sl2_pairs, verify_theta_replay,
                                verify_verbitsky)
-from beauville_lab.mukai import ALPHA, BETA, MukaiSpace, llv_model_space
+from beauville_lab.mukai import (ALPHA, BETA, MukaiSpace, barred_fourier_matrix,
+                                 llv_model_space, mukai_class_space)
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import SparseMat, bracket
 
@@ -457,6 +458,14 @@ def test_fourier_compatibility_refutes_the_other_c1(c0, c1):
     for g in range(2, 17):
         assert all_hold(verify_fourier_compatibility(data, g)) == 4
         assert failed(verify_fourier_compatibility(flipped, g)), g
+
+
+def test_barred_fourier_matrix_of_a_class_space_does_not_depend_on_c1():
+    # the triple suite builds one barred matrix per genus and c0 for both c1
+    for g in range(2, 17):
+        space = mukai_class_space(g)
+        for c0 in (1, -1):
+            assert barred_fourier_matrix(space, c0, 1) == barred_fourier_matrix(space, c0, -1), g
 
 
 def test_triple_H0_ladder_in_cst():
