@@ -24,10 +24,10 @@ from .lincomb import add_into
 from .mukai import ALPHA, BETA, HYP, THETA, MukaiSpace, Vector, barred_fourier_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space
 from .report import Check, Report, check_report
 from .scalars import GaussianRational, I
-from .sparse import SparseMat, bracket, combination
+from .sparse import SparseMat, bracket, bracket_is, combination
 from .sparse import _make as _matrix
 
-HALF = GaussianRational(Fraction(1, 2))
+HALF = Fraction(1, 2)
 HALF_I = GaussianRational(0, Fraction(1, 2))
 # a matrix polynomial {power of cst: scalar matrix}: the Fourier images carry
 # the undetermined constant cst only through their coefficients
@@ -85,18 +85,13 @@ class OperatorTable:
     and the sigma and sigma-bar combinations of a pair (i, j), with the
     vectors numbered from 1.  Each is built on its first request and kept
     on the table, so every check over the quadruple reads the same
-    matrices."""
+    matrices.  A request for a kept operator is one dict lookup: the build
+    runs only on a miss, and a kept zero operator is not rebuilt."""
 
     def __init__(self, space: MukaiSpace, quad: Sequence[Vector]):
         self.space = space
         self.quad = tuple(quad)
         self._kept: Dict[object, SparseMat] = {}
-
-    def _keep(self, key, build: Callable[[], SparseMat]) -> SparseMat:
-        m = self._kept.get(key)
-        if m is None:
-            m = self._kept[key] = build()
-        return m
 
     def _vector(self, i: int) -> Vector:
         if not 1 <= i <= len(self.quad):
@@ -104,33 +99,58 @@ class OperatorTable:
         return self.quad[i - 1]
 
     def h(self) -> SparseMat:
-        return self._keep("h", lambda: op_h(self.space))
+        m = self._kept.get("h")
+        if m is None:
+            m = self._kept["h"] = op_h(self.space)
+        return m
 
     def e(self, i: int) -> SparseMat:
-        return self._keep(("e", i), lambda: op_e(self.space, self._vector(i)))
+        m = self._kept.get(("e", i))
+        if m is None:
+            m = self._kept["e", i] = op_e(self.space, self._vector(i))
+        return m
 
     def f(self, i: int) -> SparseMat:
-        return self._keep(("f", i), lambda: _lowering(self.space, self.e(i)))
+        m = self._kept.get(("f", i))
+        if m is None:
+            m = self._kept["f", i] = _lowering(self.space, self.e(i))
+        return m
 
     def K(self, i: int, j: int) -> SparseMat:
-        return self._keep(("K", i, j), lambda: bracket(self.e(i), self.f(j)))
+        m = self._kept.get(("K", i, j))
+        if m is None:
+            m = self._kept["K", i, j] = bracket(self.e(i), self.f(j))
+        return m
 
     # the isotropic combinations (x_i +- i x_j)/2
     def e_sigma(self, i: int, j: int) -> SparseMat:
-        return self._keep(("esig", i, j), lambda: _half_sum(self.e(i), self.e(j), I))
+        m = self._kept.get(("esig", i, j))
+        if m is None:
+            m = self._kept["esig", i, j] = _half_sum(self.e(i), self.e(j), HALF_I)
+        return m
 
     def f_sigma(self, i: int, j: int) -> SparseMat:
-        return self._keep(("fsig", i, j), lambda: _half_sum(self.f(i), self.f(j), -I))
+        m = self._kept.get(("fsig", i, j))
+        if m is None:
+            m = self._kept["fsig", i, j] = _half_sum(self.f(i), self.f(j), -HALF_I)
+        return m
 
     def e_sigmabar(self, i: int, j: int) -> SparseMat:
-        return self._keep(("esigbar", i, j), lambda: _half_sum(self.e(i), self.e(j), -I))
+        m = self._kept.get(("esigbar", i, j))
+        if m is None:
+            m = self._kept["esigbar", i, j] = _half_sum(self.e(i), self.e(j), -HALF_I)
+        return m
 
     def f_sigmabar(self, i: int, j: int) -> SparseMat:
-        return self._keep(("fsigbar", i, j), lambda: _half_sum(self.f(i), self.f(j), I))
+        m = self._kept.get(("fsigbar", i, j))
+        if m is None:
+            m = self._kept["fsigbar", i, j] = _half_sum(self.f(i), self.f(j), HALF_I)
+        return m
 
 
-def _half_sum(x: SparseMat, y: SparseMat, unit: GaussianRational) -> SparseMat:
-    return combination(x.dim, ((HALF, x), (HALF * unit, y)))
+def _half_sum(x: SparseMat, y: SparseMat, c: GaussianRational) -> SparseMat:
+    """x/2 + c*y, with c = +-i/2."""
+    return combination(x.dim, ((HALF, x), (c, y)))
 
 
 # -- random orthogonal quadruples ----------------------------------------------------
@@ -197,7 +217,7 @@ def verify_verbitsky(ops: OperatorTable) -> List[Check]:
     e, f, K, h = ops.e, ops.f, ops.K, ops.h()
     idx = range(1, 5)
     pairs = [(i, j) for i in idx for j in idx if i != j]
-    checks: List[Check] = [_ok(f"[e{i},f{i}]=h", K(i, i) == h) for i in idx]
+    checks: List[Check] = [_ok(f"[e{i},f{i}]=h", bracket_is(e(i), f(i), 1, h)) for i in idx]
     for i, j in pairs:
         if i < j:
             checks.append(_ok(f"K{i}{j}=-K{j}{i}", K(i, j) == -K(j, i)))
@@ -205,17 +225,18 @@ def verify_verbitsky(ops: OperatorTable) -> List[Check]:
         for k in idx:
             if k not in (i, j):
                 checks.append(_ok(f"[K{i}{j},K{j}{k}]=2K{i}{k}",
-                                  bracket(K(i, j), K(j, k)) == K(i, k).scale(2)))
+                                  bracket_is(K(i, j), K(j, k), 2, K(i, k))))
     for i, j in pairs:
         if i < j:
-            checks.append(_ok(f"[K{i}{j},h]=0", bracket(K(i, j), h).is_zero()))
+            checks.append(_ok(f"[K{i}{j},h]=0", bracket_is(K(i, j), h)))
     for i, j in pairs:
-        checks.append(_ok(f"[K{i}{j},e{j}]=2e{i}", bracket(K(i, j), e(j)) == e(i).scale(2)))
-        checks.append(_ok(f"[K{i}{j},f{j}]=2f{i}", bracket(K(i, j), f(j)) == f(i).scale(2)))
+        Kij = K(i, j)
+        checks.append(_ok(f"[K{i}{j},e{j}]=2e{i}", bracket_is(Kij, e(j), 2, e(i))))
+        checks.append(_ok(f"[K{i}{j},f{j}]=2f{i}", bracket_is(Kij, f(j), 2, f(i))))
         for k in idx:
             if k not in (i, j):
-                checks.append(_ok(f"[K{i}{j},e{k}]=0", bracket(K(i, j), e(k)).is_zero()))
-                checks.append(_ok(f"[K{i}{j},f{k}]=0", bracket(K(i, j), f(k)).is_zero()))
+                checks.append(_ok(f"[K{i}{j},e{k}]=0", bracket_is(Kij, e(k))))
+                checks.append(_ok(f"[K{i}{j},f{k}]=0", bracket_is(Kij, f(k))))
     return checks
 
 
@@ -231,15 +252,15 @@ def verify_isotropic_sl2_pairs(ops: OperatorTable) -> List[Check]:
     return [
         _ok("h_sigma=(h-iK)/2", hs == half_minus),
         _ok("h_sigmabar=(h+iK)/2", hb == half_plus),
-        _ok("[h_sigma,e_sigma]=2e_sigma", bracket(hs, es) == es.scale(2)),
-        _ok("[h_sigma,f_sigma]=-2f_sigma", bracket(hs, fs) == fs.scale(-2)),
-        _ok("[h_sigmabar,e_sigmabar]=2e_sigmabar", bracket(hb, eb) == eb.scale(2)),
-        _ok("[h_sigmabar,f_sigmabar]=-2f_sigmabar", bracket(hb, fb) == fb.scale(-2)),
+        _ok("[h_sigma,e_sigma]=2e_sigma", bracket_is(hs, es, 2, es)),
+        _ok("[h_sigma,f_sigma]=-2f_sigma", bracket_is(hs, fs, -2, fs)),
+        _ok("[h_sigmabar,e_sigmabar]=2e_sigmabar", bracket_is(hb, eb, 2, eb)),
+        _ok("[h_sigmabar,f_sigmabar]=-2f_sigmabar", bracket_is(hb, fb, -2, fb)),
         _ok("h_sigmabar-h_sigma=iK", hb - hs == K.scale(I)),
-        _ok("[e_sigma,f_sigmabar]=0", bracket(es, fb).is_zero()),
-        _ok("[e_sigmabar,f_sigma]=0", bracket(eb, fs).is_zero()),
-        _ok("[e_sigma,e_sigmabar]=0", bracket(es, eb).is_zero()),
-        _ok("[f_sigma,f_sigmabar]=0", bracket(fs, fb).is_zero()),
+        _ok("[e_sigma,f_sigmabar]=0", bracket_is(es, fb)),
+        _ok("[e_sigmabar,f_sigma]=0", bracket_is(eb, fs)),
+        _ok("[e_sigma,e_sigmabar]=0", bracket_is(es, eb)),
+        _ok("[f_sigma,f_sigmabar]=0", bracket_is(fs, fb)),
     ]
 
 
@@ -260,10 +281,10 @@ def verify_cross_triple(ops: OperatorTable) -> List[Check]:
         _ok("L=((K13+K24)-i(K14-K23))/4", L == L_expected),
         _ok("Lambda=(-(K13+K24)-i(K14-K23))/4", Lam == Lam_expected),
         _ok("H=-(i/2)(K12-K34)", H == H_expected),
-        _ok("[H,L]=2L", bracket(H, L) == L.scale(2)),
-        _ok("[H,Lambda]=-2Lambda", bracket(H, Lam) == Lam.scale(-2)),
-        _ok("[K12-K34,K13+K24]=4(K14-K23)", bracket(K12_K34, plus) == minus.scale(4)),
-        _ok("[K12-K34,K14-K23]=-4(K13+K24)", bracket(K12_K34, minus) == plus.scale(-4)),
+        _ok("[H,L]=2L", bracket_is(H, L, 2, L)),
+        _ok("[H,Lambda]=-2Lambda", bracket_is(H, Lam, -2, Lam)),
+        _ok("[K12-K34,K13+K24]=4(K14-K23)", bracket_is(K12_K34, plus, 4, minus)),
+        _ok("[K12-K34,K14-K23]=-4(K13+K24)", bracket_is(K12_K34, minus, -4, plus)),
     ]
 
 
@@ -278,8 +299,8 @@ def verify_double_bracket_recovery(ops: OperatorTable) -> List[Check]:
     e_x = op_e(ops.space, add_into(dict(v1), v4.items()))
     return [
         _ok("[f_sigma23,e_1]=(-K12+iK13)/2", inner == inner_expected),
-        _ok("e_1=[e_sigma23,[f_sigma23,e_1]]", bracket(es, inner) == e1),
-        _ok("e_eta=[e_sigma23,[f_sigma23,e_eta]]", bracket(es, bracket(fs, e_x)) == e_x),
+        _ok("e_1=[e_sigma23,[f_sigma23,e_1]]", bracket_is(es, inner, 1, e1)),
+        _ok("e_eta=[e_sigma23,[f_sigma23,e_eta]]", bracket_is(es, bracket(fs, e_x), 1, e_x)),
     ]
 
 
@@ -363,19 +384,18 @@ def build_triple(ops: OperatorTable, c0: int, c1: int) -> TripleData:
     K12, K34 = ops.K(1, 2), ops.K(3, 4)
     H0_expected = combination(K12.dim, ((HALF_I, K12), (-HALF_I, K34)))
     checks.append(_ok("H0=(i/2)(K12-K34)", H0 == H0_expected))
-    checks.append(_ok("[H0,E0]=2E0", bracket(H0, E0) == E0.scale(2)))
-    checks.append(_ok("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(-2)))
+    checks.append(_ok("[H0,E0]=2E0", bracket_is(H0, E0, 2, E0)))
+    checks.append(_ok("[H0,F0]=-2F0", bracket_is(H0, F0, -2, F0)))
 
     D = K12.scale(I)
-    checks.append(_ok("[D,E0]=2E0", bracket(D, E0) == E0.scale(2)))
-    checks.append(_ok("[D,F0]=-2F0", bracket(D, F0) == F0.scale(-2)))
+    checks.append(_ok("[D,E0]=2E0", bracket_is(D, E0, 2, E0)))
+    checks.append(_ok("[D,F0]=-2F0", bracket_is(D, F0, -2, F0)))
 
-    L = bracket(ops.e_sigma(1, 2), ops.f_sigma(3, 4))
-    Lam = bracket(ops.e_sigma(3, 4), ops.f_sigma(1, 2))
-    checks.append(_ok("E0=-c0*Lambda", E0 == Lam.scale(-c0)))
-    checks.append(_ok("F0=-c0*L", F0 == L.scale(-c0)))
+    # with c0 = +-1, E0 = -c0*Lambda is Lambda = -c0*E0, and so for F0 and L
+    checks.append(_ok("E0=-c0*Lambda", bracket_is(ops.e_sigma(3, 4), ops.f_sigma(1, 2), -c0, E0)))
+    checks.append(_ok("F0=-c0*L", bracket_is(ops.e_sigma(1, 2), ops.f_sigma(3, 4), -c0, F0)))
 
-    premise = _ok("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero())
+    premise = _ok("[F_alpha,E_beta]=0", bracket_is(P["F_alpha"], P["E_beta"]))
     return TripleData(c0=c0, c1=c1, P=P, E0=E0, F0=F0, H0=H0, D=D,
                       images=images, E0_image=E0_image, F0_image=F0_image,
                       premise=premise, checks=checks)
@@ -389,7 +409,7 @@ def verify_theta_replay(data: TripleData, genus: int) -> List[Check]:
     e_theta = combination(data.E0.dim, ((-data.c0, P["E_thetabar"]),
                                         (Fraction(genus + 1, 2), P["E_beta"])))
     return [data.premise,
-            _ok("E0=-[F_alpha,E_theta]", -bracket(P["F_alpha"], e_theta) == data.E0)]
+            _ok("E0=-[F_alpha,E_theta]", bracket_is(P["F_alpha"], e_theta, -1, data.E0))]
 
 
 def verify_fourier_conjugacy(data: TripleData) -> List[Check]:

@@ -25,6 +25,8 @@ GOLDEN = (Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
           / "verify_all_seed0.json")
 THETA_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "theta_obstruction_g16.json"
 LLV_LARGEST_GOLDEN = Path(__file__).resolve().parent / "golden" / "llv_hdim10_trials100.json"
+LLV_NEGATIVE_T_GOLDEN = (Path(__file__).resolve().parent / "golden"
+                         / "llv_hdim10_t-3_2_trials24.json")
 TRIPLE_G16_GOLDEN = Path(__file__).resolve().parent / "golden" / "triple_g16.json"
 TEXT_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.txt"
 SRC = Path(__file__).resolve().parent.parent / "src" / "beauville_lab"
@@ -371,6 +373,16 @@ def test_triple_at_genus_16_matches_the_golden_output(capsys):
 def test_llv_suite_at_the_largest_allowed_work_matches_the_golden_output(capsys):
     golden = LLV_LARGEST_GOLDEN.read_bytes()
     argv = ["verify", "llv", "--hdim", "10", "--trials", str(cli.MAX_TRIALS), "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_llv_suite_at_a_negative_non_integer_t_matches_the_golden_output(capsys):
+    # the other llv goldens take t = 2; the benchmark draws t from
+    # +-{2, 3, 1/2, 3/2, 2/3, 5/2}, where entries have denominators
+    golden = LLV_NEGATIVE_T_GOLDEN.read_bytes()
+    argv = ["verify", "llv", "--hdim", "10", "--t=-3/2", "--trials", "24", "--seed", "1",
+            "--format", "json"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
 

@@ -476,3 +476,165 @@ def test_triple_H0_ladder_in_cst():
     lhs = bracket(data.D, data.F0)
     assert lhs == data.F0.scale(-2)
     assert op_K(space, quad[0], quad[1]).scale(I) == data.D
+
+
+# -- no fused check is vacuous: a corrupted table is refuted as the oracle says ---------
+
+
+def oracle_verbitsky(ops):
+    """verify_verbitsky with each bracket built and compared with ==."""
+    e, f, K, h = ops.e, ops.f, ops.K, ops.h()
+    idx = range(1, 5)
+    pairs = [(i, j) for i in idx for j in idx if i != j]
+    checks = [(f"[e{i},f{i}]=h", bracket(e(i), f(i)) == h) for i in idx]
+    checks += [(f"K{i}{j}=-K{j}{i}", K(i, j) == -K(j, i)) for i, j in pairs if i < j]
+    checks += [(f"[K{i}{j},K{j}{k}]=2K{i}{k}", bracket(K(i, j), K(j, k)) == K(i, k).scale(2))
+               for i, j in pairs for k in idx if k not in (i, j)]
+    checks += [(f"[K{i}{j},h]=0", bracket(K(i, j), h).is_zero()) for i, j in pairs if i < j]
+    for i, j in pairs:
+        checks.append((f"[K{i}{j},e{j}]=2e{i}", bracket(K(i, j), e(j)) == e(i).scale(2)))
+        checks.append((f"[K{i}{j},f{j}]=2f{i}", bracket(K(i, j), f(j)) == f(i).scale(2)))
+        for k in idx:
+            if k not in (i, j):
+                checks.append((f"[K{i}{j},e{k}]=0", bracket(K(i, j), e(k)).is_zero()))
+                checks.append((f"[K{i}{j},f{k}]=0", bracket(K(i, j), f(k)).is_zero()))
+    return checks
+
+
+def oracle_isotropic(ops):
+    h, K = ops.h(), ops.K(1, 2)
+    es, fs = ops.e_sigma(1, 2), ops.f_sigma(1, 2)
+    eb, fb = ops.e_sigmabar(1, 2), ops.f_sigmabar(1, 2)
+    hs, hb = bracket(es, fs), bracket(eb, fb)
+    return [
+        ("h_sigma=(h-iK)/2", hs == (h - K.scale(I)).scale(HALF)),
+        ("h_sigmabar=(h+iK)/2", hb == (h + K.scale(I)).scale(HALF)),
+        ("[h_sigma,e_sigma]=2e_sigma", bracket(hs, es) == es.scale(2)),
+        ("[h_sigma,f_sigma]=-2f_sigma", bracket(hs, fs) == fs.scale(-2)),
+        ("[h_sigmabar,e_sigmabar]=2e_sigmabar", bracket(hb, eb) == eb.scale(2)),
+        ("[h_sigmabar,f_sigmabar]=-2f_sigmabar", bracket(hb, fb) == fb.scale(-2)),
+        ("h_sigmabar-h_sigma=iK", hb - hs == K.scale(I)),
+        ("[e_sigma,f_sigmabar]=0", bracket(es, fb).is_zero()),
+        ("[e_sigmabar,f_sigma]=0", bracket(eb, fs).is_zero()),
+        ("[e_sigma,e_sigmabar]=0", bracket(es, eb).is_zero()),
+        ("[f_sigma,f_sigmabar]=0", bracket(fs, fb).is_zero()),
+    ]
+
+
+def oracle_cross_triple(ops):
+    K = ops.K
+    plus, minus, K12_K34 = K(1, 3) + K(2, 4), K(1, 4) - K(2, 3), K(1, 2) - K(3, 4)
+    L = bracket(ops.e_sigma(1, 2), ops.f_sigma(3, 4))
+    Lam = bracket(ops.e_sigma(3, 4), ops.f_sigma(1, 2))
+    H = bracket(L, Lam)
+    quarter, quarter_i = GR(Fraction(1, 4)), GR(0, Fraction(1, 4))
+    return [
+        ("L=((K13+K24)-i(K14-K23))/4", L == plus.scale(quarter) - minus.scale(quarter_i)),
+        ("Lambda=(-(K13+K24)-i(K14-K23))/4",
+         Lam == plus.scale(-quarter) - minus.scale(quarter_i)),
+        ("H=-(i/2)(K12-K34)", H == K12_K34.scale(GR(0, Fraction(-1, 2)))),
+        ("[H,L]=2L", bracket(H, L) == L.scale(2)),
+        ("[H,Lambda]=-2Lambda", bracket(H, Lam) == Lam.scale(-2)),
+        ("[K12-K34,K13+K24]=4(K14-K23)", bracket(K12_K34, plus) == minus.scale(4)),
+        ("[K12-K34,K14-K23]=-4(K13+K24)", bracket(K12_K34, minus) == plus.scale(-4)),
+    ]
+
+
+def oracle_double_bracket(ops):
+    es, fs, e1 = ops.e_sigma(2, 3), ops.f_sigma(2, 3), ops.e(1)
+    inner = bracket(fs, e1)
+    e_x = op_e(ops.space, vec_add(ops.quad[0], ops.quad[3]))
+    return [
+        ("[f_sigma23,e_1]=(-K12+iK13)/2",
+         inner == (ops.K(1, 3).scale(I) - ops.K(1, 2)).scale(HALF)),
+        ("e_1=[e_sigma23,[f_sigma23,e_1]]", bracket(es, inner) == e1),
+        ("e_eta=[e_sigma23,[f_sigma23,e_eta]]", bracket(es, bracket(fs, e_x)) == e_x),
+    ]
+
+
+def oracle_triple(ops, data, genus):
+    """The checks of build_triple and verify_theta_replay, on the built
+    triple's E0, F0, H0 and primed operators."""
+    P, E0, F0, H0, c0 = data.P, data.E0, data.F0, data.H0, data.c0
+    K12, K34 = ops.K(1, 2), ops.K(3, 4)
+    D = K12.scale(I)
+    L = bracket(ops.e_sigma(1, 2), ops.f_sigma(3, 4))
+    Lam = bracket(ops.e_sigma(3, 4), ops.f_sigma(1, 2))
+    e_theta = P["E_thetabar"].scale(-c0) + P["E_beta"].scale(Fraction(genus + 1, 2))
+    return [
+        ("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero()),
+        ("E0=-[F_alpha,E_theta]", -bracket(P["F_alpha"], e_theta) == E0),
+        ("F0=-fourier(E0) identically in cst", data.E0_image == {0: -F0}),
+        ("H0=(i/2)(K12-K34)", H0 == (K12 - K34).scale(GR(0, Fraction(1, 2)))),
+        ("[H0,E0]=2E0", bracket(H0, E0) == E0.scale(2)),
+        ("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(-2)),
+        ("[D,E0]=2E0", bracket(D, E0) == E0.scale(2)),
+        ("[D,F0]=-2F0", bracket(D, F0) == F0.scale(-2)),
+        ("E0=-c0*Lambda", E0 == Lam.scale(-c0)),
+        ("F0=-c0*L", F0 == L.scale(-c0)),
+    ]
+
+
+def corrupt_K12(ops):
+    ops._kept["K", 1, 2] = ops.K(1, 2).scale(2)
+
+
+def flip_one_entry_of_e2(pick):
+    """Negate the entry of e2 at pick(positions), after f2 is kept as the
+    lowering of the intact e2."""
+    def corrupt(ops):
+        e2, _ = ops.e(2), ops.f(2)
+        pos = pick(e2.num)
+        ops._kept["e", 2] = SparseMat(e2.dim, {**e2.entries, pos: -e2.entries[pos]})
+    return corrupt
+
+
+# min picks an entry of e2's alpha column, which is eta2, and max one of its
+# beta row, which is the covector of eta2
+CORRUPTIONS = [corrupt_K12, flip_one_entry_of_e2(min), flip_one_entry_of_e2(max)]
+
+
+FAMILIES = [(verify, oracle) for verify, oracle in zip(
+    (verify_verbitsky, verify_isotropic_sl2_pairs, verify_cross_triple,
+     verify_double_bracket_recovery),
+    (oracle_verbitsky, oracle_isotropic, oracle_cross_triple, oracle_double_bracket))]
+
+
+def refuted(checks):
+    return {name for name, holds, _ in checks if not holds}
+
+
+def corrupted_tables(corrupt):
+    """An intact and a corrupted table of each of two spaces and quadruples;
+    v2 of the random one has four nonzero coordinates."""
+    for space, quad_of in ((llv_model_space(6, t=2), standard_quadruple),
+                           (llv_model_space(10, Fraction(-3, 2)),
+                            lambda space: random_quadruple(space, 7))):
+        intact, broken = (OperatorTable(space, quad_of(space)) for _ in range(2))
+        corrupt(broken)
+        yield intact, broken
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("verify,oracle", FAMILIES)
+def test_a_corrupted_operator_refutes_what_the_oracle_refutes(corrupt, verify, oracle):
+    for intact, broken in corrupted_tables(corrupt):
+        # the oracle names the same checks in the same order
+        assert [name for name, _, _ in verify(intact)] == [name for name, _ in oracle(intact)]
+        assert not refuted(verify(intact))
+        expected = {name for name, holds in oracle(broken) if not holds}
+        assert expected and refuted(verify(broken)) == expected
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_a_corrupted_operator_refutes_the_triple_as_the_oracle_does(corrupt):
+    for intact, broken in corrupted_tables(corrupt):
+        for c0 in (1, -1):
+            for c1 in (1, -1):
+                for ops in (intact, broken):
+                    data = build_triple(ops, c0, c1)
+                    fused = verify_theta_replay(data, 5) + data.checks
+                    expected = oracle_triple(ops, data, 5)
+                    assert [name for name, _, _ in fused] == [name for name, _ in expected]
+                    assert refuted(fused) == {name for name, holds in expected if not holds}
+                    assert bool(refuted(fused)) == (ops is broken)

@@ -11,7 +11,7 @@ from beauville_lab.llv import OperatorTable, op_e, op_h, random_quadruple
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
-from beauville_lab.sparse import SparseMat, bracket, combination
+from beauville_lab.sparse import SparseMat, bracket, bracket_is, combination
 
 
 def random_matrix(rng: random.Random, dim: int = 6, fill: int = 8) -> SparseMat:
@@ -317,3 +317,90 @@ def test_verbitsky_brackets_match_sympy():
     ops = ([op_e(space, v) for v in quad], [table.f(i) for i in range(1, 5)])
     for (i, j), k_ij in K.items():
         assert to_sympy(bracket(ops[0][i], ops[1][j])) == k_ij
+
+
+# -- bracket_is: one integer pass for [x, y] == c*m ------------------------------------
+
+
+def real_part(m: SparseMat) -> SparseMat:
+    return SparseMat(m.dim, {pos: v.re for pos, v in m.entries.items()})
+
+
+@st.composite
+def bracket_cases(draw):
+    """(x, y, c, m) with x, y and m each real or complex, of different
+    denominators; "holds" picks m so that [x, y] == c*m, "commuting" picks y
+    so that [x, y] == 0 and takes m = None, which asks for zero,
+    "imaginary" makes [x, y] purely imaginary, and the random shape takes
+    m = None at times."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix():
+        m = random_matrix(rng)
+        return real_part(m) if draw(st.booleans()) else m
+
+    x, y, m = matrix(), matrix(), matrix()
+    c = draw(coefficients)
+    shape = draw(st.sampled_from(("random", "holds", "commuting", "imaginary")))
+    if shape == "imaginary":
+        x, y = real_part(x), real_part(y).scale(GaussianRational(0, 1))
+    if shape == "commuting":
+        y, m = combination(x.dim, ((c, x), (1, SparseMat.identity(x.dim)))), None
+    elif shape == "holds" and c:
+        m = bracket(x, y).scale(GaussianRational.coerce(c).inverse())
+    elif shape == "random" and draw(st.booleans()):
+        m = None
+    return x, y, c, m, shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_cases())
+def test_bracket_is_decides_the_built_bracket(case):
+    x, y, c, m, shape = case
+    built = bracket(x, y)
+    expected = built.is_zero() if m is None else built == m.scale(c)
+    assert bracket_is(x, y, c, m) == expected
+    if shape == "commuting" or (shape == "holds" and c):
+        assert expected
+    # a zero c asks for a zero bracket, whatever m is
+    assert bracket_is(x, y, 0, m) == bracket_is(x, y) == built.is_zero()
+
+
+def test_bracket_is_rejects_a_dimension_mismatch():
+    two, three = SparseMat.identity(2), SparseMat.identity(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket_is(two, three)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket_is(two, two, 1, three)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket_is(two, two, 0, three)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_factor_keeps_its_value(seed, real):
+    rng = random.Random(seed)
+    x, y = random_matrix(rng), random_matrix(rng)
+    if real:
+        x, y = real_part(x), real_part(y)
+    copies = [SparseMat(x.dim, dict(v.entries)) for v in (x, y)]
+    before = [(v.dim, v.den, dict(v.num), hash(v), dict(v.entries)) for v in (x, y)]
+    x @ y, bracket(x, y), bracket_is(x, y, Fraction(1, 3), y), bracket_is(y, x)
+    after = [(v.dim, v.den, dict(v.num), hash(v), dict(v.entries)) for v in (x, y)]
+    assert after == before
+    # a matrix that was a factor equals one that never was, both ways
+    for v, copy in zip((x, y), copies):
+        assert v == copy and copy == v and hash(v) == hash(copy)
+        assert v @ copy == copy @ v and bracket(v, copy).is_zero()
+        for name in ("dim", "den", "num", "_rows"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+
+
+def test_entries_get_and_in_read_the_numerators():
+    m = SparseMat(3, {(0, 1): Fraction(1, 2), (2, 2): GaussianRational(0, 3)})
+    entries = m.entries
+    assert entries.get((0, 1)) == GaussianRational(Fraction(1, 2))
+    assert entries.get((1, 1)) is None and entries.get((1, 1), 0) == 0
+    assert (2, 2) in entries and (1, 2) not in entries and "x" not in entries
+    assert str(m) == "[0, 1/2, 0]\n[0, 0, 0]\n[0, 0, 3i]"
