@@ -17,6 +17,7 @@ prefix minus signs nest at most MAX_DEPTH levels deep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -600,9 +601,29 @@ def evaluate(expr: Expr, context: Context):
     raise TypeError(f"not an expression: {expr!r}")
 
 
+# make_context keeps the llv contexts of the LLV_CONTEXTS_KEPT most recently
+# used (hdim, t) pairs.  A context is an immutable model space and a table
+# of operators built on request: with all 73 operators of an hdim-10 table
+# built it holds about 55 KB (tracemalloc), and about 100 KB once each has
+# kept its row index, so the cache stays under 2 MB.  The cli-mix benchmark
+# stream cycles through 12 pairs, which all stay kept.  The cache is typed,
+# so that hdim=6.0, which the model space rejects, never reads hdim=6's.
+LLV_CONTEXTS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=LLV_CONTEXTS_KEPT, typed=True)
+def _llv_context(hdim: int, t: Fraction) -> LlvContext:
+    return LlvContext(hdim, t)
+
+
 def make_context(name: str, locus: str = "total", hdim: int = 6, t=2) -> Context:
+    """The evaluation context of that name.  An llv context is built once
+    per (hdim, t) in a process and kept, with every operator its table has
+    built, for up to LLV_CONTEXTS_KEPT pairs, the least recently used going
+    first; a build that raises keeps nothing.  The k3 and taut contexts
+    hold no state and are built on each call."""
     if name == "llv":
-        return LlvContext(hdim, t)
+        return _llv_context(hdim, Fraction(t))
     if name == "k3":
         return K3Context()
     if name == "taut":

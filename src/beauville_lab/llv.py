@@ -391,9 +391,16 @@ def build_triple(ops: OperatorTable, c0: int, c1: int) -> TripleData:
     checks.append(_ok("[D,E0]=2E0", bracket_is(D, E0, 2, E0)))
     checks.append(_ok("[D,F0]=-2F0", bracket_is(D, F0, -2, F0)))
 
-    # with c0 = +-1, E0 = -c0*Lambda is Lambda = -c0*E0, and so for F0 and L
-    checks.append(_ok("E0=-c0*Lambda", bracket_is(ops.e_sigma(3, 4), ops.f_sigma(1, 2), -c0, E0)))
-    checks.append(_ok("F0=-c0*L", bracket_is(ops.e_sigma(1, 2), ops.f_sigma(3, 4), -c0, F0)))
+    # E0 and F0 are brackets of sigma operators, and so are Lambda and L:
+    # decide each against the K's of the same table, in the closed forms of
+    # verify_cross_triple, -c0*Lambda = c0((K13+K24) + i(K14-K23))/4 and
+    # -c0*L = -c0((K13+K24) - i(K14-K23))/4
+    q, qi = Fraction(c0, 4), GaussianRational(0, Fraction(c0, 4))
+    K13, K24, K14, K23 = ops.K(1, 3), ops.K(2, 4), ops.K(1, 4), ops.K(2, 3)
+    checks.append(_ok("E0=-c0*Lambda", E0 == combination(
+        K12.dim, ((q, K13), (q, K24), (qi, K14), (-qi, K23)))))
+    checks.append(_ok("F0=-c0*L", F0 == combination(
+        K12.dim, ((-q, K13), (-q, K24), (qi, K14), (-qi, K23)))))
 
     premise = _ok("[F_alpha,E_beta]=0", bracket_is(P["F_alpha"], P["E_beta"]))
     return TripleData(c0=c0, c1=c1, P=P, E0=E0, F0=F0, H0=H0, D=D,

@@ -12,9 +12,12 @@ intended change of output, run from the root of the repository
 import contextlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from beauville_lab import dsl
 from beauville_lab.cli import main
 from test_dsl import CORPUS
 
@@ -78,6 +81,47 @@ def test_eval_corpus_matches_golden():
         assert (code, out) == (entry["code"], entry["stdout"]), entry["argv"]
         if code:
             assert err.startswith(("parse error:", "evaluation error:")), (entry["argv"], err)
+
+
+def test_a_kept_llv_context_changes_no_output():
+    """Every llv call of the corpus, twice in shuffled order in one process
+    and mixed with failing calls on the same (hdim, t), prints its golden
+    bytes whether its context is built or kept."""
+    dsl._llv_context.cache_clear()
+    golden = [(entry["argv"], entry["code"], entry["stdout"])
+              for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))
+              if entry["argv"][2] == "llv"]
+    failing = [(["eval", "--context", "llv", *form, "--", expr], 1, "")
+               for expr in ("e(9)", "K(1)", "h + 2") for form in _forms("llv")]
+    calls = (golden + failing) * 2
+    random.Random(0).shuffle(calls)
+    errors = {}
+    for argv, code, stdout in calls:
+        got_code, out, err = run(argv)
+        assert (got_code, out) == (code, stdout), argv
+        assert errors.setdefault(tuple(argv), err) == err, argv
+    assert dsl._llv_context.cache_info().hits
+    # a build that fails keeps nothing, and fails the same way again
+    t_zero = [run(["eval", "--context", "llv", "h", "--t=0"]) for _ in range(3)]
+    assert t_zero[0][0] == 1 and t_zero[0][2].startswith("evaluation error:")
+    assert t_zero == [t_zero[0]] * 3
+
+
+def test_the_kept_llv_contexts_are_bounded():
+    """More distinct t than the cache keeps: the least recently used
+    (hdim, t) is evicted, and its rebuilt context prints the same bytes."""
+    dsl._llv_context.cache_clear()
+    ts = [f"--t={n}/7" for n in range(1, dsl.LLV_CONTEXTS_KEPT + 4)]
+    first = [run(["eval", "--context", "llv", expr, ts[0]]) for expr in ("h", "f(1)")]
+    evicted = dsl.make_context("llv", t=Fraction(1, 7))
+    for t in ts:
+        assert run(["eval", "--context", "llv", "h", t])[0] == 0
+        assert dsl._llv_context.cache_info().currsize <= dsl.LLV_CONTEXTS_KEPT
+    assert dsl._llv_context.cache_info().currsize == dsl.LLV_CONTEXTS_KEPT
+    last = Fraction(dsl.LLV_CONTEXTS_KEPT + 3, 7)
+    assert dsl.make_context("llv", t=last) is dsl.make_context("llv", t=last)
+    assert dsl.make_context("llv", t=Fraction(1, 7)) is not evicted
+    assert [run(["eval", "--context", "llv", expr, ts[0]]) for expr in ("h", "f(1)")] == first
 
 
 if __name__ == "__main__":

@@ -71,6 +71,24 @@ def test_bv_fourier_inverts():
     assert fwd(bv("f")) == S(c=-1)
 
 
+# the Mukai pairing on span{one, s, f, c}, typed from the lattice U + U
+# (one.c = -1, s^2 = -2, s.f = 1, f^2 = 0) rather than from _BV_MUL
+_MUKAI = {("one", "c"): -1, ("c", "one"): -1, ("s", "s"): -2,
+          ("s", "f"): 1, ("f", "s"): 1}
+
+
+def mukai_pairing(x, y):
+    return sum(a * b * _MUKAI.get((p, q), 0) for p, a in x.items() for q, b in y.items())
+
+
+@pytest.mark.parametrize("table", [_BV_FOURIER_FWD, _BV_FOURIER_INV], ids=["fwd", "inv"])
+def test_bv_fourier_is_a_mukai_isometry(table):
+    # a Fourier-Mukai transform preserves the Mukai pairing (Mukai 1987)
+    for a in BV_LABELS:
+        for b in BV_LABELS:
+            assert mukai_pairing(table[a], table[b]) == _MUKAI.get((a, b), 0), (a, b)
+
+
 def test_pi_star_and_pull():
     assert pi_star(bv("s")) == {"unit": 1}
     assert pi_star(bv("c").scale(3)) == {"pt": 3}

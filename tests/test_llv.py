@@ -558,8 +558,7 @@ def oracle_triple(ops, data, genus):
     P, E0, F0, H0, c0 = data.P, data.E0, data.F0, data.H0, data.c0
     K12, K34 = ops.K(1, 2), ops.K(3, 4)
     D = K12.scale(I)
-    L = bracket(ops.e_sigma(1, 2), ops.f_sigma(3, 4))
-    Lam = bracket(ops.e_sigma(3, 4), ops.f_sigma(1, 2))
+    plus, minus = ops.K(1, 3) + ops.K(2, 4), ops.K(1, 4) - ops.K(2, 3)
     e_theta = P["E_thetabar"].scale(-c0) + P["E_beta"].scale(Fraction(genus + 1, 2))
     return [
         ("[F_alpha,E_beta]=0", bracket(P["F_alpha"], P["E_beta"]).is_zero()),
@@ -570,13 +569,19 @@ def oracle_triple(ops, data, genus):
         ("[H0,F0]=-2F0", bracket(H0, F0) == F0.scale(-2)),
         ("[D,E0]=2E0", bracket(D, E0) == E0.scale(2)),
         ("[D,F0]=-2F0", bracket(D, F0) == F0.scale(-2)),
-        ("E0=-c0*Lambda", E0 == Lam.scale(-c0)),
-        ("F0=-c0*L", F0 == L.scale(-c0)),
+        # Lambda and L in the closed forms of the cross triple, so that
+        # neither check is the antisymmetry of the bracket
+        ("E0=-c0*Lambda", E0 == (plus + minus.scale(I)).scale(GR(Fraction(c0, 4)))),
+        ("F0=-c0*L", F0 == (plus - minus.scale(I)).scale(GR(Fraction(-c0, 4)))),
     ]
 
 
 def corrupt_K12(ops):
     ops._kept["K", 1, 2] = ops.K(1, 2).scale(2)
+
+
+def corrupt_K13(ops):
+    ops._kept["K", 1, 3] = ops.K(1, 3).scale(2)
 
 
 def flip_one_entry_of_e2(pick):
@@ -626,7 +631,8 @@ def test_a_corrupted_operator_refutes_what_the_oracle_refutes(corrupt, verify, o
         assert expected and refuted(verify(broken)) == expected
 
 
-@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+# K13 enters the triple only through the closed forms of Lambda and L
+@pytest.mark.parametrize("corrupt", CORRUPTIONS + [corrupt_K13])
 def test_a_corrupted_operator_refutes_the_triple_as_the_oracle_does(corrupt):
     for intact, broken in corrupted_tables(corrupt):
         for c0 in (1, -1):
@@ -638,3 +644,5 @@ def test_a_corrupted_operator_refutes_the_triple_as_the_oracle_does(corrupt):
                     assert [name for name, _, _ in fused] == [name for name, _ in expected]
                     assert refuted(fused) == {name for name, holds in expected if not holds}
                     assert bool(refuted(fused)) == (ops is broken)
+                    if corrupt is corrupt_K13 and ops is broken:
+                        assert refuted(fused) == {"E0=-c0*Lambda", "F0=-c0*L"}
