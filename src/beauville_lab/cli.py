@@ -24,7 +24,6 @@ from .k3_mult import run_k3_suite
 from .llv import run_llv_suite, run_triple_suite
 from .obstruction import run_theta_suite
 from .report import exit_code, render_json, render_text
-from .taut import TautExpr, abelian_push
 
 # each suite's runner, called with the parsed verify arguments; --genus,
 # --c0 and --c1 each narrow one sweep of the triple suite to one value
@@ -139,9 +138,9 @@ def _cmd_eval(args) -> int:
                                    hdim=args.hdim, t=args.t)
         value = dsl.evaluate(tree, context)
         if args.context == "taut" and args.push is not None:
-            if not isinstance(value, TautExpr):
-                raise dsl.EvalError("--push needs a tautological class")
-            value = abelian_push(value, args.push)
+            value = dsl.push(value, args.push)
+        # str() is where a number past Python's digit limit would raise
+        text = str(value)
     except dsl.DslError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -154,11 +153,11 @@ def _cmd_eval(args) -> int:
             "context": args.context,
             "expr": dsl.print_expr(tree),
             "kind": dsl.kind(value),
-            "value": str(value),
+            "value": text,
         }
         print(json.dumps(body, sort_keys=True, indent=2))
     else:
-        print(value)
+        print(text)
     return 0
 
 

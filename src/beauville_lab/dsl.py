@@ -31,7 +31,7 @@ from .poly import Poly
 from .scalars import ONE, GaussianRational, I
 from .sparse import SparseMat, bracket
 from .taut import GENS as TAUT_GENS
-from .taut import LOCI, TautExpr, gen
+from .taut import LOCI, TautExpr, abelian_push, gen
 
 
 class DslError(ValueError):
@@ -340,11 +340,13 @@ def print_expr(expr: Expr) -> str:
 # Python's default limit on the digits of an integer it converts to text
 MAX_DIGITS = 4300
 # A product in a power pairs each term of one factor with each term of the
-# other (a matrix entry, polynomial or tautological monomial, or cycle label
-# counts as one term, a scalar too), so this bounds the work of one product
-# as MAX_DIGITS bounds the size of its numbers.  The largest product of the
-# tests and the benchmark requests pairs 144 terms, and a product of two
-# hdim-10 matrices at most 100 x 100.
+# other (a matrix entry, polynomial term or cycle label counts as one term, a
+# scalar too, and a tautological class counts one term per monomial and term
+# of its polynomial coefficient), so this bounds the work of one product as
+# MAX_DIGITS bounds the size of its numbers.  The largest product that
+# tests/golden/eval_corpus.json computes pairs 2025 terms (a square of
+# (theta+delta+psi1)^16), that of the cli-mix benchmark requests 36, and a
+# product of two hdim-10 matrices at most 100 x 100.
 MAX_TERM_PAIRS = 20_000
 
 
@@ -373,9 +375,14 @@ def _terms(value):
 
 def _passes_digits(value) -> bool:
     """Whether a numerator or denominator in value, a value of any context,
-    has more than MAX_DIGITS digits."""
+    has more than MAX_DIGITS digits; a polynomial is read as its integer
+    numerators over its one denominator."""
     if isinstance(value, GaussianRational):
         return _passes_digits(value.re) or _passes_digits(value.im)
+    if isinstance(value, Poly):
+        return value.den >= _DIGIT_LIMIT or any(
+            abs(re) >= _DIGIT_LIMIT or abs(im) >= _DIGIT_LIMIT
+            for re, im in value.terms.values())
     terms = _terms(value)
     if terms is None:
         return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
@@ -385,8 +392,22 @@ def _passes_digits(value) -> bool:
 def _term_count(value) -> int:
     """The number of terms of a value of any context, as MAX_TERM_PAIRS
     counts them."""
+    if isinstance(value, TautExpr):
+        return sum(len(coeff.terms) for coeff in value.terms.values())
     terms = _terms(value)
     return 1 if terms is None else len(terms)
+
+
+def push(value, n: int) -> TautExpr:
+    """The abelian pushforward of a tautological class along an
+    n-dimensional fibration, refused as a power is once a number of it
+    passes MAX_DIGITS digits (the push multiplies by n!)."""
+    if not isinstance(value, TautExpr):
+        raise EvalError("--push needs a tautological class")
+    out = abelian_push(value, n)
+    if _passes_digits(out):
+        raise EvalError(f"the push along {n} dimensions would pass {MAX_DIGITS} digits")
+    return out
 
 
 class Context:

@@ -4,12 +4,15 @@ Every exact container keeps a dict of nonzero coefficients (polynomial
 terms, matrix entries, tautological monomials, lattice vectors, cycles).
 Values only need +, * and bool(), where bool() means "nonzero", as for
 Fraction.  The product of two such dicts keyed by exponent tuples
-(polynomials, tautological expressions) is mul_terms.  A map given on
-labels extends to such dicts by linear and bilinear, and tensor multiplies
-dicts slot by slot.  Labelled is the one sparse value: such a dict as an
-immutable value with its sums, scalings, powers, equality and hash, whose
-kinds are the polynomials, the tautological classes and the k3 cycles, and
-whose _like is the one unchecked constructor of them all.
+(tautological expressions, the boundary pullback's ladder) is mul_terms.  A
+map given on labels extends to such dicts by linear and bilinear, and
+tensor multiplies dicts slot by slot.  Labelled is the one sparse value:
+such a dict as an immutable value with its sums, scalings, powers, equality
+and hash, whose kinds are the polynomials, the tautological classes and the
+k3 cycles, and whose _like is the one unchecked constructor of them all.
+The polynomials hold integer numerators over one denominator instead of
+coefficients, and write their own sums, scalings, products, equality and
+hash on them.
 """
 
 from __future__ import annotations

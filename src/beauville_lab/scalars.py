@@ -3,11 +3,19 @@
 All engine computations happen over Q or Q(i); there is no floating point
 anywhere. Rational numbers are stdlib fractions (always reduced, positive
 denominator); Gaussian rationals are implemented here.
+
+The sparse values of the engine (`SparseMat`, `Poly`) hold their
+coefficients as one positive integer denominator and Gaussian-integer
+numerators {key: (re, im)}; `integer_parts` splits a scalar that way,
+`common_denominator` brings such parts over one denominator and
+`lowest_terms` is the normal form they share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Dict, Tuple
 
 Rational = Fraction
 
@@ -158,6 +166,43 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
     _set_re(z, re)
     _set_im(z, im)
     return z
+
+
+def integer_parts(x) -> Tuple[int, int, int]:
+    """(re, im, den) with x = (re + im*i)/den and den the lcm of the
+    denominators of x's parts, so that den and the two numerators have no
+    common factor; TypeError for a value that is not a scalar."""
+    kind = type(x)
+    if kind is int:
+        return x, 0, 1
+    if kind is Fraction:
+        return x.numerator, 0, x.denominator
+    z = GaussianRational.coerce(x)
+    den = lcm(z.re.denominator, z.im.denominator)
+    return (z.re.numerator * (den // z.re.denominator),
+            z.im.numerator * (den // z.im.denominator), den)
+
+
+def common_denominator(parts: Dict) -> Tuple[int, Dict]:
+    """(den, num) for a dict of nonzero integer_parts (re, im, d): every
+    numerator over den, the lcm of the d.  The parts are in lowest terms, so
+    den and the numerators have no common factor: the normal form of
+    lowest_terms."""
+    den = lcm(*(d for _, _, d in parts.values()))
+    return den, {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in parts.items()}
+
+
+def lowest_terms(den: int, num: Dict) -> Tuple[int, Dict]:
+    """(den, num) for the coefficients (re + im*i)/den of num, a dict of
+    nonzero (re, im) numerators, divided by the gcd of den and every
+    numerator: the normal form, in which equal values have equal parts.
+    num itself comes back when there is no common factor."""
+    g = den
+    for re, im in num.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return den, num
+    return den // g, {key: (re // g, im // g) for key, (re, im) in num.items()}
 
 
 ONE = GaussianRational(1)

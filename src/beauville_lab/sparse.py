@@ -3,7 +3,8 @@
 A matrix is stored as one positive integer denominator `den` and a dict
 `num` of Gaussian-integer numerators {(row, col): (re, im)}, with entry
 (re + im*i)/den at (row, col).  The denominator and the numerators are
-normalized to have no common factor, so == and hash are structural.  Linear
+normalized to have no common factor (`scalars.lowest_terms`, the normal
+form `Poly` shares), so == and hash are structural.  Linear
 combinations (`combination`, which + and - use), products, scalings and
 brackets work on ints only; `entries` reads the matrix back as
 {(row, col): GaussianRational}.
@@ -22,28 +23,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Tuple
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, common_denominator, integer_parts, lowest_terms
 from .scalars import _make as _gaussian
 
 Entry = Tuple[int, int]
 Numerators = Dict[Entry, Tuple[int, int]]
-
-
-def _parts(x) -> Tuple[int, int, int]:
-    """(re, im, den) with x = (re + im*i)/den and den = lcm of the
-    denominators of x's parts; TypeError for a non-scalar x."""
-    kind = type(x)
-    if kind is int:
-        return x, 0, 1
-    if kind is Fraction:
-        return x.numerator, 0, x.denominator
-    z = GaussianRational.coerce(x)
-    den = lcm(z.re.denominator, z.im.denominator)
-    return (z.re.numerator * (den // z.re.denominator),
-            z.im.numerator * (den // z.im.denominator), den)
 
 
 class _Entries(Mapping):
@@ -86,15 +73,12 @@ class SparseMat:
     def __init__(self, dim: int, entries: Dict[Entry, object] | None = None):
         parts = {}
         for (r, c), v in (entries or {}).items():
-            re, im, den = _parts(v)
+            re, im, den = integer_parts(v)
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry ({r},{c}) outside dimension {dim}")
             if re or im:
                 parts[(r, c)] = (re, im, den)
-        den = lcm(*(d for _, _, d in parts.values()))
-        # over the lcm of reduced denominators the numerators are coprime to it
-        _init(self, dim, den, {pos: (re * (den // d), im * (den // d))
-                               for pos, (re, im, d) in parts.items()})
+        _init(self, dim, *common_denominator(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMat is immutable")
@@ -124,7 +108,7 @@ class SparseMat:
                      {pos: (-re, -im) for pos, (re, im) in self.num.items()})
 
     def scale(self, factor) -> "SparseMat":
-        p, q, s = _parts(factor)
+        p, q, s = integer_parts(factor)
         if not (p or q):
             return _make(self.dim, 1, {})
         return _normal(self.dim, self.den * s, {
@@ -188,14 +172,8 @@ def _make(dim: int, den: int, num: Numerators) -> SparseMat:
 
 
 def _normal(dim: int, den: int, num: Numerators) -> SparseMat:
-    """num/den, for num without zero numerators, reduced by the gcd of den
-    and every numerator."""
-    g = den
-    for re, im in num.values():
-        g = gcd(g, re, im)
-        if g == 1:
-            return _make(dim, den, num)
-    return _make(dim, den // g, {pos: (re // g, im // g) for pos, (re, im) in num.items()})
+    """num/den, for num without zero numerators, in lowest terms."""
+    return _make(dim, *lowest_terms(den, num))
 
 
 def combination(dim: int, terms) -> SparseMat:
@@ -207,7 +185,7 @@ def combination(dim: int, terms) -> SparseMat:
     for c, m in terms:
         if m.dim != dim:
             raise ValueError("dimension mismatch")
-        p, q, s = _parts(c)
+        p, q, s = integer_parts(c)
         if p or q:
             scaled.append((p, q, s * m.den, m.num))
     den = lcm(*(d for _, _, d, _ in scaled))
@@ -305,7 +283,7 @@ def bracket_is(x: SparseMat, y: SparseMat, c=0, m: SparseMat | None = None) -> b
     y_real, y_rows = y._rows or _row_index(y)
     real = x_real and y_real
     dim, den = x.dim, x.den * y.den
-    p, q, s = (c, 0, 1) if type(c) is int else _parts(c)
+    p, q, s = (c, 0, 1) if type(c) is int else integer_parts(c)
     k = 1
     acc: dict = {}
     if m is not None and (p or q) and m.num:

@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -541,6 +542,33 @@ def test_eval_refuses_huge_scalar_powers_at_once(capsys):
         code, out, _ = run_cli(capsys, "eval", "i^1000000002", "--context", context)
         assert (code, out.strip()) == (0, "-1"), context
     assert time.perf_counter() - start < 1.0
+
+
+def test_eval_bounds_taut_powers_by_their_coefficient_terms(capsys):
+    # one monomial with a four-term coefficient: the coefficient terms count
+    # toward the pairs of a product, so the power stops at once
+    for fmt in ("text", "json"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "(theta*(a+b+N+d))^80", "--context", "taut",
+                                 "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, ""), fmt
+        assert err == ("evaluation error: the power ^80 would pair more than 20000 terms "
+                       "in one product\n")
+
+
+def test_eval_refuses_a_push_past_the_digit_limit(capsys):
+    # 2000! has 5736 digits: the pushed value is checked as a power is
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "eval", "theta^2000", "--context", "taut",
+                                 "--push", "2000", "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err == ("evaluation error: the push along 2000 dimensions would pass "
+                       "4300 digits\n")
+    # 1000! has 2568 digits and prints
+    code, out, _ = run_cli(capsys, "eval", "theta^1000", "--context", "taut",
+                           "--push", "1000")
+    assert (code, out.strip()) == (0, f"({factorial(1000)})*1 [base]")
 
 
 def test_eval_usage_errors_exit_two(capsys):

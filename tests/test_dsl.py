@@ -271,6 +271,11 @@ def test_digit_limit_is_exact():
         assert str(10 ** 4299) in str(value)
         with pytest.raises(EvalError, match="would pass 4300 digits"):
             evaluate(parse(f"({text})^4300"), ctx)
+    # an imaginary numerator counts as a real one does: (10i)^4299 = -10^4299 i
+    taut = make_context("taut")
+    assert str(10 ** 4299) in str(evaluate(parse("(10*i*a)^4299"), taut))
+    with pytest.raises(EvalError, match="would pass 4300 digits"):
+        evaluate(parse("(10*i*a)^4301"), taut)
     assert evaluate(parse("(1/10)^4299"), make_context("llv")) == \
         GaussianRational(Fraction(1, 10 ** 4299))
     with pytest.raises(EvalError, match="would pass 4300 digits"):

@@ -1,10 +1,14 @@
-"""Sparse polynomials and the rational-root certificate."""
+"""Sparse polynomials, their integer kernel and the rational-root
+certificate."""
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from beauville_lab.dsl import evaluate, make_context, parse
 from beauville_lab.poly import (Poly, VARS, discriminant_is_square,
                                 rational_roots)
 from beauville_lab.scalars import GaussianRational
@@ -65,12 +69,102 @@ scalars = st.one_of(
     st.builds(GaussianRational, coeffs, coeffs.filter(bool)))
 
 
+def in_lowest_terms(p: Poly) -> bool:
+    """Whether p holds nonzero int numerators over a positive int
+    denominator with no factor common to all of them."""
+    parts = [x for pair in p.terms.values() for x in pair]
+    return (type(p.den) is int and p.den > 0 and all(type(x) is int for x in parts)
+            and all(re or im for re, im in p.terms.values()) and gcd(p.den, *parts) == 1)
+
+
 @given(gaussian_polys, scalars)
 def test_scalar_product_matches_the_constant_product(p, s):
     scaled = p * s
     assert scaled == p * Poly.const(s) == s * p == p.scale(s)
-    assert all(scaled.terms.values())
-    assert all(type(c) is GaussianRational for c in scaled.terms.values())
+    assert in_lowest_terms(scaled)
+
+
+# -- the integer kernel against a per-coefficient GaussianRational reference ----------
+
+def coefficients(p: Poly) -> dict:
+    """p as {exponent tuple: GaussianRational}."""
+    return {exp: GaussianRational(Fraction(re, p.den), Fraction(im, p.den))
+            for exp, (re, im) in p.terms.items()}
+
+
+def nonzero(coeffs: dict) -> dict:
+    return {exp: c for exp, c in coeffs.items() if c}
+
+
+def reference_sum(x: dict, y: dict, sign: int) -> dict:
+    out = dict(x)
+    for exp, c in y.items():
+        out[exp] = out.get(exp, GaussianRational(0)) + c * sign
+    return nonzero(out)
+
+
+def reference_product(x: dict, y: dict) -> dict:
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            exp = tuple(map(add, e1, e2))
+            out[exp] = out.get(exp, GaussianRational(0)) + c1 * c2
+    return nonzero(out)
+
+
+# coefficients with denominators up to 8 in each part, and imaginary parts
+mixed_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in VARS)),
+    st.builds(GaussianRational, coeffs, coeffs), max_size=4)
+
+
+@given(mixed_polys, mixed_polys, scalars)
+def test_the_kernel_agrees_with_gaussian_rational_coefficients(x, y, s):
+    p, q = Poly(x), Poly(y)
+    x, y = nonzero(x), nonzero(y)
+    assert coefficients(p) == x
+    results = {
+        "+": (p + q, reference_sum(x, y, 1)),
+        "-": (p - q, reference_sum(x, y, -1)),
+        "neg": (-p, {exp: -c for exp, c in x.items()}),
+        "*": (p * q, reference_product(x, y)),
+        "scale": (p.scale(s), nonzero({exp: c * s for exp, c in x.items()})),
+        "scalar *": (s * p, nonzero({exp: c * s for exp, c in x.items()})),
+        "+ scalar": (p + s, reference_sum(x, {(0,) * len(VARS): GaussianRational.coerce(s)}, 1)),
+    }
+    for op, (got, want) in results.items():
+        assert coefficients(got) == want, op
+        assert in_lowest_terms(got), op
+        assert got == Poly(want) and hash(got) == hash(Poly(want)), op
+
+
+def test_one_value_has_one_normal_form():
+    b = Poly.var("b")
+    half = Poly.const(Fraction(1, 2))
+    pairs = [
+        (Poly.const(Fraction(2, 4)), half),
+        (Poly({(0,) * len(VARS): GaussianRational(Fraction(3, 6), Fraction(2, 4))}),
+         Poly.const(GaussianRational(Fraction(1, 2), Fraction(1, 2)))),
+        # 1/6 + 1/3 cancels the 3 of the common denominator 6
+        (b.scale(Fraction(1, 6)) + b.scale(Fraction(1, 3)), b.scale(Fraction(1, 2))),
+        # the 1/2 that set the denominator to 6 goes away again
+        ((b.scale(Fraction(1, 3)) + half) - half, b.scale(Fraction(1, 3))),
+        (b.scale(Fraction(2, 3)) * Poly.const(Fraction(3, 4)), b.scale(Fraction(1, 2))),
+        (Poly.const(GaussianRational(1, 1)) * Poly.const(GaussianRational(1, -1)), Poly.const(2)),
+    ]
+    for built, plain in pairs:
+        assert (built.den, built.terms, hash(built)) == (plain.den, plain.terms, hash(plain))
+    assert (half.den, half.terms) == (2, {(0,) * len(VARS): (1, 0)})
+    assert (b.scale(Fraction(1, 6)) + b.scale(Fraction(1, 3))).den == 2
+    assert (Poly().den, Poly().terms) == (Poly.const(0).den, Poly.const(0).terms) == (1, {})
+
+
+def test_a_gaussian_coefficient_keeps_its_imaginary_part_in_taut():
+    value = evaluate(parse("(1+i)*b^2"), make_context("taut"))
+    assert value == Poly.var("b") ** 2 * GaussianRational(1, 1)
+    assert value.terms == {(0, 0, 0, 2): (1, 1)} and value.den == 1
+    assert str(value) == "(1+i)*b^2"
+    assert str(evaluate(parse("1/2*(1-i)*(1+i)*b^2"), make_context("taut"))) == "b^2"
 
 
 def test_rational_roots_linear_and_quadratic():

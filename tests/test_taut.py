@@ -279,10 +279,9 @@ def test_top_weight_of_the_pulled_candidate_power_matches_sympy():
         for mono, coeff in boundary_pull(candidate ** (g + 1), 2 * (g - 1)).terms.items():
             assert [e for k, e in enumerate(mono) if k not in (i_psi1, i_psi2)] == \
                 [g - 1, 0, 0, 0], (g, mono)
-            for exps, c in coeff.terms.items():
-                c = c.rational()
-                got[mono[i_psi1], mono[i_psi2], exps[i_b]] = sympy.Rational(
-                    c.numerator, c.denominator)
+            for exps, (re, im) in coeff.terms.items():
+                assert not im
+                got[mono[i_psi1], mono[i_psi2], exps[i_b]] = sympy.Rational(re, coeff.den)
         assert got == expected, g
 
 
