@@ -375,14 +375,20 @@ def _terms(value):
 
 def _passes_digits(value) -> bool:
     """Whether a numerator or denominator in value, a value of any context,
-    has more than MAX_DIGITS digits; a polynomial is read as its integer
-    numerators over its one denominator."""
+    has more than MAX_DIGITS digits.  A polynomial is read first as its
+    integer numerators over its one denominator; only when one of those
+    passes the limit are its coefficients reduced one by one, since the
+    shared denominator (the lcm of theirs) can pass it when none of theirs
+    does."""
     if isinstance(value, GaussianRational):
         return _passes_digits(value.re) or _passes_digits(value.im)
     if isinstance(value, Poly):
-        return value.den >= _DIGIT_LIMIT or any(
-            abs(re) >= _DIGIT_LIMIT or abs(im) >= _DIGIT_LIMIT
-            for re, im in value.terms.values())
+        den = value.den
+        if den < _DIGIT_LIMIT and all(abs(re) < _DIGIT_LIMIT and abs(im) < _DIGIT_LIMIT
+                                      for re, im in value.terms.values()):
+            return False
+        return any(_passes_digits(Fraction(re, den)) or _passes_digits(Fraction(im, den))
+                   for re, im in value.terms.values())
     terms = _terms(value)
     if terms is None:
         return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT

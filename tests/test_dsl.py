@@ -276,6 +276,14 @@ def test_digit_limit_is_exact():
     assert str(10 ** 4299) in str(evaluate(parse("(10*i*a)^4299"), taut))
     with pytest.raises(EvalError, match="would pass 4300 digits"):
         evaluate(parse("(10*i*a)^4301"), taut)
+    # each coefficient counts on its own, not over the polynomial's shared
+    # denominator: 77^2300 and 77^3000 pass 4300 digits, 11^2300 and
+    # 11^3000 do not
+    for text, n, den in (("(1/7)^2300*a + (1/11)^2300*b", 1, 11 ** 2300),
+                         ("(1/7)^1500*a + (1/11)^1500*b", 2, 11 ** 3000)):
+        assert f"1/{den}" in str(evaluate(parse(f"({text})^{n}"), taut))
+        with pytest.raises(EvalError, match="would pass 4300 digits"):
+            evaluate(parse(f"({text})^{n + 1}"), taut)
     assert evaluate(parse("(1/10)^4299"), make_context("llv")) == \
         GaussianRational(Fraction(1, 10 ** 4299))
     with pytest.raises(EvalError, match="would pass 4300 digits"):
