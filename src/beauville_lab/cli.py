@@ -16,27 +16,42 @@ import json
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 from typing import Optional, Sequence
 
-from . import dsl, llv, mukai
 from .errors import OutsideModelError
-from .k3_mult import run_k3_suite
-from .llv import run_llv_suite, run_triple_suite
-from .obstruction import run_theta_suite
-from .report import exit_code, render_json, render_text
+from .taut import LOCI
 
-# each suite's runner, called with the parsed verify arguments; --genus,
-# --c0 and --c1 each narrow one sweep of the triple suite to one value
+
+def _module(name: str):
+    """The package's module of that name, imported on first use."""
+    return import_module(f".{name}", __package__)
+
+
+# each suite's runner, read from its module when the suite runs and called
+# with the parsed verify arguments; --genus, --c0 and --c1 each narrow one
+# sweep of the triple suite to one value
 SUITES = {
-    "llv": lambda args: run_llv_suite(args.hdim, args.t, args.trials,
-                                      args.seed, args.space_obj),
-    "triple": lambda args: run_triple_suite(**{
+    "llv": lambda args: _module("llv").run_llv_suite(args.hdim, args.t, args.trials,
+                                                     args.seed, args.space_obj),
+    "triple": lambda args: _module("llv").run_triple_suite(**{
         key: [value] for key, value in (("genera", args.genus),
                                         ("c0_values", args.c0),
                                         ("c1_values", args.c1)) if value}),
-    "k3-motive": lambda args: run_k3_suite(),
-    "theta-obstruction": lambda args: run_theta_suite(args.genus),
+    "k3-motive": lambda args: _module("k3_mult").run_k3_suite(),
+    "theta-obstruction": lambda args: _module("obstruction").run_theta_suite(args.genus),
 }
+# the module of each runner that cli offers as its own attribute
+_RUNNERS = {"run_llv_suite": "llv", "run_triple_suite": "llv",
+            "run_k3_suite": "k3_mult", "run_theta_suite": "obstruction"}
+
+
+def __getattr__(name: str):   # cli.run_llv_suite and the others (PEP 562)
+    if name not in _RUNNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_module(_RUNNERS[name]), name)
+
+
 HDIMS = range(6, 11)
 # the theta suite's extra genus costs a few ms (g = 16: about 6 ms)
 MAX_GENUS = 16
@@ -90,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--push", type=int, default=None,
                           help="taut context: push along an n-dimensional "
                                "abelian fibration")
-    evaluate.add_argument("--locus", choices=dsl.LOCI, default="total",
+    evaluate.add_argument("--locus", choices=LOCI, default="total",
                           help="taut context: locus of the generators")
     evaluate.add_argument("--hdim", type=int, choices=HDIMS, default=6,
                           help="llv context: middle dimension (6..10)")
@@ -100,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    from .report import exit_code, render_json, render_text
     if not 0 <= args.trials <= MAX_TRIALS:
         parser.error(f"--trials must be between 0 and {MAX_TRIALS}")
     if args.genus is not None and not 2 <= args.genus <= MAX_GENUS:
@@ -108,6 +124,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--t must be nonzero")
     args.space_obj = None
     if args.space:
+        from . import llv, mukai
         try:
             with open(args.space, "r", encoding="utf-8") as handle:
                 args.space_obj = mukai.MukaiSpace.from_json(handle.read())
@@ -132,6 +149,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import dsl
     try:
         tree = dsl.parse(args.expr)
         context = dsl.make_context(args.context, locus=args.locus,

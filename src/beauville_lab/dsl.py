@@ -22,16 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .k3 import (BV_LABELS, DELTA, F, FINV, THETA, Fourier, RelativeCycle,
-                 SurfaceClass, bv, compose, diag_push, pair_to_rel, rel_bracket)
-from .lincomb import power
-from .llv import OperatorTable, standard_quadruple
-from .mukai import llv_model_space
-from .poly import Poly
-from .scalars import ONE, GaussianRational, I
-from .sparse import SparseMat, bracket
-from .taut import GENS as TAUT_GENS
-from .taut import LOCI, TautExpr, abelian_push, gen
+from .errors import EvalError
+from .lincomb import _DIGIT_LIMIT, MAX_DIGITS, Context, _passes_digits, kind
+from .scalars import GaussianRational, I
 
 
 class DslError(ValueError):
@@ -40,10 +33,6 @@ class DslError(ValueError):
         self.message = message
         self.line = line
         self.col = col
-
-
-class EvalError(ValueError):
-    pass
 
 
 # -- lexer ---------------------------------------------------------------------------------
@@ -337,266 +326,35 @@ def print_expr(expr: Expr) -> str:
 # -- evaluation ----------------------------------------------------------------------------
 
 
-# Python's default limit on the digits of an integer it converts to text
-MAX_DIGITS = 4300
-# A product in a power pairs each term of one factor with each term of the
-# other (a matrix entry, polynomial term or cycle label counts as one term, a
-# scalar too, and a tautological class counts one term per monomial and term
-# of its polynomial coefficient), so this bounds the work of one product as
-# MAX_DIGITS bounds the size of its numbers.  The largest product that
-# tests/golden/eval_corpus.json computes pairs 2025 terms (a square of
-# (theta+delta+psi1)^16), that of the cli-mix benchmark requests 36, and a
-# product of two hdim-10 matrices at most 100 x 100.
-MAX_TERM_PAIRS = 20_000
-
-
-_DIGIT_LIMIT = 10 ** MAX_DIGITS
-
-# the kind eval prints for each type of value, in every context
-KINDS = {
-    Fraction: "scalar", GaussianRational: "scalar", Poly: Poly.kind,
-    SparseMat: "operator", SurfaceClass: SurfaceClass.kind,
-    RelativeCycle: RelativeCycle.kind, Fourier: Fourier.kind,
-    TautExpr: TautExpr.kind,
-}
-
-
-def kind(value) -> str:
-    return KINDS[type(value)]
-
-
-def _terms(value):
-    """The {key: coefficient} dict of a value of any context, or None for a
-    Fraction or GaussianRational."""
-    if isinstance(value, SparseMat):
-        return value.entries
-    return getattr(value, "terms", None)
-
-
-def _passes_digits(value) -> bool:
-    """Whether a numerator or denominator in value, a value of any context,
-    has more than MAX_DIGITS digits.  A polynomial is read first as its
-    integer numerators over its one denominator; only when one of those
-    passes the limit are its coefficients reduced one by one, since the
-    shared denominator (the lcm of theirs) can pass it when none of theirs
-    does."""
-    if isinstance(value, GaussianRational):
-        return _passes_digits(value.re) or _passes_digits(value.im)
-    if isinstance(value, Poly):
-        den = value.den
-        if den < _DIGIT_LIMIT and all(abs(re) < _DIGIT_LIMIT and abs(im) < _DIGIT_LIMIT
-                                      for re, im in value.terms.values()):
-            return False
-        return any(_passes_digits(Fraction(re, den)) or _passes_digits(Fraction(im, den))
-                   for re, im in value.terms.values())
-    terms = _terms(value)
-    if terms is None:
-        return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
-    return any(map(_passes_digits, terms.values()))
-
-
-def _term_count(value) -> int:
-    """The number of terms of a value of any context, as MAX_TERM_PAIRS
-    counts them."""
-    if isinstance(value, TautExpr):
-        return sum(len(coeff.terms) for coeff in value.terms.values())
-    terms = _terms(value)
-    return 1 if terms is None else len(terms)
-
-
-def push(value, n: int) -> TautExpr:
+def push(value, n: int):
     """The abelian pushforward of a tautological class along an
     n-dimensional fibration, refused as a power is once a number of it
-    passes MAX_DIGITS digits (the push multiplies by n!)."""
-    if not isinstance(value, TautExpr):
+    passes MAX_DIGITS digits.  The push multiplies by n!, and a bound
+    refuses it before n! is computed: with s fewer thetas, the monomials
+    that survive push along n - s dimensions to the push over n!/(n - s)!,
+    which is at least (n - c + 1)^c for c = ceil(s/2)."""
+    if kind(value) != "tautological-class":
         raise EvalError("--push needs a tautological class")
+    from .taut import GENS, TautExpr, abelian_push, weight_part
+    refused = f"the push along {n} dimensions would pass {MAX_DIGITS} digits"
+    theta, live = GENS.index("theta"), weight_part(value, 2 * n).terms
+    # one theta stays, for the xi2 pairs to trade against
+    s = min((mono[theta] for mono in live), default=0) - 1
+    c = (s + 1) // 2
+    bits = c * ((n - c + 1).bit_length() - 1)   # n!/(n - s)! >= 2^bits
+    if bits > _DIGIT_LIMIT.bit_length():
+        part = abelian_push(TautExpr({mono[:theta] + (mono[theta] - s,) + mono[theta + 1:]: coeff
+                                      for mono, coeff in live.items()}, value.locus), n - s)
+        if not part:
+            return part
+        # a numerator of the push is at least 2^bits over a denominator of part
+        if bits >= min(coeff.den for coeff in part.terms.values()).bit_length() \
+                + _DIGIT_LIMIT.bit_length():
+            raise EvalError(refused)
     out = abelian_push(value, n)
     if _passes_digits(out):
-        raise EvalError(f"the push along {n} dimensions would pass {MAX_DIGITS} digits")
+        raise EvalError(refused)
     return out
-
-
-class Context:
-    """The arithmetic of every context.  Values carry their own sums,
-    negatives, scalings (value.scale(scalar)) and '*' products, so sums,
-    scalar multiples, products and bounded powers are written here once.
-    A context gives its symbols (symbol) and its scalars (scalar, from the
-    GaussianRational value of a number or i), and says what composition
-    'o', the commutator [x, y] and the unit of a kind that is not a scalar
-    mean there (compose, commutator, unit)."""
-
-    name = ""
-    # whether a scalar plus another value is that multiple of its unit, or
-    # an error
-    adds_scalars = False
-
-    def add(self, x, y, sign: int):
-        kx, ky = kind(x), kind(y)
-        if kx != ky:
-            if not self.adds_scalars or "scalar" not in (kx, ky):
-                raise EvalError(f"cannot add {kx} and {ky}")
-            if kx == "scalar":
-                x = self.unit(y).scale(x)
-            else:
-                y = self.unit(x).scale(y)
-        return x + (y if sign > 0 else -y)
-
-    def mul(self, x, y, op: str):
-        if op == "o":
-            return self.compose(x, y)
-        kx, ky = kind(x), kind(y)
-        if kx == ky:
-            return x * y
-        if kx == "scalar":
-            return y.scale(x)
-        if ky == "scalar":
-            return x.scale(y)
-        raise EvalError(f"cannot multiply {kx} and {ky}")
-
-    def power(self, x, n: int):
-        """x^n by repeated squaring that stops before a product would pair
-        more than MAX_TERM_PAIRS terms and as soon as a product has a
-        numerator or denominator past MAX_DIGITS digits, so that the work
-        stays bounded whatever n is."""
-        def checked(a, b):
-            if _term_count(a) * _term_count(b) > MAX_TERM_PAIRS:
-                raise EvalError(f"the power ^{n} would pair more than "
-                                f"{MAX_TERM_PAIRS} terms in one product")
-            out = a * b
-            if _passes_digits(out):
-                raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
-            return out
-        one = self.scalar(ONE) if kind(x) == "scalar" else self.unit(x)
-        return power(x, n, one, checked)
-
-    def compose(self, x, y):
-        raise EvalError(f"composition is not part of the {self.name} context")
-
-    def commutator(self, x, y):
-        raise EvalError(f"commutators are not part of the {self.name} context")
-
-
-class LlvContext(Context):
-    """Operators of the standard middle-dimension model."""
-
-    name = "llv"
-    # symbol -> (OperatorTable method, number of vector indices)
-    SYMBOLS = {
-        "h": ("h", 0), "e": ("e", 1), "f": ("f", 1), "K": ("K", 2),
-        "esig": ("e_sigma", 2), "fsig": ("f_sigma", 2),
-        "esigbar": ("e_sigmabar", 2), "fsigbar": ("f_sigmabar", 2),
-    }
-
-    def __init__(self, hdim: int = 6, t=2):
-        space = llv_model_space(hdim, Fraction(t))
-        self.ops = OperatorTable(space, standard_quadruple(space))
-
-    def _index(self, value, what: str) -> int:
-        if kind(value) != "scalar" or value.im or value.re.denominator != 1:
-            raise EvalError(f"{what} must be an integer")
-        if not 1 <= value.re <= len(self.ops.quad):
-            raise EvalError(f"{what} must be between 1 and {len(self.ops.quad)}")
-        return int(value.re)
-
-    def symbol(self, name: str, args):
-        if name not in self.SYMBOLS:
-            raise EvalError(f"unknown symbol {name!r} in the llv context")
-        method, arity = self.SYMBOLS[name]
-        if len(args or ()) != arity:
-            raise EvalError(f"{name} takes {arity} index argument(s)" if arity
-                            else f"{name} takes no arguments")
-        indices = [self._index(a, f"argument of {name}") for a in args or ()]
-        return getattr(self.ops, method)(*indices)
-
-    def scalar(self, value: GaussianRational):
-        return value
-
-    def unit(self, x):
-        return SparseMat.identity(x.dim)
-
-    def compose(self, x, y):
-        if kind(x) == kind(y) == "scalar":
-            raise EvalError("composition needs operators")
-        return self.mul(x, y, "*")
-
-    def commutator(self, x, y):
-        if kind(x) != "operator" or kind(y) != "operator":
-            raise EvalError("commutator needs two operators")
-        return bracket(x, y)
-
-
-class K3Context(Context):
-    """Fiber-square cycles and correspondences of an elliptic surface."""
-
-    name = "k3"
-    CONSTANTS = {**{label: bv(label) for label in BV_LABELS},
-                 "Theta": THETA, "Delta": DELTA, "F": F, "Finv": FINV}
-    # the pushes of a surface class to a relative cycle
-    PUSHES = {
-        "p1": lambda x: pair_to_rel(x, bv("one")),
-        "p2": lambda x: pair_to_rel(bv("one"), x),
-        "Delta": diag_push,
-    }
-
-    def symbol(self, name: str, args):
-        if name in self.CONSTANTS and args is None:
-            return self.CONSTANTS[name]
-        if name in self.PUSHES:
-            if args is None or len(args) != 1:
-                raise EvalError(f"{name} takes one surface-class argument")
-            if kind(args[0]) != SurfaceClass.kind:
-                raise EvalError(f"{name} needs a surface class")
-            return self.PUSHES[name](args[0])
-        if name in self.CONSTANTS:
-            raise EvalError(f"{name} takes no arguments")
-        raise EvalError(f"unknown symbol {name!r} in the k3 context")
-
-    def scalar(self, value: GaussianRational):
-        if value.im:
-            raise EvalError("imaginary scalars are not part of the k3 context")
-        return value.re
-
-    def unit(self, x):
-        if kind(x) == Fourier.kind:
-            raise EvalError("powers of correspondences are not supported")
-        return type(x)({"one": 1})
-
-    def compose(self, x, y):
-        if not {kind(x), kind(y)} <= {RelativeCycle.kind, Fourier.kind}:
-            raise EvalError("composition needs relative cycles or correspondences")
-        return compose(x, y)
-
-    def commutator(self, x, y):
-        if kind(x) != RelativeCycle.kind or kind(y) != RelativeCycle.kind:
-            raise EvalError("commutator needs relative cycles")
-        return rel_bracket(x, y)
-
-
-class TautContext(Context):
-    """Tautological expressions on a nodal Jacobian family."""
-
-    name = "taut"
-    adds_scalars = True
-
-    def __init__(self, locus: str = "total"):
-        if locus not in LOCI:
-            raise EvalError(f"unknown locus {locus!r}")
-        self.locus = locus
-
-    def symbol(self, name: str, args):
-        if args is not None:
-            raise EvalError(f"{name} takes no arguments")
-        if name in TAUT_GENS:
-            return gen(name, locus=self.locus)
-        if name in ("a", "b", "N", "d"):
-            return Poly.var(name)
-        raise EvalError(f"unknown symbol {name!r} in the taut context")
-
-    def scalar(self, value: GaussianRational):
-        return Poly.const(value)
-
-    def unit(self, x):
-        return TautExpr.const(1, self.locus)
 
 
 def evaluate(expr: Expr, context: Context):
@@ -639,7 +397,8 @@ LLV_CONTEXTS_KEPT = 16
 
 
 @functools.lru_cache(maxsize=LLV_CONTEXTS_KEPT, typed=True)
-def _llv_context(hdim: int, t: Fraction) -> LlvContext:
+def _llv_context(hdim: int, t: Fraction) -> Context:
+    from .llv import LlvContext
     return LlvContext(hdim, t)
 
 
@@ -648,11 +407,14 @@ def make_context(name: str, locus: str = "total", hdim: int = 6, t=2) -> Context
     per (hdim, t) in a process and kept, with every operator its table has
     built, for up to LLV_CONTEXTS_KEPT pairs, the least recently used going
     first; a build that raises keeps nothing.  The k3 and taut contexts
-    hold no state and are built on each call."""
+    hold no state and are built on each call.  Only the modules of the
+    context built are imported."""
     if name == "llv":
         return _llv_context(hdim, Fraction(t))
     if name == "k3":
+        from .k3 import K3Context
         return K3Context()
     if name == "taut":
+        from .taut import TautContext
         return TautContext(locus)
     raise ValueError(f"unknown context {name!r}")

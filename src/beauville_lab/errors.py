@@ -3,3 +3,7 @@
 
 class OutsideModelError(ValueError):
     """Raised when a requested operation leaves the finite cycle model."""
+
+
+class EvalError(ValueError):
+    """Raised when an eval expression has no value in its context."""

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .errors import OutsideModelError
-from .lincomb import Labelled, bilinear, linear
+from .errors import EvalError, OutsideModelError
+from .lincomb import Context, Labelled, bilinear, kind, linear
 from .report import Check
 
 BV_LABELS = ("one", "s", "f", "c")
@@ -296,3 +296,50 @@ def verify_fourier_stability() -> List[Check]:
     e0, f0, h0 = sl2_cycles()
     return [(f"Finv o {name} o F = -{name}-partner", fourier_conjugate(cycle) == -partner, "")
             for name, cycle, partner in (("h0", h0, h0), ("e0", e0, f0), ("f0", f0, e0))]
+
+
+class K3Context(Context):
+    """Fiber-square cycles and correspondences of an elliptic surface."""
+
+    name = "k3"
+    CONSTANTS = {**{label: bv(label) for label in BV_LABELS},
+                 "Theta": THETA, "Delta": DELTA, "F": F, "Finv": FINV}
+    # the pushes of a surface class to a relative cycle
+    PUSHES = {
+        "p1": lambda x: pair_to_rel(x, bv("one")),
+        "p2": lambda x: pair_to_rel(bv("one"), x),
+        "Delta": diag_push,
+    }
+
+    def symbol(self, name: str, args):
+        if name in self.CONSTANTS and args is None:
+            return self.CONSTANTS[name]
+        if name in self.PUSHES:
+            if args is None or len(args) != 1:
+                raise EvalError(f"{name} takes one surface-class argument")
+            if kind(args[0]) != SurfaceClass.kind:
+                raise EvalError(f"{name} needs a surface class")
+            return self.PUSHES[name](args[0])
+        if name in self.CONSTANTS:
+            raise EvalError(f"{name} takes no arguments")
+        raise EvalError(f"unknown symbol {name!r} in the k3 context")
+
+    def scalar(self, value):
+        if value.im:
+            raise EvalError("imaginary scalars are not part of the k3 context")
+        return value.re
+
+    def unit(self, x):
+        if kind(x) == Fourier.kind:
+            raise EvalError("powers of correspondences are not supported")
+        return type(x)({"one": 1})
+
+    def compose(self, x, y):
+        if not {kind(x), kind(y)} <= {RelativeCycle.kind, Fourier.kind}:
+            raise EvalError("composition needs relative cycles or correspondences")
+        return compose(x, y)
+
+    def commutator(self, x, y):
+        if kind(x) != RelativeCycle.kind or kind(y) != RelativeCycle.kind:
+            raise EvalError("commutator needs relative cycles")
+        return rel_bracket(x, y)

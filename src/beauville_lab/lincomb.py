@@ -12,13 +12,18 @@ and hash, whose kinds are the polynomials, the tautological classes and the
 k3 cycles, and whose _like is the one unchecked constructor of them all.
 The polynomials hold integer numerators over one denominator instead of
 coefficients, and write their own sums, scalings, products, equality and
-hash on them.
+hash on them.  Context is the arithmetic of every eval context within two
+work bounds, MAX_DIGITS and MAX_TERM_PAIRS (llv.LlvContext and the others).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Iterable, Tuple
+
+from .errors import EvalError
+from .scalars import ONE, GaussianRational
 
 
 def add_into(acc: Dict, items: Iterable[Tuple[object, object]]) -> Dict:
@@ -176,3 +181,116 @@ class Labelled:
 
 _new = object.__new__
 _set_terms = Labelled.terms.__set__
+
+
+# Python's default limit on the digits of an integer it converts to text
+MAX_DIGITS = 4300
+# A product in a power pairs each term of one factor with each term of the
+# other (a matrix entry, polynomial term or cycle label counts as one term, a
+# scalar too, and a tautological class counts one term per monomial and term
+# of its polynomial coefficient), so this bounds the work of one product as
+# MAX_DIGITS bounds the size of its numbers.  The largest product that
+# tests/golden/eval_corpus.json computes pairs 2025 terms (a square of
+# (theta+delta+psi1)^16), that of the cli-mix benchmark requests 36, and a
+# product of two hdim-10 matrices at most 100 x 100.
+MAX_TERM_PAIRS = 20_000
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
+def kind(value) -> str:
+    """The kind eval prints for a value: its own, or scalar for a number."""
+    return getattr(value, "kind", "scalar")
+
+
+def _passes_digits(value) -> bool:
+    """Whether a numerator or denominator in value, a value of any context,
+    has more than MAX_DIGITS digits.  A polynomial or matrix is read first
+    as its integer numerators over its one denominator; only when one of
+    those passes the limit are its coefficients reduced one by one, since
+    the shared denominator (the lcm of theirs) can pass it when none of
+    theirs does."""
+    if isinstance(value, GaussianRational):
+        return _passes_digits(value.re) or _passes_digits(value.im)
+    den = getattr(value, "den", None)
+    if den is not None:
+        parts = (value.num if kind(value) == "operator" else value.terms).values()
+        if den < _DIGIT_LIMIT and all(abs(re) < _DIGIT_LIMIT and abs(im) < _DIGIT_LIMIT
+                                      for re, im in parts):
+            return False
+        return any(_passes_digits(Fraction(re, den)) or _passes_digits(Fraction(im, den))
+                   for re, im in parts)
+    terms = getattr(value, "terms", None)
+    if terms is None:
+        return value.denominator >= _DIGIT_LIMIT or abs(value.numerator) >= _DIGIT_LIMIT
+    return any(map(_passes_digits, terms.values()))
+
+
+def _term_count(value) -> int:
+    """The number of terms of a value of any context, as MAX_TERM_PAIRS
+    counts them."""
+    if kind(value) == "tautological-class":
+        return sum(len(coeff.terms) for coeff in value.terms.values())
+    if kind(value) == "operator":
+        return len(value.num)
+    terms = getattr(value, "terms", None)
+    return 1 if terms is None else len(terms)
+
+
+class Context:
+    """The arithmetic of every context.  Values carry their own sums,
+    negatives, scalings (value.scale(scalar)) and '*' products, so sums,
+    scalar multiples, products and bounded powers are written here once.
+    A context gives its symbols (symbol) and its scalars (scalar, from the
+    GaussianRational value of a number or i), and says what composition
+    'o', the commutator [x, y] and the unit of a kind that is not a scalar
+    mean there (compose, commutator, unit)."""
+
+    name = ""
+    # whether a scalar plus another value is that multiple of its unit, or
+    # an error
+    adds_scalars = False
+
+    def add(self, x, y, sign: int):
+        kx, ky = kind(x), kind(y)
+        if kx != ky:
+            if not self.adds_scalars or "scalar" not in (kx, ky):
+                raise EvalError(f"cannot add {kx} and {ky}")
+            if kx == "scalar":
+                x = self.unit(y).scale(x)
+            else:
+                y = self.unit(x).scale(y)
+        return x + (y if sign > 0 else -y)
+
+    def mul(self, x, y, op: str):
+        if op == "o":
+            return self.compose(x, y)
+        kx, ky = kind(x), kind(y)
+        if kx == ky:
+            return x * y
+        if kx == "scalar":
+            return y.scale(x)
+        if ky == "scalar":
+            return x.scale(y)
+        raise EvalError(f"cannot multiply {kx} and {ky}")
+
+    def power(self, x, n: int):
+        """x^n by repeated squaring that stops before a product would pair
+        more than MAX_TERM_PAIRS terms and as soon as a product has a
+        numerator or denominator past MAX_DIGITS digits, so that the work
+        stays bounded whatever n is."""
+        def checked(a, b):
+            if _term_count(a) * _term_count(b) > MAX_TERM_PAIRS:
+                raise EvalError(f"the power ^{n} would pair more than "
+                                f"{MAX_TERM_PAIRS} terms in one product")
+            out = a * b
+            if _passes_digits(out):
+                raise EvalError(f"the power ^{n} would pass {MAX_DIGITS} digits")
+            return out
+        one = self.scalar(ONE) if kind(x) == "scalar" else self.unit(x)
+        return power(x, n, one, checked)
+
+    def compose(self, x, y):
+        raise EvalError(f"composition is not part of the {self.name} context")
+
+    def commutator(self, x, y):
+        raise EvalError(f"commutators are not part of the {self.name} context")

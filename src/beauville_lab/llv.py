@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .lincomb import add_into
+from .errors import EvalError
+from .lincomb import Context, add_into, kind
 from .mukai import ALPHA, BETA, HYP, THETA, MukaiSpace, Vector, barred_fourier_matrix, fourier_matrix, is_isometry, llv_model_space, mukai_class_space
 from .report import Check, Report, check_report
 from .scalars import GaussianRational, I
@@ -536,3 +537,52 @@ def run_triple_suite(genera: Sequence[int] = tuple(range(2, 13)),
         check_report("triple-fourier-isometry", isometry, params),
         check_report("triple-fourier-compatibility", compatibility, params),
     ]
+
+
+class LlvContext(Context):
+    """Operators of the standard middle-dimension model."""
+
+    name = "llv"
+    # symbol -> (OperatorTable method, number of vector indices)
+    SYMBOLS = {
+        "h": ("h", 0), "e": ("e", 1), "f": ("f", 1), "K": ("K", 2),
+        "esig": ("e_sigma", 2), "fsig": ("f_sigma", 2),
+        "esigbar": ("e_sigmabar", 2), "fsigbar": ("f_sigmabar", 2),
+    }
+
+    def __init__(self, hdim: int = 6, t=2):
+        space = llv_model_space(hdim, Fraction(t))
+        self.ops = OperatorTable(space, standard_quadruple(space))
+
+    def _index(self, value, what: str) -> int:
+        if kind(value) != "scalar" or value.im or value.re.denominator != 1:
+            raise EvalError(f"{what} must be an integer")
+        if not 1 <= value.re <= len(self.ops.quad):
+            raise EvalError(f"{what} must be between 1 and {len(self.ops.quad)}")
+        return int(value.re)
+
+    def symbol(self, name: str, args):
+        if name not in self.SYMBOLS:
+            raise EvalError(f"unknown symbol {name!r} in the llv context")
+        method, arity = self.SYMBOLS[name]
+        if len(args or ()) != arity:
+            raise EvalError(f"{name} takes {arity} index argument(s)" if arity
+                            else f"{name} takes no arguments")
+        indices = [self._index(a, f"argument of {name}") for a in args or ()]
+        return getattr(self.ops, method)(*indices)
+
+    def scalar(self, value: GaussianRational):
+        return value
+
+    def unit(self, x):
+        return SparseMat.identity(x.dim)
+
+    def compose(self, x, y):
+        if kind(x) == kind(y) == "scalar":
+            raise EvalError("composition needs operators")
+        return self.mul(x, y, "*")
+
+    def commutator(self, x, y):
+        if kind(x) != "operator" or kind(y) != "operator":
+            raise EvalError("commutator needs two operators")
+        return bracket(x, y)

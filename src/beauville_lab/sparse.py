@@ -69,6 +69,7 @@ class SparseMat:
 
     # _rows: the row index, None until the matrix is first a factor
     __slots__ = ("dim", "den", "num", "_rows")
+    kind = "operator"
 
     def __init__(self, dim: int, entries: Dict[Entry, object] | None = None):
         parts = {}

@@ -21,8 +21,8 @@ from math import comb, factorial
 from operator import add
 from typing import Dict, Tuple
 
-from .errors import OutsideModelError
-from .lincomb import Labelled, add_into, add_term, mul_terms
+from .errors import EvalError, OutsideModelError
+from .lincomb import Context, Labelled, add_into, add_term, mul_terms
 from .poly import Poly
 
 GENS = ("theta", "psi1", "psi2", "xi2", "kappa1", "delta")
@@ -249,3 +249,29 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
         add_term(out, tuple(new), coeff * factorial(n))
     return expr._like(out, target)
 
+
+class TautContext(Context):
+    """Tautological expressions on a nodal Jacobian family."""
+
+    name = "taut"
+    adds_scalars = True
+
+    def __init__(self, locus: str = "total"):
+        if locus not in LOCI:
+            raise EvalError(f"unknown locus {locus!r}")
+        self.locus = locus
+
+    def symbol(self, name: str, args):
+        if args is not None:
+            raise EvalError(f"{name} takes no arguments")
+        if name in GENS:
+            return gen(name, locus=self.locus)
+        if name in ("a", "b", "N", "d"):
+            return Poly.var(name)
+        raise EvalError(f"unknown symbol {name!r} in the taut context")
+
+    def scalar(self, value):
+        return Poly.const(value)
+
+    def unit(self, x):
+        return TautExpr.const(1, self.locus)

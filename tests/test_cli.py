@@ -404,6 +404,7 @@ def verify_usage_errors(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('{"labels": ["a"], "gram": [[1e400]]}', encoding="utf-8")
     return (["verify", "nonsense"],
+            ["verify", "llv", "--hdim", "11"],
             ["verify", "llv", "--hdim", "12"],
             ["verify", "llv", "--trials", "-1"],
             ["verify", "llv", "--trials", "101"],
@@ -419,11 +420,14 @@ def verify_usage_errors(tmp_path):
             ["verify", "llv", "--space", str(deep)],
             ["verify", "llv", "--space", str(huge)],
             ["verify", "theta-obstruction", "--genus", "17"],
+            ["verify", "theta-obstruction", "--genus", "1"],
+            ["verify", "triple", "--genus", "17"],
             ["verify", "llv", "--c0", "3"])
 
 
 EVAL_USAGE_ERRORS = (["eval", "h", "--context", "galois"],
                      ["eval", "h", "--context", "llv", "--hdim", "5"],
+                     ["eval", "h", "--context", "llv", "--hdim", "11"],
                      ["eval", "h", "--context", "llv", "--hdim", "800"])
 
 
@@ -433,6 +437,13 @@ def test_verify_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         assert err.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_the_edges_of_the_cli_bounds_are_accepted(capsys):
+    # one step past each edge is a usage error above
+    for hdim in ("6", "10"):
+        assert run_cli(capsys, "eval", "h", "--context", "llv", "--hdim", hdim)[0] == 0
+    assert run_cli(capsys, "verify", "theta-obstruction", "--genus", "2")[0] == 0
 
 
 def test_verify_genus_restricts_triple_sweep(capsys):
@@ -571,6 +582,21 @@ def test_eval_refuses_a_push_past_the_digit_limit(capsys):
     assert (code, out.strip()) == (0, f"({factorial(1000)})*1 [base]")
 
 
+def test_eval_refuses_a_huge_push_at_once(capsys):
+    # n! is never computed: the bound on it refuses the push, or the push
+    # cancels to zero
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "theta^3000000", "--context", "taut",
+                             "--push", "3000000")
+    assert (code, out) == (1, "")
+    assert err == ("evaluation error: the push along 3000000 dimensions would pass "
+                   "4300 digits\n")
+    zero = "-2*theta^2999999*xi2^2 - theta^3000000*psi1 - theta^3000000*psi2"
+    assert run_cli(capsys, "eval", zero, "--context", "taut", "--push", "3000000") == \
+        (0, "0 [base]\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
 def test_eval_usage_errors_exit_two(capsys):
     for argv in EVAL_USAGE_ERRORS:
         with pytest.raises(SystemExit) as err:
@@ -636,6 +662,38 @@ def test_help_is_unchanged_and_follows_columns(argv, capsys, monkeypatch):
     for columns, streams in shared.items():
         monkeypatch.setenv("COLUMNS", columns)
         assert run_cli(capsys, *argv) == streams
+
+
+# the beauville_lab modules that importing cli loads: taut (with its own
+# imports) gives the parser its --locus choices
+CLI_IMPORTS = {"cli", "errors", "lincomb", "poly", "scalars", "taut"}
+LLV = {"llv", "mukai", "sparse", "report"}
+LOADS = {
+    (): CLI_IMPORTS,
+    ("verify", "llv", "--trials", "1"): CLI_IMPORTS | LLV,
+    ("verify", "triple", "--genus", "2"): CLI_IMPORTS | LLV,
+    ("verify", "k3-motive"): CLI_IMPORTS | {"k3", "k3_mult", "report"},
+    ("verify", "theta-obstruction"): CLI_IMPORTS | {"obstruction", "dr", "report"},
+    ("eval", "--context", "llv", "h"): CLI_IMPORTS | LLV | {"dsl"},
+    ("eval", "--context", "k3", "Theta"): CLI_IMPORTS | {"dsl", "k3", "report"},
+    ("eval", "--context", "taut", "theta"): CLI_IMPORTS | {"dsl"},
+}
+
+
+def test_each_request_loads_only_the_modules_it_runs():
+    script = ("import sys\nfrom beauville_lab import cli\n"
+              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(sorted(name for name in sys.modules if name.startswith('beauville_lab.')))\n"
+              "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, modules in LOADS.items():
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert loaded == sorted(f"beauville_lab.{name}" for name in modules), argv
 
 
 def test_closed_stdout_ends_without_a_traceback():

@@ -3,25 +3,26 @@
 import json
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from test_llv import op_K
 from test_taut import coefficient_of
 
+from beauville_lab import taut as taut_module
 from beauville_lab.cli import main
-from beauville_lab.dsl import (KINDS, Add, CommBracket, DslError, EvalError,
-                               K3Context, LlvContext, Mul, Neg, Num,
-                               Pow, Sym, evaluate, kind, make_context, parse,
-                               print_expr, tokenize)
+from beauville_lab.dsl import (Add, CommBracket, DslError, EvalError, Mul, Neg,
+                               Num, Pow, Sym, evaluate, kind, make_context, parse,
+                               print_expr, push, tokenize)
 from beauville_lab.errors import OutsideModelError
-from beauville_lab.k3 import FINV, RelativeCycle, SurfaceClass
-from beauville_lab.llv import op_h
+from beauville_lab.k3 import FINV, K3Context, RelativeCycle, SurfaceClass
+from beauville_lab.llv import LlvContext, op_h
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import bracket
 from beauville_lab.taut import GENS as TAUT_GENS
-from beauville_lab.taut import TautExpr, gen
+from beauville_lab.taut import TautExpr, abelian_push, gen
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -290,6 +291,54 @@ def test_digit_limit_is_exact():
         evaluate(parse("(1/10)^4300"), make_context("llv"))
 
 
+def test_term_pair_limit_is_exact():
+    # a cube squares a 100-term polynomial (10000 pairs), then multiplies it
+    # by the square: 100 x 200 = 20000 pairs for exponents 0..98 and 100,
+    # whose square has exponents 0..198 and 200; 100 x 201 pairs when the
+    # last exponent is 101
+    taut = make_context("taut")
+    base = " + ".join(f"a^{k}" for k in range(99))
+    assert len(evaluate(parse(f"({base} + a^100)^3"), taut).terms) == 300
+    with pytest.raises(EvalError, match=r"the power \^3 would pair more than 20000 terms"):
+        evaluate(parse(f"({base} + a^101)^3"), taut)
+
+
+def test_push_digit_limit_is_exact(monkeypatch):
+    taut = make_context("taut")
+
+    def pushed(text: str, n: int):
+        return push(evaluate(parse(text), taut), n)
+
+    # 1558! has 4300 digits, the most Python prints; 1559! has more
+    assert str(pushed("theta^1558", 1558)) == f"({factorial(1558)})*1 [base]"
+    with pytest.raises(EvalError, match="the push along 1559 dimensions would pass 4300 digits"):
+        pushed("theta^1559", 1559)
+    # a denominator keeps a push printable past 1558
+    value = evaluate(parse("(1/10)^4299*theta^1700"), taut)
+    assert push(value, 1700) == abelian_push(value, 1700)
+
+    # n! is refused before it is computed once the lower bound on it passes
+    # the limit over the class's denominator: at n = 2858 for theta^n, and at
+    # n = 5194 for (1/10)^4299*theta^n; one step below, n! is computed
+    def small_factorial(n: int) -> int:
+        assert n < 1000, f"computed {n}!"
+        return factorial(n)
+
+    monkeypatch.setattr(taut_module, "factorial", small_factorial)
+    for text, edge in (("theta^{n}", 2858), ("(1/10)^4299*theta^{n}", 5194)):
+        with pytest.raises(EvalError, match=f"the push along {edge} dimensions would pass"):
+            pushed(text.format(n=edge), edge)
+        with pytest.raises(AssertionError, match=f"computed {edge - 1}!"):
+            pushed(text.format(n=edge - 1), edge - 1)
+    # the bound is read off the push over n!/(n - s)!, so a push that
+    # cancels to zero prints at any n, and so does one outside the weight
+    zero = "-2*theta^5000*xi2^2 - theta^5001*psi1 - theta^5001*psi2"
+    assert str(pushed(zero, 5001)) == "0 [base]"
+    assert str(pushed("theta^5001 + delta", 5000)) == "0 [base]"
+    with pytest.raises(EvalError, match="the push along 5001 dimensions"):
+        pushed("-2*theta^5000*xi2^2 + theta^5001*psi1", 5001)
+
+
 def test_k3_eval_model_boundaries():
     ctx = make_context("k3")
     with pytest.raises(OutsideModelError):
@@ -361,11 +410,13 @@ def test_every_value_has_a_kind_and_json_prints_it(capsys):
         ctx = make_context(context)
         for text in texts:
             value = evaluate(parse(text), ctx)
-            assert type(value) in KINDS, (context, text)
+            # a number has no kind of its own; every other value names its kind
+            assert isinstance(value, (Fraction, GaussianRational)) \
+                or "kind" in vars(type(value)), (context, text)
             seen.add(kind(value))
             assert main(["eval", "--context", context, "--format", "json", "--", text]) == 0
             assert json.loads(capsys.readouterr().out)["kind"] == kind(value), (context, text)
-    assert seen == set(KINDS.values()) == {
+    assert seen == {
         "scalar", "operator", "surface-class", "relative-cycle", "correspondence",
         "tautological-class"}
 
