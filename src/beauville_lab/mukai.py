@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from .lincomb import linear
-from .scalars import GaussianRational, Rational
-from .sparse import SparseMat
+from .scalars import GaussianRational, Rational, integer_parts
+from .sparse import SparseMat, _normal
 
 Vector = Dict[str, GaussianRational]
 
@@ -149,14 +149,13 @@ def fourier_matrix(space: MukaiSpace, c0: int, c1: int) -> SparseMat:
         raise ValueError("fourier_matrix needs Theta and Hyp")
     if space.genus is None:
         raise ValueError("fourier_matrix needs a genus")
-    half_gp1 = Fraction(c0 * (space.genus + 1), 2)
-    ia, ib = space.index(ALPHA), space.index(BETA)
-    it, ih = space.index(THETA), space.index(HYP)
-    entries = {(it, ia): -c0, (ib, ia): half_gp1, (ih, ib): c0,
-               (ia, it): c0, (ih, it): -half_gp1, (ib, ih): -c0}
-    entries.update(((k, k), c1) for k, label in enumerate(space.labels)
-                   if label not in (ALPHA, BETA, THETA, HYP))
-    return SparseMat(space.dim, entries)
+    gp1, two = c0 * (space.genus + 1), 2 * c0   # numerators over 2; gp1 = 0 at g = -1
+    ia, ib, it, ih = map(space.index, (ALPHA, BETA, THETA, HYP))
+    num = {(it, ia): (-two, 0), (ib, ia): (gp1, 0), (ih, ib): (two, 0),
+           (ia, it): (two, 0), (ih, it): (-gp1, 0), (ib, ih): (-two, 0)}
+    num.update(((k, k), (2 * c1, 0)) for k, label in enumerate(space.labels)
+               if label not in (ALPHA, BETA, THETA, HYP))
+    return _normal(space.dim, 2, {pos: v for pos, v in num.items() if v[0]})
 
 
 def is_isometry(space: MukaiSpace, m: SparseMat) -> bool:
@@ -190,23 +189,24 @@ def to_barred(space: MukaiSpace, v: Vector, c0: int) -> Dict[str, GaussianRation
         raise ValueError(f"{err.args[0]} is outside the span of (alpha, beta, Theta, Hyp)") from None
 
 
-def barred_fourier_matrix(space: MukaiSpace, c0: int, c1: int) -> SparseMat:
-    """The Fourier isometry in the barred basis, Binv @ F @ B: column j
-    holds the barred coordinates of F(v_j) for v = (alpha, beta, ThetaBar,
-    Hyp, the rest of the middle part).  ThetaBar takes Theta's index; B
-    holds theta_bar there and Binv holds to_barred(Theta), and both are
-    the identity in every other column."""
+def barred_fourier_matrix(space: MukaiSpace, c0: int, F: SparseMat) -> SparseMat:
+    """The Fourier isometry F = fourier_matrix(space, c0, c1) in the barred
+    basis, Binv @ F @ B: column j holds the barred coordinates of F(v_j) for
+    v = (alpha, beta, ThetaBar, Hyp, the rest of the middle part).  ThetaBar
+    takes Theta's index, where B holds theta_bar and Binv to_barred(Theta)
+    over the denominator 2; both are the identity in every other column."""
     it = space.index(THETA)
     position = {**space._positions, "ThetaBar": it}
 
     def change(column: Vector) -> SparseMat:
-        entries = {(k, k): 1 for k in range(space.dim) if k != it}
-        entries.update(((position[label], it), c) for label, c in column.items())
-        return SparseMat(space.dim, entries)
+        num = {(k, k): (2, 0) for k in range(space.dim) if k != it}
+        num.update(((position[label], it), (2 * re // d, 2 * im // d))
+                   for label, (re, im, d) in zip(column, map(integer_parts, column.values())))
+        return _normal(space.dim, 2, num)
 
     B = change(theta_bar(space, c0))
     Binv = change(to_barred(space, space.basis_vector(THETA), c0))
-    return Binv @ fourier_matrix(space, c0, c1) @ B
+    return Binv @ F @ B
 
 
 # -- standard spaces ------------------------------------------------------------

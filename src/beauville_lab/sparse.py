@@ -5,7 +5,8 @@ A matrix is stored as one positive integer denominator `den` and a dict
 (re + im*i)/den at (row, col).  The denominator and the numerators are
 normalized to have no common factor (`scalars.lowest_terms`, the normal
 form `Poly` shares), so == and hash are structural.  Linear
-combinations (`combination`, which + and - use), products, scalings and
+combinations (`combination`, which + and - use, and its zero test
+`combination_is_zero`, on one accumulate loop), products, scalings and
 brackets work on ints only; `entries` reads the matrix back as
 {(row, col): GaussianRational}.
 
@@ -14,9 +15,7 @@ The first time a matrix is a factor of a product it builds a row index
 keeps it in a private slot; a value never changes, so the index stays valid.
 `@`, `bracket` and `bracket_is` share one product loop on these indexes, and
 a product of real factors costs one integer multiplication per term pair.
-`bracket_is(x, y, c, m)` decides xy - yx == c*m by accumulating both
-products and -c*m over one common denominator and testing every sum for
-zero, without building the bracket.
+`bracket_is(x, y, c, m)` decides xy - yx == c*m without building the bracket.
 """
 
 from __future__ import annotations
@@ -139,12 +138,8 @@ class SparseMat:
         return _make(self.dim, self.den, {(c, r): v for (r, c), v in self.num.items()})
 
     def __str__(self):
-        entries = self.entries
-        lines = []
-        for r in range(self.dim):
-            row = [str(entries.get((r, c), 0)) for c in range(self.dim)]
-            lines.append("[" + ", ".join(row) + "]")
-        return "\n".join(lines)
+        get, dim = self.entries.get, range(self.dim)
+        return "\n".join("[" + ", ".join(str(get((r, c), 0)) for c in dim) + "]" for r in dim)
 
     def __repr__(self):
         return f"SparseMat(dim={self.dim}, nnz={len(self.num)})"
@@ -166,9 +161,8 @@ def _init(m: SparseMat, dim: int, den: int, num: Numerators) -> SparseMat:
 
 
 def _make(dim: int, den: int, num: Numerators) -> SparseMat:
-    """The engine's own constructor for numerators that are already normal
-    (no factor common to den and all of them); it checks and copies
-    nothing."""
+    """The engine's own constructor for numerators already in normal form
+    (no factor common to den and all of them); it checks and copies nothing."""
     return _init(_new(SparseMat), dim, den, num)
 
 
@@ -177,11 +171,10 @@ def _normal(dim: int, den: int, num: Numerators) -> SparseMat:
     return _make(dim, *lowest_terms(den, num))
 
 
-def combination(dim: int, terms) -> SparseMat:
-    """The sum of c * m over the (c, m) of terms, for int, Fraction or
-    GaussianRational coefficients c: every term is brought to one common
-    denominator and the sum is normalized once.  ValueError for a term of
-    another dimension."""
+def _sums(dim: int, terms):
+    """(den, {pos: [re, im]}): the sum of c * m over the (c, m) of terms, for
+    int, Fraction or GaussianRational c, on numerators over den, the lcm of
+    the terms' denominators.  ValueError for a term of another dimension."""
     scaled = []
     for c, m in terms:
         if m.dim != dim:
@@ -190,7 +183,7 @@ def combination(dim: int, terms) -> SparseMat:
         if p or q:
             scaled.append((p, q, s * m.den, m.num))
     den = lcm(*(d for _, _, d, _ in scaled))
-    acc: Dict[Entry, list] = {}   # mutable [re, im] sums
+    acc: Dict[Entry, list] = {}
     get = acc.get
     for p, q, d, num in scaled:
         k = den // d
@@ -202,19 +195,28 @@ def combination(dim: int, terms) -> SparseMat:
             else:
                 old[0] += a * p - b * q
                 old[1] += a * q + b * p
+    return den, acc
+
+
+def combination(dim: int, terms) -> SparseMat:
+    """The sum of c * m over the (c, m) of terms, normalized once."""
+    den, acc = _sums(dim, terms)
     return _normal(dim, den, {pos: (re, im) for pos, (re, im) in acc.items() if re or im})
+
+
+def combination_is_zero(dim: int, terms) -> bool:
+    """Whether combination(dim, terms) is zero, read off the same sums
+    without building the matrix."""
+    return not any(re or im for re, im in _sums(dim, terms)[1].values())
 
 
 def _row_index(m: SparseMat):
     """(real, {row: [(col, re, im)]}) for m's numerators, kept on m; callers
     read a kept index as `m._rows or _row_index(m)`."""
     rows: Dict[int, list] = {}
-    real = True
     for (r, c), (re, im) in m.num.items():
         rows.setdefault(r, []).append((c, re, im))
-        if im:
-            real = False
-    index = (real, rows)
+    index = (not any(im for _, im in m.num.values()), rows)
     _set_rows(m, index)
     return index
 
@@ -274,10 +276,9 @@ def bracket(a: SparseMat, b: SparseMat) -> SparseMat:
 
 
 def bracket_is(x: SparseMat, y: SparseMat, c=0, m: SparseMat | None = None) -> bool:
-    """Whether xy - yx == c*m, for an int, Fraction or GaussianRational c
-    (m = None or c = 0 asks for zero): both products and -c*m are summed on
-    numerators over one common denominator, and every sum must vanish.
-    ValueError for operands of different dimensions."""
+    """Whether xy - yx == c*m for a scalar c (m = None or c = 0 asks for
+    zero), summing both products and -c*m on numerators over one common
+    denominator.  ValueError for operands of different dimensions."""
     if x.dim != y.dim or (m is not None and m.dim != x.dim):
         raise ValueError("dimension mismatch")
     x_real, x_rows = x._rows or _row_index(x)
@@ -285,8 +286,7 @@ def bracket_is(x: SparseMat, y: SparseMat, c=0, m: SparseMat | None = None) -> b
     real = x_real and y_real
     dim, den = x.dim, x.den * y.den
     p, q, s = (c, 0, 1) if type(c) is int else integer_parts(c)
-    k = 1
-    acc: dict = {}
+    k, acc = 1, {}
     if m is not None and (p or q) and m.num:
         # over D = lcm(den, s * m.den) the products gain k = D / den and
         # c*m gains D / (s * m.den)

@@ -231,12 +231,13 @@ def abelian_push(expr: TautExpr, n: int) -> TautExpr:
             if k == 0:
                 raise OutsideModelError(
                     "xi2 power with no theta to trade against")
-            for psi_idx in (i_psi1, i_psi2):
+            j = e // 2   # all j pairs at once, by the binomial theorem
+            for m in range(j + 1):
                 new = list(mono)
-                new[i_xi] -= 2
-                new[i_theta] += 1
-                new[psi_idx] += 1
-                stack.append((tuple(new), coeff * Fraction(-1, 2)))
+                new[i_xi], new[i_theta] = e - 2 * j, k + j
+                new[i_psi1] += m
+                new[i_psi2] += j - m
+                stack.append((tuple(new), coeff * Fraction((-1) ** j * comb(j, m), 1 << j)))
             continue
         if e == 1:
             raise OutsideModelError(

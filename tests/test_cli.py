@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from beauville_lab import cli, dr, llv, obstruction, report
+from beauville_lab import cli, dr, llv, mukai, obstruction, report
 from beauville_lab.cli import (main, run_k3_suite, run_llv_suite,
                                run_theta_suite, run_triple_suite)
 from beauville_lab.mukai import MukaiSpace, llv_model_space
@@ -214,6 +214,39 @@ def test_triple_suite_builds_one_triple_per_sign_pair(monkeypatch):
     reports = run_triple_suite(genera=[2, 3])
     assert all(r.status == "verified" for r in reports)
     assert calls == {"build_triple": 4, "primed_operators": 4, "barred_fourier_matrix": 4}
+
+
+def test_triple_suite_builds_one_fourier_matrix_per_genus_and_c0(monkeypatch):
+    # the isometry report builds it and the compatibility report reuses it
+    calls = []
+    original = mukai.fourier_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mukai, "fourier_matrix", counted)
+    monkeypatch.setattr(llv, "fourier_matrix", counted)
+    reports = run_triple_suite()
+    assert all(r.status == "verified" for r in reports)
+    assert len(calls) == 22 and len(set(calls)) == 2
+
+
+def test_llv_suite_runs_the_check_function_the_module_holds(monkeypatch):
+    # a wrapper put on llv.verify_verbitsky, as a tracer puts one, is the
+    # function the llv-verbitsky report runs, once per quadruple
+    seen = []
+    original = llv.verify_verbitsky
+
+    def wrapped(ops):
+        seen.append(ops.quad)
+        return original(ops)
+
+    monkeypatch.setattr(llv, "verify_verbitsky", wrapped)
+    reports = run_llv_suite(trials=2)
+    assert len(seen) == 3
+    assert [r.check for r in reports][0] == "llv-verbitsky"
+    assert all(r.status == "verified" for r in reports)
 
 
 def test_byte_stable_json_across_runs():

@@ -12,7 +12,7 @@ from test_mukai import pairing, vec_add
 from test_sparse import random_matrix, weight_decompose
 
 from beauville_lab import llv
-from beauville_lab.llv import (OperatorTable, TripleData, build_triple,
+from beauville_lab.llv import (OperatorTable, TripleData, _compatibility, build_triple,
                                op_e, op_h,
                                primed_operators, random_quadruple,
                                standard_quadruple,
@@ -23,7 +23,7 @@ from beauville_lab.llv import (OperatorTable, TripleData, build_triple,
                                verify_isotropic_sl2_pairs, verify_theta_replay,
                                verify_verbitsky)
 from beauville_lab.mukai import (ALPHA, BETA, MukaiSpace, barred_fourier_matrix,
-                                 llv_model_space, mukai_class_space)
+                                 fourier_matrix, llv_model_space, mukai_class_space)
 from beauville_lab.scalars import GaussianRational, I
 from beauville_lab.sparse import SparseMat, bracket
 
@@ -407,6 +407,20 @@ def test_fourier_checks_fail_on_a_wrong_image():
     assert failed(verify_fourier_conjugacy(bad)) == ["fourier(E0)=-F0", "fourier(H0)=-H0"]
 
 
+def test_compatibility_reads_barred_numerators_over_their_denominator():
+    # a class space's barred Fourier matrix is integral, so scale it and
+    # every image by 1/2: the check must read the numerators over den = 2
+    space = llv_model_space(6, t=2)
+    data = build_triple(OperatorTable(space, standard_quadruple(space)), c0=-1, c1=1)
+    half = replace(data, images={name: {p: m.scale(HALF) for p, m in image.items()}
+                                 for name, image in data.images.items()})
+    for g in (2, 5):
+        class_space = mukai_class_space(g)
+        barred = barred_fourier_matrix(class_space, -1, fourier_matrix(class_space, -1, 1))
+        assert barred.den == 1 and barred.scale(HALF).den == 2
+        assert all_hold(_compatibility(half, class_space, barred.scale(HALF))) == 4
+
+
 # -- Fourier-conjugate triples ------------------------------------------------------
 
 
@@ -465,7 +479,8 @@ def test_barred_fourier_matrix_of_a_class_space_does_not_depend_on_c1():
     for g in range(2, 17):
         space = mukai_class_space(g)
         for c0 in (1, -1):
-            assert barred_fourier_matrix(space, c0, 1) == barred_fourier_matrix(space, c0, -1), g
+            assert barred_fourier_matrix(space, c0, fourier_matrix(space, c0, 1)) == \
+                barred_fourier_matrix(space, c0, fourier_matrix(space, c0, -1)), g
 
 
 def test_triple_H0_ladder_in_cst():

@@ -229,28 +229,37 @@ def test_to_barred_round_trip():
 
 def test_barred_fourier_matrix_matches_the_vector_route():
     # column j of Binv F B against the barred coordinates of F(v_j), read
-    # vector by vector as the triple suite once did
+    # vector by vector as the triple suite once did, and F itself against
+    # its formula on Fraction entries through the checked constructor
     barred_index = {ALPHA: 0, BETA: 1, "ThetaBar": 2, HYP: 3}
-    for g in range(2, 17):
-        space = mukai_class_space(g)
-        for c0 in (1, -1):
-            vectors = (space.basis_vector(ALPHA), space.basis_vector(BETA),
-                       theta_bar(space, c0), space.basis_vector(HYP))
-            for c1 in (1, -1):
-                barred = barred_fourier_matrix(space, c0, c1)
-                F = fourier_matrix(space, c0, c1)
-                for j, v in enumerate(vectors):
-                    coords = to_barred(space, apply_matrix(space, F, v), c0)
-                    column = {barred_index[label]: c for label, c in coords.items()}
-                    assert column == {r: x for (r, c), x in barred.entries.items()
-                                      if c == j}, (g, c0, c1, j)
+    for g in range(2, 33):
+        for extra in (0, 2):
+            space = mukai_class_space(g, extra=extra, t=3)
+            middles = range(4, 4 + extra)
+            for c0 in (1, -1):
+                half = Fraction(c0 * (g + 1), 2)
+                vectors = (space.basis_vector(ALPHA), space.basis_vector(BETA),
+                           theta_bar(space, c0), space.basis_vector(HYP))
+                for c1 in (1, -1):
+                    F = fourier_matrix(space, c0, c1)
+                    assert F == SparseMat(space.dim, {
+                        (2, 0): -c0, (1, 0): half, (3, 1): c0, (0, 2): c0, (3, 2): -half,
+                        (1, 3): -c0, **{(k, k): c1 for k in middles}}), (g, extra, c0, c1)
+                    barred = barred_fourier_matrix(space, c0, F)
+                    for j, v in enumerate(vectors):
+                        coords = to_barred(space, apply_matrix(space, F, v), c0)
+                        column = {barred_index[label]: c for label, c in coords.items()}
+                        assert column == {r: x for (r, c), x in barred.entries.items()
+                                          if c == j}, (g, extra, c0, c1, j)
+                    assert {(r, c): x for (r, c), x in barred.entries.items()
+                            if r > 3 or c > 3} == {(k, k): GR(c1) for k in middles}
 
 
 def test_barred_fourier_matrix_keeps_extra_middles():
     space = mukai_class_space(5, extra=2, t=3)
     for c0 in (1, -1):
         for c1 in (1, -1):
-            barred = barred_fourier_matrix(space, c0, c1)
+            barred = barred_fourier_matrix(space, c0, fourier_matrix(space, c0, c1))
             assert {(r, c): x for (r, c), x in barred.entries.items() if r > 3 or c > 3} == {
                 (4, 4): GR(c1), (5, 5): GR(c1)}
 

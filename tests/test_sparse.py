@@ -11,7 +11,7 @@ from beauville_lab.llv import OperatorTable, op_e, op_h, random_quadruple
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
-from beauville_lab.sparse import SparseMat, bracket, bracket_is, combination
+from beauville_lab.sparse import SparseMat, bracket, bracket_is, combination, combination_is_zero
 
 
 def random_matrix(rng: random.Random, dim: int = 6, fill: int = 8) -> SparseMat:
@@ -261,6 +261,21 @@ def test_combination_is_the_fold_of_scale_and_add(pair, coeffs, cancel):
     assert got == SparseMat(dim, reference) and got.den == SparseMat(dim, reference).den
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs(), st.lists(st.tuples(coefficients, st.sampled_from("ab")), max_size=4),
+       st.booleans())
+def test_combination_is_zero_decides_the_built_combination(pair, picks, cancel):
+    # int, Fraction and GaussianRational coefficients over mixed
+    # denominators, real and complex entries, no terms, and terms that cancel
+    dim, a, b, _, _ = pair
+    matrices = {"a": SparseMat(dim, a), "b": SparseMat(dim, b)}
+    terms = [(c, matrices[name]) for c, name in picks]
+    if cancel:
+        terms += [(-GaussianRational.coerce(c), m) for c, m in terms]
+    assert combination_is_zero(dim, terms) == combination(dim, terms).is_zero()
+    assert combination_is_zero(dim, terms) or not cancel
+
+
 def test_combination_edge_cases():
     a = SparseMat(2, {(0, 1): Fraction(1, 2), (1, 0): GaussianRational(0, 3)})
     assert combination(2, []) == SparseMat(2) and combination(2, []).den == 1
@@ -272,6 +287,13 @@ def test_combination_edge_cases():
         combination(2, [(1, a), (1, SparseMat.identity(3))])
     with pytest.raises(ValueError, match="dimension mismatch"):
         combination(3, [(1, a)])
+    assert combination_is_zero(2, [])
+    assert combination_is_zero(2, [(Fraction(2, 3), a), (-1, a.scale(Fraction(2, 3)))])
+    assert not combination_is_zero(2, [(1, a), (GaussianRational(0, 1), a)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        combination_is_zero(2, [(1, a), (1, SparseMat.identity(3))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        combination_is_zero(3, [(1, a)])
 
 
 def test_entries_are_a_read_only_view():

@@ -321,6 +321,70 @@ def test_push_trades_xi_pairs_for_theta_psi():
     assert pushed == -(gen("psi1", locus="base") + gen("psi2", locus="base"))
 
 
+def _pairwise_push(expr, n):
+    """The pushforward as the engine once computed it, trading one xi2 pair
+    per stack child (2^j pops for xi2^(2j)): the oracle of the trade of all
+    pairs at once."""
+    i_theta, i_psi1, i_psi2, i_xi = (GENS.index(g) for g in ("theta", "psi1", "psi2", "xi2"))
+    out = {}
+    stack = list(expr.terms.items())
+    while stack:
+        mono, coeff = stack.pop()
+        if monomial_weight(mono) != 2 * n:
+            continue
+        k, e = mono[i_theta], mono[i_xi]
+        if e >= 2:
+            if k == 0:
+                raise OutsideModelError("xi2 power with no theta to trade against")
+            for psi_idx in (i_psi1, i_psi2):
+                new = list(mono)
+                new[i_xi] -= 2
+                new[i_theta] += 1
+                new[psi_idx] += 1
+                stack.append((tuple(new), coeff * Fraction(-1, 2)))
+            continue
+        if e == 1:
+            raise OutsideModelError("odd xi2 power at even weight leaves the model")
+        new = list(mono)
+        new[i_theta] = 0
+        out[tuple(new)] = out.get(tuple(new), Poly.const(0)) + coeff * factorial(n)
+    return TautExpr(out, "boundary-base" if expr.locus == "boundary" else "base")
+
+
+def _outcome(push, expr, n):
+    try:
+        return push(expr, n)
+    except OutsideModelError as err:
+        return str(err)
+
+
+def test_push_trades_all_xi_pairs_as_the_pairwise_stack_did():
+    a = Poly.var("a")
+    rests = (TautExpr.const(1), gen("psi1"), gen("kappa1", 2) * gen("delta"))
+    for e in range(13):
+        for k in range(4):
+            for rest in rests:
+                for locus in ("total", "boundary"):
+                    total = (gen("theta", k) * gen("xi2", e) * rest * (a + 3)
+                             + gen("theta", k + e // 2 + 1) * rest.scale(Fraction(-2, 3)))
+                    expr = TautExpr(total.terms, locus)
+                    for n in {k + e // 2, k + e // 2 + 1, (2 * k + e + 1) // 2}:
+                        assert _outcome(abelian_push, expr, n) == \
+                            _outcome(_pairwise_push, expr, n), (e, k, rest, locus, n)
+    assert _outcome(abelian_push, gen("xi2", 4), 2) == "xi2 power with no theta to trade against"
+
+
+def test_push_of_many_xi_pairs_sums_to_the_top_theta_push():
+    # at psi1 = psi2 = 1 the binomial trade of j pairs sums to (-1)^j, so
+    # theta * xi2^(2j) pushes to (-1)^j (j+1)! there, where the oracle pops
+    # 2^j times
+    for j in (20, 40):
+        pushed = abelian_push(gen("theta") * gen("xi2", 2 * j), j + 1)
+        assert sum((c.constant_value() for c in pushed.terms.values()),
+                   GaussianRational(0)) == (-1) ** j * factorial(j + 1)
+        assert len(pushed.terms) == j + 1
+
+
 def test_push_xi_without_theta_leaves_model():
     with pytest.raises(OutsideModelError, match="no theta"):
         abelian_push(gen("xi2", 2), 1)
