@@ -111,6 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="llv context: middle dimension (6..10)")
     evaluate.add_argument("--t", type=_fraction_arg, default=Fraction(2))
     evaluate.add_argument("--format", choices=("json", "text"), default="text")
+    # each command's own parser, to which _parse hands the command's arguments
+    parser.commands = {"verify": verify, "eval": evaluate}
     return parser
 
 
@@ -179,9 +181,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with a command's arguments read once, by its
+    own parser; what that leaves is refused as parse_args refuses it."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, sys.argv[1:] if argv is None else argv)
     try:
         code = _cmd_verify(args, parser) if args.command == "verify" else _cmd_eval(args)
         sys.stdout.flush()

@@ -18,9 +18,10 @@ prefix minus signs nest at most MAX_DEPTH levels deep.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
 from .errors import EvalError
 from .lincomb import _DIGIT_LIMIT, MAX_DIGITS, Context, _passes_digits, kind
@@ -35,111 +36,82 @@ class DslError(ValueError):
         self.col = col
 
 
-# -- lexer ---------------------------------------------------------------------------------
+# -- tokens and syntax tree ----------------------------------------------------------------
 
-_PUNCT = set("+-*^()[],")
 # nesting levels of the recursive-descent parser; each costs a few frames of
 # Python's stack (1000 by default) in the parser, evaluator and printer
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'number', 'name', punctuation itself, 'end'
-    text: str
-    line: int
-    col: int
+class _Record:
+    """The base of the tokens and tree nodes, which are named tuples: a
+    value equals only a value of its own class with equal fields, never a
+    plain tuple, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Token(_Record, namedtuple("Token", "kind text line col")):
+    __slots__ = ()  # kind: 'number', 'name', punctuation itself, 'end'
+
+
+# groups: 1 a newline, 2 a number, 3 a name, 4 punctuation, 5 any other
+# character; \w also takes digits such as '²' and '½', which may continue a
+# name but not start one, so str.isalpha() decides a name's first character
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|(\d+(?:/\d+)?)|(\w+)|([-+*^()\[\],])|(.)", re.S)
 
 
 def tokenize(src: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            start_col = col
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdecimal():
-                j += 1
-                while j < n and src[j].isdecimal():
-                    j += 1
-            tokens.append(Token("number", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("name", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+    line, start = 1, 0   # start: the index of the line's first character
+    for match in _TOKEN.finditer(src):
+        group, text = match.lastindex, match.group()
+        if group == 1:
+            line, start = line + 1, match.end()
+        elif group:
+            col = match.start() - start + 1
+            if group == 5 or (group == 3 and not (text[0].isalpha() or text[0] == "_")):
+                raise DslError(f"unexpected character {text[0]!r}", line, col)
+            tokens.append(Token("number" if group == 2 else "name" if group == 3 else text,
+                                text, line, col))
+    tokens.append(Token("end", "", line, len(src) - start + 1))
     return tokens
 
 
-# -- syntax tree ---------------------------------------------------------------------------
+class Num(_Record, namedtuple("Num", "value")):
+    __slots__ = ()  # value: a GaussianRational
 
 
-@dataclass(frozen=True)
-class Num:
-    value: GaussianRational
+class Sym(_Record, namedtuple("Sym", "name args", defaults=(None,))):
+    __slots__ = ()  # args: None or a tuple of Exprs
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    args: Optional[Tuple["Expr", ...]] = None
+class Neg(_Record, namedtuple("Neg", "body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    body: "Expr"
+class Pow(_Record, namedtuple("Pow", "base exponent")):
+    __slots__ = ()  # exponent: an int
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class CommBracket(_Record, namedtuple("CommBracket", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CommBracket:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Record, namedtuple("Mul", "factors ops")):
+    __slots__ = ()  # ops: '*' or 'o', one per adjacent pair
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: Tuple["Expr", ...]
-    ops: Tuple[str, ...]  # '*' or 'o', one per adjacent pair
-
-
-@dataclass(frozen=True)
-class Add:
-    terms: Tuple["Expr", ...]
-    signs: Tuple[str, ...]  # '+' or '-', one per term after the first
+class Add(_Record, namedtuple("Add", "terms signs")):
+    __slots__ = ()  # signs: '+' or '-', one per term after the first
 
 
 Expr = object
@@ -197,22 +169,12 @@ class _Parser:
         return Add(tuple(terms), tuple(signs))
 
     def parse_term(self) -> Expr:
-        factors = [self.parse_factor()]
-        ops: List[str] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                ops.append("*")
-            elif tok.kind == "name" and tok.text == "o":
-                self.advance()
-                ops.append("o")
-            else:
-                break
+        # only the '*' token has the text '*', and only the name o the text 'o'
+        factors, ops = [self.parse_factor()], []
+        while self.peek().text in ("*", "o"):
+            ops.append(self.advance().text)
             factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors), tuple(ops))
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors), tuple(ops))
 
     def parse_factor(self) -> Expr:
         tok = self.peek()

@@ -10,9 +10,10 @@ combinations (`combination`, which + and - use, and its zero test
 brackets work on ints only; `entries` reads the matrix back as
 {(row, col): GaussianRational}.
 
-The first time a matrix is a factor of a product it builds a row index
-{row: [(col, re, im)]} of its numerators, with a flag for a real matrix, and
-keeps it in a private slot; a value never changes, so the index stays valid.
+The first time a matrix is read row by row (the right factor of `@`, either
+factor of a bracket) it builds a row index {row: [(col, re, im)]} of its
+numerators, with a flag for a real matrix, and keeps it in a private slot; a
+value never changes, so the index stays valid.
 `@`, `bracket` and `bracket_is` share one product loop on these indexes, and
 a product of real factors costs one integer multiplication per term pair.
 `bracket_is(x, y, c, m)` decides xy - yx == c*m without building the bracket.
@@ -117,9 +118,8 @@ class SparseMat:
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        real, _ = self._rows or _row_index(self)
         other_real, rows = other._rows or _row_index(other)
-        real = real and other_real
+        real = other_real and _is_real(self)
         return _sum_matrix(self.dim, self.den * other.den, real,
                            _accumulate({}, self.dim, real, ((1, self.num, rows),)))
 
@@ -138,8 +138,10 @@ class SparseMat:
         return _make(self.dim, self.den, {(c, r): v for (r, c), v in self.num.items()})
 
     def __str__(self):
-        get, dim = self.entries.get, range(self.dim)
-        return "\n".join("[" + ", ".join(str(get((r, c), 0)) for c in dim) + "]" for r in dim)
+        get, dim, rows = self.entries.get, range(self.dim), {r for r, _ in self.num}
+        zero = "[" + ", ".join("0" for _ in dim) + "]"   # shared by every zero row
+        return "\n".join("[" + ", ".join(str(get((r, c), 0)) for c in dim) + "]"
+                         if r in rows else zero for r in dim)
 
     def __repr__(self):
         return f"SparseMat(dim={self.dim}, nnz={len(self.num)})"
@@ -210,13 +212,19 @@ def combination_is_zero(dim: int, terms) -> bool:
     return not any(re or im for re, im in _sums(dim, terms)[1].values())
 
 
+def _is_real(m: SparseMat) -> bool:
+    """Whether m is real, read from its kept row index, else off its
+    numerators: a factor read only for this keeps no index."""
+    return m._rows[0] if m._rows else not any(im for _, im in m.num.values())
+
+
 def _row_index(m: SparseMat):
     """(real, {row: [(col, re, im)]}) for m's numerators, kept on m; callers
     read a kept index as `m._rows or _row_index(m)`."""
     rows: Dict[int, list] = {}
     for (r, c), (re, im) in m.num.items():
         rows.setdefault(r, []).append((c, re, im))
-    index = (not any(im for _, im in m.num.values()), rows)
+    index = (_is_real(m), rows)
     _set_rows(m, index)
     return index
 
@@ -294,7 +302,7 @@ def bracket_is(x: SparseMat, y: SparseMat, c=0, m: SparseMat | None = None) -> b
         common = lcm(den, target_den)
         k, scale = common // den, common // target_den
         p, q = -p * scale, -q * scale
-        if real and not q and (m._rows or _row_index(m))[0]:
+        if real and not q and _is_real(m):
             acc = {r * dim + col: a * p for (r, col), (a, _) in m.num.items()}
         else:
             real = False

@@ -697,6 +697,39 @@ def test_help_is_unchanged_and_follows_columns(argv, capsys, monkeypatch):
         assert run_cli(capsys, *argv) == streams
 
 
+# argv that main hands to a command's own parser and argv that only the
+# top-level parser reads; argparse differs between Python versions in how it
+# reads '--' and abbreviations, so the oracle is a full parse on the running one
+ARGV_CORPUS = (
+    [], ["-h"], ["--help"], ["verify", "-h"], ["eval", "-h"], ["-h", "verify"],
+    ["ver"], ["ver", "all"], ["eva", "--context", "llv", "h"], ["-x"], ["--", "verify"],
+    ["verify", "--bogus"], ["verify", "llv", "--trials", "0", "--bogus", "x"],
+    ["eval", "--context", "llv", "h", "extra"], ["eval", "h", "--context", "llv", "--nope"],
+    ["eval", "--context", "llv", "h", "extra", "-q", "--", "more"],
+    ["verify", "--hdim", "5"], ["verify", "--c0", "2"], ["verify", "--trials", "-1"],
+    ["eval", "--context", "llv", "h", "--hdim", "11"], ["eval", "h"], ["eval"], ["verify"],
+    ["eval", "--context"], ["eval", "--context", "nope", "h"],
+    ["eval", "--context", "llv", "h", "--t=-3/2"], ["eval", "--context", "llv", "h", "--t", "3/2"],
+    ["eval", "--context", "llv", "h", "--t", "-3/2"], ["verify", "llv", "--trials", "0", "--t=-3/2"],
+    ["eval", "--context", "llv", "--", "-h"], ["eval", "--context", "llv", "--", "-e(1)"],
+    ["eval", "--", "-h", "--context", "llv"], ["eval", "--context", "llv", "--", "-h", "--", "x"],
+    ["eval", "--context", "k3", "--context", "llv", "h"], ["eval", "--context", "llv", "h", "g"],
+    ["verify", "llv", "--trials", "0", "--hdim", "7", "--hdim", "8"],
+    ["verify", "--he"], ["eval", "--h", "llv"], ["eval", "--cont", "llv", "h"],
+    ["eval", "--context=llv", "h", "--format=json"],
+)
+
+
+def test_main_reads_argv_as_a_full_parse_does(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = [run_cli(capsys, *argv) for argv in ARGV_CORPUS]
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+    for argv, streams in zip(ARGV_CORPUS, got):
+        assert streams == run_cli(capsys, *argv), argv
+    assert got[ARGV_CORPUS.index(["eval", "--context", "llv", "h", "extra"])][2].endswith(
+        "beauville-lab: error: unrecognized arguments: extra\n")
+
+
 # the beauville_lab modules that importing cli loads: taut (with its own
 # imports) gives the parser its --locus choices
 CLI_IMPORTS = {"cli", "errors", "lincomb", "poly", "scalars", "taut"}
@@ -713,14 +746,20 @@ LOADS = {
 }
 
 
+def checkout_env():
+    """The environment of a subprocess that imports the engine from this
+    checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_each_request_loads_only_the_modules_it_runs():
     script = ("import sys\nfrom beauville_lab import cli\n"
               "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
               "print(sorted(name for name in sys.modules if name.startswith('beauville_lab.')))\n"
               "sys.exit(code)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = checkout_env()
     for argv, modules in LOADS.items():
         proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
@@ -729,12 +768,22 @@ def test_each_request_loads_only_the_modules_it_runs():
         assert loaded == sorted(f"beauville_lab.{name}" for name in modules), argv
 
 
+def test_a_taut_eval_imports_neither_dataclasses_nor_inspect():
+    script = ("import sys\nbefore = set(sys.modules)\nfrom beauville_lab import cli\n"
+              "code = cli.main(['eval', '--context', 'taut', 'theta'])\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+              "sys.exit(code)\n")
+    env = checkout_env()
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_closed_stdout_ends_without_a_traceback():
     # `beauville-lab verify all | head -c 10`, with the reader gone before
     # the report is written
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = checkout_env()
     proc = subprocess.Popen([sys.executable, "-m", "beauville_lab.cli", "verify", "all"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_llv import op_K
 from test_taut import coefficient_of
 
@@ -160,6 +161,113 @@ def test_ast_shapes_and_precedence():
     assert parse("-h^2") == Neg(Pow(Sym("h"), 2))
     assert parse("[i, h]") == CommBracket(Num(I), Sym("h"))
     assert parse("K(1,2)") == Sym("K", (Num(Fraction(1)), Num(Fraction(2))))
+
+
+def char_loop_tokens(src):
+    """The character-loop tokenizer the one-pattern tokenizer replaced, kept
+    as its oracle: (kind, text, line, col) tuples, or DslError."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal():
+            start_col = col
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdecimal():
+                j += 1
+                while j < n and src[j].isdecimal():
+                    j += 1
+            tokens.append(("number", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            start_col = col
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()[],":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+# the grammar's alphabet, whitespace, '/' with and without digits after it,
+# and characters that str.isalpha() and the regex classes may tell apart:
+# '²' and '½' may continue a name but not start one, '٣' is a decimal digit
+TOKEN_PIECES = [*"0123456789abehioxzKF_+-*^()[], \n\t\r/²½٣$",
+                "3/2", "12/345", "7/", "/5", "e(1)", "K(1,2)", "x²", "٣/٣"]
+
+
+def token_tuples(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+def tokens_or_error(tokenizer, src):
+    try:
+        return tokenizer(src)
+    except DslError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=24).map("".join))
+def test_tokenize_matches_the_character_loop(src):
+    assert tokens_or_error(token_tuples, src) == tokens_or_error(char_loop_tokens, src)
+
+
+def test_tokenize_matches_the_character_loop_at_its_edges():
+    for src in ("", "\n", "²", "½a", "a²½_٣", "٣٣/٣x", "1/", "1/x", "/2", "x\r\n\t$",
+                "a\u00a0b", "\x0b", "é1", "3/2/4", "_"):
+        assert tokens_or_error(token_tuples, src) == tokens_or_error(char_loop_tokens, src), src
+
+
+def test_tree_nodes_equal_only_their_own_class_and_are_frozen():
+    h, two = Sym("h"), Num(GaussianRational(2))
+    # nodes of different classes with the same fields are unequal
+    assert Neg(h) != Num(h) and Num(h) != Neg(h)
+    assert CommBracket(h, two) != Pow(h, two) and Mul((h,), ()) != Add((h,), ())
+    # no node equals a plain tuple, either way round
+    for node in (h, two, Neg(h), Pow(h, 2), CommBracket(h, two),
+                 Mul((h, two), ("*",)), Add((h, two), ("+",)), tokenize("h")[0]):
+        fields = tuple(getattr(node, name) for name in node._fields)
+        assert node != fields and fields != node and not node == fields
+        assert node == type(node)(*fields) and hash(node) == hash(type(node)(*fields))
+    # hash agrees with ==
+    assert parse("K(1,2) + h") == parse("K(1, 2)+h")
+    assert hash(parse("K(1,2) + h")) == hash(parse("K(1, 2)+h"))
+    assert len({parse("h"), parse("(h)"), Sym("h", None), parse("-h")}) == 2
+    assert repr(parse("K(1,2)")) == ("Sym(name='K', args=(Num(value=GaussianRational(1)), "
+                                     "Num(value=GaussianRational(2))))")
+    assert repr(tokenize("3/2")[0]) == "Token(kind='number', text='3/2', line=1, col=1)"
+    for node, name in ((h, "name"), (two, "value"), (Pow(h, 2), "exponent"),
+                       (tokenize("h")[0], "kind"), (Add((h, two), ("+",)), "extra")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert h.name == "h" and h.args is None
 
 
 # -- llv context ------------------------------------------------------------------------

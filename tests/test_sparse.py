@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beauville_lab import sparse
 from beauville_lab.lincomb import add_into
-from beauville_lab.llv import OperatorTable, op_e, op_h, random_quadruple
+from beauville_lab.llv import OperatorTable, op_e, op_h, random_quadruple, run_triple_suite
 from beauville_lab.mukai import llv_model_space
 from beauville_lab.poly import Poly
 from beauville_lab.scalars import GaussianRational
@@ -417,6 +418,23 @@ def test_a_factor_keeps_its_value(seed, real):
         for name in ("dim", "den", "num", "_rows"):
             with pytest.raises(AttributeError):
                 setattr(v, name, None)
+
+
+def test_only_a_factor_read_by_rows_keeps_a_row_index(monkeypatch):
+    calls = []
+    index = sparse._row_index
+    monkeypatch.setattr(sparse, "_row_index", lambda m: calls.append(m) or index(m))
+    complex_left = SparseMat(2, {(0, 1): GaussianRational(1, 1)})
+    left, right = SparseMat(2, {(0, 1): 1}), SparseMat(2, {(1, 0): 2})
+    assert left @ right == SparseMat(2, {(0, 0): 2})
+    assert (complex_left @ right).entries[(0, 0)] == GaussianRational(2, 2)
+    assert bracket_is(left, right, 2, SparseMat(2, {(0, 0): 1, (1, 1): -1}))
+    assert calls == [right, left] and complex_left._rows is None
+    # the triple suite indexed 249 matrices when @ and bracket_is also
+    # indexed the factors they read only the realness of
+    calls.clear()
+    run_triple_suite()
+    assert len(calls) <= 161
 
 
 def test_entries_get_and_in_read_the_numerators():
